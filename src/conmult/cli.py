@@ -361,16 +361,18 @@ def cmd_posterior(args):
         "sweeps": args.sweeps, "burn_in": args.burn_in, "seed": args.seed,
     }
     qs = np.quantile(samples, [0.025, 0.5, 0.975], axis=0)
+    ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
     write_report(args.out, "posterior.json", config, {
         "means": [float(v) for v in samples.mean(axis=0)],
         "q025": [float(v) for v in qs[0]],
         "median": [float(v) for v in qs[1]],
         "q975": [float(v) for v in qs[2]],
         "autocorr_time": [float(v) for v in diag.autocorr_time],
+        "ess": ess,
         "kept_sweeps": int(samples.shape[0]),
     })
     print(f"kept {samples.shape[0]} sweeps; "
-          f"max autocorrelation time {diag.autocorr_time.max():.1f}")
+          f"max autocorrelation time {diag.autocorr_time.max():.1f}; ess {ess:.0f}")
     return EXIT_OK
 
 

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
 from .core import CountVector, DirichletParams, SimplexPoint
 from .sampling import RngStream, sample_multinomial_array
@@ -119,12 +118,12 @@ def _beta_level_set_prob(a, b, x0):
         return 1.0
 
     def logpdf(x):
-        return beta_dist.logpdf(x, a, b)
+        return xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b)
 
     if a <= 1.0 <= b:  # decreasing density
-        return float(1.0 - beta_dist.cdf(x0, a, b))
+        return float(1.0 - betainc(a, b, x0))
     if b <= 1.0 <= a:  # increasing density
-        return float(beta_dist.cdf(x0, a, b))
+        return float(betainc(a, b, x0))
     # interior mode: level set is the union of two tails
     from scipy.optimize import brentq
 
@@ -138,7 +137,7 @@ def _beta_level_set_prob(a, b, x0):
         x1 = brentq(lambda x: logpdf(x) - c, 1e-15, mode)
     else:
         return 1.0
-    return float(beta_dist.cdf(x1, a, b) + 1.0 - beta_dist.cdf(x2, a, b))
+    return float(betainc(a, b, x1) + 1.0 - betainc(a, b, x2))
 
 
 def limiting_pvalue(prior, theta_true: SimplexPoint, n_draws: int,

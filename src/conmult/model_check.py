@@ -291,12 +291,6 @@ class ZmTable:
     def n_entries(self):
         return self.params.shape[0]
 
-    def entries(self):
-        return [
-            (ZmParams(float(a), float(b)), np.exp(lp))
-            for (a, b), lp in zip(self.params, self.log_probs)
-        ]
-
 
 def _table_cache_key(k, delta, grid):
     h = hashlib.sha256(

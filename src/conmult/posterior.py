@@ -1,136 +1,20 @@
 """Gibbs sampler for the posterior under an ordered-probabilities prior.
 
-Each full conditional is a one-dimensional density on a known truncation
-interval; draws use a grid-based inverse CDF, which stays valid for every
-pattern of prior parameters. The truncated-beta decomposition of the flat
-case is kept in the tests as an independent oracle.
+The ordering map theta_i = sum_{j >= i} omega_j / j makes theta a mixture of
+uniform distributions on {1..j} with weights omega. Each count in cell i is
+given a latent component j >= i, drawn with probability proportional to
+omega_j / j; given the component totals m, the weights are conjugate,
+omega | m ~ Dirichlet(alpha + m). Alternating the two exact draws is data
+augmentation (Tanner & Wong 1987), with no grid or truncation anywhere.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountVector, DirichletParams, SimplexPoint
+from .core import (CountVector, DirichletParams, SimplexPoint, ordered_from_weights_array,
+                   weights_from_ordered_array)
 from .sampling import RngStream
-
-GRID_POINTS = 512
-TIE_NUDGE = 1e-12
-
-
-@dataclass
-class GibbsState:
-    """Current probability vector (all k+1 coordinates, decreasing) and sweep count."""
-
-    theta: np.ndarray
-    sweep_index: int = 0
-
-
-def conditional_interval(i: int, state: GibbsState):
-    """Truncation interval for coordinate i (1-based, 1 <= i <= k).
-
-    Bounds come from the neighbours' ordering and from keeping the implicit
-    last coordinate between 0 and the k-th one. theta_0 is taken as 1.
-    """
-    th = state.theta
-    k1 = th.size
-    k = k1 - 1
-    if not (1 <= i <= k):
-        raise ValueError(f"i must be in 1..{k}, got {i}")
-    rest = th[:k].sum() - th[i - 1]  # sum of the first k coords excluding i
-    upper_prev = th[i - 2] if i >= 2 else 1.0
-    if i == k:
-        lo = (1.0 - rest) / 2.0
-        hi = min(upper_prev, 1.0 - rest)
-    else:
-        lo = max(th[i], 1.0 - rest - th[k - 1])
-        hi = min(upper_prev, 1.0 - rest)
-    if not (lo < hi):
-        raise RuntimeError(f"empty conditional interval for i={i}: [{lo}, {hi}]")
-    return lo, hi
-
-
-def _conditional_logpdf(i, state, counts, prior_alphas, x):
-    """Unnormalized log density of coordinate i at points x inside its interval."""
-    th = state.theta
-    k1 = th.size
-    k = k1 - 1
-    f = np.zeros(k1) if counts is None else np.asarray(counts, dtype=float)
-    al = np.asarray(prior_alphas, dtype=float)
-    rest = th[:k].sum() - th[i - 1]
-    x = np.asarray(x, dtype=float)
-    last = 1.0 - x - rest  # the implicit coordinate theta_{k+1}
-
-    def pow_term(base, expo):
-        if expo == 0.0:
-            return 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return expo * np.log(np.maximum(base, 0.0))
-
-    out = pow_term(x, f[i - 1]) + pow_term(last, f[k] + al[k] - 1.0)
-    if i >= 2:
-        out = out + pow_term(th[i - 2] - x, al[i - 2] - 1.0)
-    if i <= k - 1:
-        out = out + pow_term(x - th[i], al[i - 1] - 1.0)
-        out = out + pow_term(th[k - 1] - last, al[k - 1] - 1.0)
-    else:
-        out = out + pow_term(x - last, al[k - 1] - 1.0)
-    return out
-
-
-def _chebyshev_points(lo, hi, n):
-    # first-kind nodes: strictly interior, clustered toward the endpoints
-    j = np.arange(n)
-    x = np.cos(np.pi * (j + 0.5) / n)
-    return np.sort((lo + hi) / 2.0 + (hi - lo) / 2.0 * x)
-
-
-def sample_conditional(i: int, state: GibbsState, counts, prior_alphas,
-                       rng) -> float:
-    """One draw from the full conditional of coordinate i.
-
-    Inverse-CDF on a Chebyshev grid over the truncation interval: trapezoid
-    CDF, linear inverse interpolation, then a single bisection refinement
-    within the bracketing cell.
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    lo, hi = conditional_interval(i, state)
-    grid = _chebyshev_points(lo, hi, GRID_POINTS)
-    logf = _conditional_logpdf(i, state, counts, prior_alphas, grid)
-    finite = np.isfinite(logf)
-    if not finite.any():
-        raise RuntimeError(f"conditional density for i={i} is nonfinite on the whole grid")
-    dens = np.exp(logf - logf[finite].max())
-    dens[~finite] = 0.0
-    seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cdf[-1]
-    if total <= 0.0:
-        raise RuntimeError(f"conditional density for i={i} integrates to zero on the grid")
-    target = gen.uniform() * total
-    cell = int(np.searchsorted(cdf, target, side="right") - 1)
-    cell = min(max(cell, 0), grid.size - 2)
-    x0, x1 = grid[cell], grid[cell + 1]
-    c0, c1 = cdf[cell], cdf[cell + 1]
-    x = x0 + (x1 - x0) * ((target - c0) / (c1 - c0) if c1 > c0 else 0.5)
-    # one bisection step against the trapezoid CDF inside the cell
-    mid = 0.5 * (x0 + x1)
-    f0, f1 = dens[cell], dens[cell + 1]
-    fm = f0 + (f1 - f0) * 0.5
-    c_mid = c0 + 0.25 * (f0 + fm) * (x1 - x0)
-    if target < c_mid:
-        x = min(x, mid)
-    else:
-        x = max(x, mid)
-    return float(min(max(x, np.nextafter(lo, hi)), np.nextafter(hi, lo)))
-
-
-def _interior(theta):
-    """Nudge exact ties apart so zero-exponent corner cases cannot produce 0^0."""
-    th = np.array(theta, dtype=float)
-    for i in range(th.size - 2, -1, -1):
-        if th[i] <= th[i + 1]:
-            th[i] = th[i + 1] + TIE_NUDGE
-    return th / th.sum()
 
 
 @dataclass(frozen=True)
@@ -140,33 +24,45 @@ class GibbsDiagnostics:
     burn_in: int
 
 
-def autocorrelation_time(x, max_lag=None):
-    """Integrated autocorrelation time by the initial positive sequence estimator."""
+def autocorrelation_time(x):
+    """Integrated autocorrelation time by Geyer's initial monotone sequence.
+
+    Autocovariances come from one FFT over every lag; sums of adjacent pairs
+    are accumulated while positive and forced non-increasing.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
         return 1.0
-    x = x - x.mean()
-    var = np.dot(x, x) / n
-    if var == 0:
+    f = np.fft.rfft(x - x.mean(), n=2 * n)
+    acov = np.fft.irfft(f * np.conj(f))[:n]
+    if acov[0] == 0:
         return 1.0
-    max_lag = max_lag or min(n // 4, 1000)
-    tau = 1.0
-    for lag in range(1, max_lag):
-        rho = np.dot(x[:-lag], x[lag:]) / ((n - lag) * var)
-        if rho <= 0:
-            break
-        tau += 2.0 * rho
-    return float(tau)
+    rho = acov / acov[0]
+    pairs = rho[:-1:2] + rho[1::2]
+    negative = pairs < 0
+    stop = int(np.argmax(negative)) if negative.any() else pairs.size
+    pairs = np.minimum.accumulate(pairs[:stop])
+    return float(max(-1.0 + 2.0 * pairs.sum(), 1.0))
+
+
+def _log_dirichlet(shape, gen):
+    """Unnormalised log of a Dirichlet(shape) draw.
+
+    Gamma(a) = Gamma(a + 1) * U^(1/a) keeps every coordinate finite in log
+    space, however small a is.
+    """
+    return np.log(gen.standard_gamma(shape + 1.0)) - gen.standard_exponential(shape.size) / shape
 
 
 def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
               init, rng: RngStream):
-    """Systematic-scan Gibbs over coordinates 1..k.
+    """Latent-allocation Gibbs on the weights, reported in probability space.
 
-    ``counts`` may be None for a prior-only chain. ``init`` defaults to the
-    probability-space image of the prior mode, nudged strictly inside the
-    cone. Returns (samples array of kept sweeps, GibbsDiagnostics).
+    ``counts`` may be None for a prior-only chain. ``init`` is a probability
+    vector; it defaults to the probability-space image of the prior mode. Its
+    weights, averaged with equal weights, set the first sweep's allocation
+    probabilities. Returns (samples array of kept sweeps, GibbsDiagnostics).
     """
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be >= 1")
@@ -174,7 +70,7 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
         raise ValueError("need 0 <= burn_in < n_sweeps")
     al = prior.alphas
     k1 = len(prior)
-    cnt = None
+    cnt = np.zeros(k1, dtype=np.int64)
     if counts is not None:
         cnt = counts.counts if isinstance(counts, CountVector) else np.asarray(counts)
         if len(cnt) != k1:
@@ -185,16 +81,22 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
         theta0 = OrderedDirichletPrior(prior).theta_mode()
     else:
         theta0 = init.probs if isinstance(init, SimplexPoint) else np.asarray(init, dtype=float)
-    state = GibbsState(theta=_interior(theta0))
+    # averaging with equal weights lets every component receive counts in the first sweep
+    log_omega = np.log(np.maximum(weights_from_ordered_array(theta0), 0.0) + 1.0 / k1)
+    # row i of the allocation matrix may use components j >= i only
+    blocked = np.tril(np.full((k1, k1), -np.inf), k=-1)
+    log_j = np.log(np.arange(1, k1 + 1, dtype=float))
     gen = rng.generator()
-    kept = np.empty((n_sweeps - burn_in, k1))
+    log_kept = np.empty((n_sweeps - burn_in, k1))
     for sweep in range(n_sweeps):
-        for i in range(1, k1):
-            x = sample_conditional(i, state, cnt, al, gen)
-            state.theta[i - 1] = x
-            state.theta[-1] = 1.0 - state.theta[:-1].sum()
-        state.sweep_index = sweep + 1
+        logits = blocked + (log_omega - log_j)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        m = gen.multinomial(cnt, probs).sum(axis=0)
+        log_omega = _log_dirichlet(al + m, gen)
         if sweep >= burn_in:
-            kept[sweep - burn_in] = state.theta
+            log_kept[sweep - burn_in] = log_omega
+    omega = np.exp(log_kept - log_kept.max(axis=1, keepdims=True))
+    kept = ordered_from_weights_array(omega / omega.sum(axis=1, keepdims=True))
     act = np.array([autocorrelation_time(kept[:, j]) for j in range(k1)])
     return kept, GibbsDiagnostics(autocorr_time=act, n_sweeps=n_sweeps, burn_in=burn_in)
