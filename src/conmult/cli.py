@@ -205,7 +205,7 @@ def cmd_check_model(args):
         "draws": args.draws, "seed": args.seed, "workers": args.workers,
     }
     if args.zm_delta is not None:
-        table = build_zm_table(t.k, args.zm_delta, BetaGrid(), cache_dir=args.out)
+        table = build_zm_table(t.k, args.zm_delta, BetaGrid())
         rep = rb_distance_check(t, args.zm_delta, table, args.draws, rng,
                                 workers=args.workers)
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
@@ -284,16 +284,16 @@ def cmd_check_prior(args):
         if not isinstance(prior, OrderedDirichletPrior):
             raise InputError("--group prior checks need an ordered_dirichlet prior")
         spec = parse_group(args.group, len(t))
-        if not isinstance(spec, Strided):
+        if not args.group.startswith("stride="):
             raise InputError("grouped prior checks use the strided layout (stride=K)")
-        rep = grouped_conflict_check(t, prior, spec.m, args.npred, args.nis, rng,
+        rep = grouped_conflict_check(t, prior, spec.n_groups, args.npred, args.nis, rng,
                                      tau=args.tau)
-        payload["group_m"] = spec.m
+        payload["group_m"] = spec.n_groups
         payload["in_region_rate"] = predictive_in_region_rate(
             prior, spec, t.n, 10_000, rng.substream(99)
         )
         if "l" in meta and "u" in meta:
-            lred, ured = grouped_bounds(float(meta["l"]), float(meta["u"]), t.k, spec.m)
+            lred, ured = grouped_bounds(float(meta["l"]), float(meta["u"]), t.k, spec.n_groups)
             payload["grouped_bounds"] = {"l": lred, "u": ured}
     else:
         rep = conflict_pvalue(t, prior, args.npred, args.nis, rng, tau=args.tau,

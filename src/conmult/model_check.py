@@ -5,10 +5,7 @@ prior content under the flat Dirichlet reference), and a distance-based check
 against the Zipf-Mandelbrot family for hypotheses of prior mass zero.
 """
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,80 +23,54 @@ from .core import (
 )
 from .sampling import RngStream, chunked_monte_carlo, sample_dirichlet_array
 
-ZM_TABLE_FORMAT = 1
-
 
 # ---------------------------------------------------------------------------
 # grouping
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConsecutiveBlocks:
-    """Partition of 1..k+1 into consecutive blocks of equal size (last may be smaller)."""
+class Grouping:
+    """Partition of the cells into groups: ``labels[i]`` is the group of cell i.
 
-    sizes: tuple
+    Groups are numbered 0, 1, ... in the order they are reported.
+    """
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("block sizes must be positive")
-        if any(s != sizes[0] for s in sizes[:-1]) or sizes[-1] > sizes[0]:
-            raise ValueError(
-                "blocks must have equal sizes except a possibly smaller last block; "
-                f"got {sizes}"
-            )
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def n_groups(self):
-        return len(self.sizes)
+    labels: tuple
 
     @property
     def n_cells(self):
-        return sum(self.sizes)
-
-    def group_array(self, t):
-        t = np.asarray(t)
-        edges = np.cumsum((0,) + self.sizes)
-        return np.stack(
-            [t[..., edges[i]:edges[i + 1]].sum(axis=-1) for i in range(self.n_groups)],
-            axis=-1,
-        )
-
-
-@dataclass(frozen=True)
-class Strided:
-    """Partition of 1..k+1 into m groups {j, j+m, j+2m, ...}; group sizes are non-increasing."""
-
-    m: int
-    n_cells: int
-
-    def __post_init__(self):
-        if not (1 <= self.m <= self.n_cells):
-            raise ValueError(f"need 1 <= m <= {self.n_cells}, got m={self.m}")
+        return len(self.labels)
 
     @property
     def n_groups(self):
-        return self.m
+        return max(self.labels) + 1
 
     def group_array(self, t):
+        """Group sums along the last axis; members are added in cell order."""
         t = np.asarray(t)
-        return np.stack([t[..., j::self.m].sum(axis=-1) for j in range(self.m)], axis=-1)
+        labels = np.asarray(self.labels)
+        return np.stack([t[..., labels == g].sum(axis=-1) for g in range(self.n_groups)],
+                        axis=-1)
 
 
-def consecutive_blocks(n_cells: int, n_groups: int) -> ConsecutiveBlocks:
+def consecutive_blocks(n_cells: int, n_groups: int) -> Grouping:
     """Equal consecutive blocks covering ``n_cells``, the last one possibly smaller."""
+    if n_groups < 1:
+        raise ValueError(f"need at least one group, got {n_groups}")
     g = math.ceil(n_cells / n_groups)
     last = n_cells - g * (n_groups - 1)
     if last < 1:
         raise ValueError(
             f"{n_cells} cells cannot form {n_groups} equal consecutive blocks"
         )
-    return ConsecutiveBlocks((g,) * (n_groups - 1) + (last,))
+    return Grouping(tuple(i // g for i in range(n_cells)))
 
 
-def identity_grouping(n_cells: int) -> ConsecutiveBlocks:
-    return ConsecutiveBlocks((1,) * n_cells)
+def Strided(m: int, n_cells: int) -> Grouping:
+    """Partition of 1..k+1 into m groups {j, j+m, j+2m, ...}; group sizes are non-increasing."""
+    if not (1 <= m <= n_cells):
+        raise ValueError(f"need 1 <= m <= {n_cells}, got m={m}")
+    return Grouping(tuple(i % m for i in range(n_cells)))
 
 
 def group_counts(t: CountVector, spec) -> CountVector:
@@ -112,21 +83,6 @@ def group_counts(t: CountVector, spec) -> CountVector:
     if spec.n_cells != len(t):
         raise ValueError(f"group layout covers {spec.n_cells} cells, counts have {len(t)}")
     return CountVector(spec.group_array(t.counts))
-
-
-@dataclass(frozen=True)
-class GroupedOrderedCone:
-    """Vectors whose grouped sums are decreasing."""
-
-    spec: object
-
-    @property
-    def dim(self):
-        return self.spec.n_cells
-
-    def contains_array(self, theta):
-        g = self.spec.group_array(np.asarray(theta, dtype=float))
-        return np.all(g[..., :-1] >= g[..., 1:], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +109,6 @@ def analytic_prior_prob(region):
         return trine_prior_mass(region.a)
     if isinstance(region, OrderedCone):
         return 1.0 / math.factorial(region.dim)
-    if isinstance(region, GroupedOrderedCone):
-        # grouped flat Dirichlet is exchangeable over groups, so each of the
-        # m! orderings is equally likely
-        return 1.0 / math.factorial(region.spec.n_groups)
     return None
 
 
@@ -233,15 +185,6 @@ class BetaGrid:
     def betas(self):
         return np.geomspace(self.beta_min, self.beta_max, self.n_beta)
 
-    def spec_dict(self):
-        return {
-            "beta_min": self.beta_min,
-            "beta_max": self.beta_max,
-            "n_beta": self.n_beta,
-            "n_alpha": self.n_alpha,
-            "alpha_min": self.alpha_min,
-        }
-
 
 def kl_uniform_to_zm(alpha, beta, k1):
     """KL(uniform || ZM(alpha, beta)) on k1 cells; the redundancy measure."""
@@ -292,38 +235,20 @@ class ZmTable:
         return self.params.shape[0]
 
 
-def _table_cache_key(k, delta, grid):
-    h = hashlib.sha256(
-        json.dumps({"k": k, "delta": delta, "grid": grid.spec_dict()},
-                   sort_keys=True).encode()
-    ).hexdigest()[:16]
-    return f"zm_table_v{ZM_TABLE_FORMAT}_k{k}_d{delta:g}_{h}.json"
-
-
 def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid(),
                    cache_dir=None) -> ZmTable:
-    """Build (or load from cache) the ZM table for k+1 cells at resolution delta.
+    """Build the ZM table for k+1 cells at resolution delta.
 
     One uniform entry for beta = 0, then per grid beta an alpha sweep from
-    alpha_min up to the delta-redundancy bound.
+    alpha_min up to the delta-redundancy bound. The table builds in about a
+    tenth of a second, so nothing is cached; ``cache_dir`` is accepted for
+    older callers and ignored.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if grid.n_beta < 1 or grid.n_alpha < 1:
         raise ValueError("empty grid")
     k1 = k + 1
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, _table_cache_key(k, delta, grid))
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("format") == ZM_TABLE_FORMAT:
-                return ZmTable(
-                    k=k, delta=delta, grid=grid,
-                    params=np.array(data["params"]),
-                    log_probs=np.array(data["log_probs"]),
-                )
     rows = [(0.0, 0.0)]
     for beta in grid.betas():
         amax = alpha_upper_bound(float(beta), delta, k1)
@@ -334,17 +259,7 @@ def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid(),
         rows.extend((float(a), float(beta)) for a in sweep)
     params = np.array(rows)
     log_probs = zm_log_probs_array(params[:, 0], params[:, 1], k1)
-    table = ZmTable(k=k, delta=delta, grid=grid, params=params, log_probs=log_probs)
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(
-                {"format": ZM_TABLE_FORMAT, "k": k, "delta": delta,
-                 "grid": grid.spec_dict(), "params": params.tolist(),
-                 "log_probs": log_probs.tolist()},
-                fh,
-            )
-    return table
+    return ZmTable(k=k, delta=delta, grid=grid, params=params, log_probs=log_probs)
 
 
 def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,

@@ -26,8 +26,8 @@ from .core import (
 from .model_check import Strided
 from .sampling import (
     RngStream,
+    parallel_map,
     sample_dirichlet_array,
-    sample_multinomial_array,
     sample_ordered_prior_array,
     sample_trine_prior_array,
 )
@@ -40,9 +40,31 @@ class ProposalSupportError(RuntimeError):
 # ---------------------------------------------------------------------------
 # prior specifications
 # ---------------------------------------------------------------------------
+#
+# Every prior provides the importance-sampling interface used below:
+# ``proposal(t, tau)`` gives the proposal for counts t, ``importance_draws``
+# returns (theta, log prior, log proposal) for draws from it, and
+# ``tau_grid(n)`` lists the concentrations worth trying.
+
+class _SimplexPrior:
+    """Importance sampling for priors with a density on the probability simplex.
+
+    The proposal is the Dirichlet with mode t/n and concentration tau.
+    """
+
+    def proposal(self, t: CountVector, tau: float) -> DirichletParams:
+        return DirichletParams(1.0 + tau * (t.counts / t.n))
+
+    def importance_draws(self, proposal: DirichletParams, size: int, gen):
+        th = sample_dirichlet_array(proposal, size, gen)
+        return th, self.log_density_array(th), log_dirichlet_pdf_array(th, proposal.alphas)
+
+    def tau_grid(self, n):
+        return (n,)
+
 
 @dataclass(frozen=True)
-class TrinePrior:
+class TrinePrior(_SimplexPrior):
     """Density proportional to (1 - (theta - c)^t C (theta - c))^(1/2) on the trine ellipse."""
 
     a: float
@@ -67,7 +89,7 @@ class TrinePrior:
 
 
 @dataclass(frozen=True)
-class RawDirichletPrior:
+class RawDirichletPrior(_SimplexPrior):
     """Plain Dirichlet prior on the cell probabilities."""
 
     params: DirichletParams
@@ -117,15 +139,40 @@ class OrderedDirichletPrior:
         return out
 
     def theta_mode(self):
-        """Probability-space mode; the flat weight prior anchors at the uniform vector."""
-        al = self.omega_params.alphas
-        tau = float((al - 1.0).sum())
+        """Probability-space image of the weight mode; decreasing for every alpha.
+
+        Weights with alpha_j < 1 get no mass (the weight density peaks at the
+        face omega_j = 0), and a prior with no alpha_j > 1 anchors at the
+        uniform vector.
+        """
+        excess = np.maximum(self.omega_params.alphas - 1.0, 0.0)
+        tau = float(excess.sum())
         if tau <= 0:
             xi = np.zeros(self.dim)
             xi[-1] = 1.0
         else:
-            xi = (al - 1.0) / tau
+            xi = excess / tau
         return ordered_from_weights_array(xi)
+
+    def proposal(self, t: CountVector, tau: float) -> DirichletParams:
+        """Dirichlet on the weights, with the frequencies pulled into the cone toward the mode.
+
+        Draws induced through the weights always stay in the cone.
+        """
+        mode = project_to_cone(t.counts / t.n, self.theta_mode())
+        xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
+        xi = xi / xi.sum()
+        return DirichletParams(1.0 + tau * xi)
+
+    def importance_draws(self, proposal: DirichletParams, size: int, gen):
+        """Draws made in weight space, where the linear-map Jacobians cancel in the ratio."""
+        om = sample_dirichlet_array(proposal, size, gen)
+        return (ordered_from_weights_array(om),
+                log_dirichlet_pdf_array(om, self.omega_params.alphas),
+                log_dirichlet_pdf_array(om, proposal.alphas))
+
+    def tau_grid(self, n):
+        return np.geomspace(n / 100.0, n, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -161,39 +208,21 @@ def project_to_cone(x, anchor):
 def proposal_for(t: CountVector, prior, tau: float) -> DirichletParams:
     """Importance proposal parameters for estimating the predictive mass of ``t``.
 
-    For probability-space priors this is the Dirichlet with mode t/n and
-    concentration tau. For ordered priors the mode is first pulled back into
-    the closed cone toward the prior mode, and the returned parameters are for
-    the Dirichlet on the weights, whose induced draws always stay in the cone.
+    The parameters are for the space ``prior.importance_draws`` samples in.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    x = t.counts / t.n
-    if isinstance(prior, OrderedDirichletPrior):
-        mode = project_to_cone(x, prior.theta_mode())
-        xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
-        xi = xi / xi.sum()
-        return DirichletParams(1.0 + tau * xi)
-    return DirichletParams(1.0 + tau * x)
+    return prior.proposal(t, tau)
 
 
 def _is_log_predictive(t, prior, proposal, n_is, rng):
     """Importance estimate of the log predictive mass of counts ``t``.
 
-    Returns (log_m, se_log, ess). For ordered priors the proposal lives in
-    weight space and the linear-map Jacobians cancel in the weight ratio.
+    Returns (log_m, se_log, ess).
     """
     t = np.asarray(t, dtype=float)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if isinstance(prior, OrderedDirichletPrior):
-        om = sample_dirichlet_array(proposal, n_is, gen)
-        th = ordered_from_weights_array(om)
-        log_prior = log_dirichlet_pdf_array(om, prior.omega_params.alphas)
-        log_q = log_dirichlet_pdf_array(om, proposal.alphas)
-    else:
-        th = sample_dirichlet_array(proposal, n_is, gen)
-        log_prior = prior.log_density_array(th)
-        log_q = log_dirichlet_pdf_array(th, proposal.alphas)
+    th, log_prior, log_q = prior.importance_draws(proposal, n_is, gen)
     log_w = log_multinomial_pmf_array(t, th) + log_prior - log_q
     lse = logsumexp(log_w)
     if not np.isfinite(lse):
@@ -225,30 +254,29 @@ def estimate_log_prior_predictive(t: CountVector, prior, proposal: DirichletPara
 # tau tuning
 # ---------------------------------------------------------------------------
 
-def _tau_profile(t_repr, prior, tau_grid, rng, n_is):
+def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
+             n_is: int = 2000):
+    """Pick the proposal concentration maximizing effective sample size.
+
+    The estimator is pilot-run on a representative count vector at each grid
+    value; zero-weight values are excluded. Returns (tau, profile) with the
+    profile a tuple of (tau, ess) pairs, or (tau, None) for a one-value grid,
+    which needs no pilot run.
+    """
+    if len(tau_grid) == 0:
+        raise ValueError("tau grid must be nonempty")
+    if len(tau_grid) == 1:
+        return float(tau_grid[0]), None
     profile = []
     for i, tau in enumerate(tau_grid):
         prop = proposal_for(t_repr, prior, float(tau))
         _, _, ess = _is_log_predictive(t_repr.counts, prior, prop, n_is,
                                        rng.substream(i))
         profile.append((float(tau), ess))
-    return profile
-
-
-def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
-             n_is: int = 2000) -> float:
-    """Pick the proposal concentration maximizing effective sample size.
-
-    The estimator is pilot-run on a representative count vector at each grid
-    value; zero-weight values are excluded.
-    """
-    if len(tau_grid) == 0:
-        raise ValueError("tau grid must be nonempty")
-    profile = [(tau, ess) for tau, ess in _tau_profile(t_repr, prior, tau_grid, rng, n_is)
-               if ess > 0]
-    if not profile:
+    live = [p for p in profile if p[1] > 0]
+    if not live:
         raise ProposalSupportError("every tau in the grid produced all-zero weights")
-    return max(profile, key=lambda p: p[1])[0]
+    return max(live, key=lambda p: p[1])[0], tuple(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +300,6 @@ class ConflictReport:
     tau_profile: tuple = None
 
 
-DEFAULT_TAU_GRID_POINTS = 7
-
-
-def _default_tau(t_obs, prior, rng, n_is, predictive_draw):
-    if isinstance(prior, OrderedDirichletPrior):
-        n = t_obs.n
-        grid = np.geomspace(n / 100.0, n, DEFAULT_TAU_GRID_POINTS)
-        profile = _tau_profile(predictive_draw, prior, grid, rng, min(n_is, 4000))
-        live = [(tau, ess) for tau, ess in profile if ess > 0]
-        if not live:
-            raise ProposalSupportError("tau tuning failed: all-zero weights on the grid")
-        return max(live, key=lambda p: p[1])[0], tuple(profile)
-    return float(t_obs.n), None
-
-
 def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
                     rng: RngStream, tau: float = None,
                     predictive_counts=None, workers: int = 1) -> ConflictReport:
@@ -296,23 +309,22 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     estimates each log predictive mass with its own proposal, and returns the
     fraction at or below the observed estimate. Estimation failures count as
     minus infinity and flag the report as unreliable above 1% of points.
-    Points carry their own substreams, so results do not depend on ``workers``.
+    Without ``tau``, it is tuned over ``prior.tau_grid`` on the first
+    predictive point. Points carry their own substreams, so results do not
+    depend on ``workers``.
     """
     n = t_obs.n
-    pred_stream = rng.substream(0)
     if predictive_counts is None:
-        gen = pred_stream.generator()
-        th = prior.sample_array(n_pred, gen)
-        t_pred = np.stack([sample_multinomial_array(n, p, 1, gen)[0] for p in th])
+        gen = rng.substream(0).generator()
+        t_pred = gen.multinomial(n, prior.sample_array(n_pred, gen))
     else:
         t_pred = np.asarray(predictive_counts)
         if t_pred.shape[0] != n_pred:
             raise ValueError("predictive_counts length must equal n_pred")
     tau_profile = None
     if tau is None:
-        tau, tau_profile = _default_tau(
-            t_obs, prior, rng.substream(1), n_is, CountVector(t_pred[0])
-        )
+        tau, tau_profile = tune_tau(CountVector(t_pred[0]), prior, prior.tau_grid(n),
+                                    rng.substream(1), min(n_is, 4000))
 
     def estimate(t_arr, stream):
         prop = proposal_for(CountVector(t_arr), prior, tau)
@@ -321,16 +333,8 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
 
     obs_stream = rng.substream(2)
     lm_obs, se_obs, ess_obs = estimate(t_obs.counts, obs_stream)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(
-                lambda j: estimate(t_pred[j], rng.substream(3 + j)),
-                range(n_pred),
-            ))
-    else:
-        results = [estimate(t_pred[j], rng.substream(3 + j)) for j in range(n_pred)]
+    results = parallel_map(lambda j: estimate(t_pred[j], rng.substream(3 + j)),
+                           range(n_pred), workers)
     lm = np.array([r[0] for r in results])
     se = np.array([r[1] for r in results])
     ess = np.array([r[2] for r in results] + [ess_obs])
@@ -382,9 +386,7 @@ def predictive_in_region_rate(prior, spec, n: int, n_draws: int,
                               rng: RngStream) -> float:
     """Fraction of predictive draws whose grouped relative frequencies are decreasing."""
     gen = rng.generator()
-    th = prior.sample_array(n_draws, gen)
-    t = np.stack([sample_multinomial_array(n, p, 1, gen)[0] for p in th])
-    g = spec.group_array(t)
+    g = spec.group_array(gen.multinomial(n, prior.sample_array(n_draws, gen)))
     return float(np.mean(np.all(g[:, :-1] >= g[:, 1:], axis=-1)))
 
 
@@ -416,11 +418,8 @@ def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
     """
     spec = Strided(m, len(t_obs))
     reduced = reduce_ordered_prior(prior, m)
-    n = t_obs.n
     gen = rng.substream(0).generator()
-    th = prior.sample_array(n_pred, gen)
-    t_full = np.stack([sample_multinomial_array(n, p, 1, gen)[0] for p in th])
-    t_pred = spec.group_array(t_full)
+    t_pred = spec.group_array(gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen)))
     t_red = CountVector(spec.group_array(t_obs.counts))
     return conflict_pvalue(t_red, reduced, n_pred, n_is, rng.substream(1),
                            tau=tau, predictive_counts=t_pred)

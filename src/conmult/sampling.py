@@ -5,7 +5,7 @@ Carlo partitions work across substreams and reduces results in substream
 order, so aggregates do not depend on scheduling or worker count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +141,16 @@ def chunked_monte_carlo(draw_chunk, total: int, rng: RngStream,
     if total % chunk_size:
         sizes.append(total % chunk_size)
     tasks = [(rng.substream(i), m) for i, m in enumerate(sizes)]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda t: draw_chunk(*t), tasks))
-    return [draw_chunk(s, m) for s, m in tasks]
+    return parallel_map(lambda t: draw_chunk(*t), tasks, workers)
+
+
+def parallel_map(fn, items, workers: int):
+    """``[fn(x) for x in items]``, run on ``workers`` threads when that is more than one.
+
+    Results come back in item order, so they do not depend on ``workers``.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]

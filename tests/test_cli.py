@@ -89,8 +89,16 @@ class TestCheckModel:
         rep = load(out, "model_check.json")
         assert rep["mode"] == "zm_distance"
         assert os.path.exists(os.path.join(out, "distance_densities.csv"))
-        # cached table is reused on the second run
-        assert any(f.startswith("zm_table") for f in os.listdir(out))
+        # the ZM table is rebuilt per run, never cached in the output directory
+        assert not any(f.startswith("zm_table") for f in os.listdir(out))
+
+    @pytest.mark.parametrize("group", ["m=0", "triples"])
+    def test_too_few_cells_for_grouping_is_input_error(self, tmp_path, capsys, group):
+        counts = write_counts(tmp_path, np.array([5, 3]))
+        code = main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--group", group, "--draws", "1000", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "input error" in capsys.readouterr().err
 
     def test_measure_zero_region_is_input_error(self, tmp_path):
         counts = write_counts(tmp_path, np.array([25, 25, 25, 25]))

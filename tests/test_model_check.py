@@ -14,15 +14,12 @@ from conmult.core import (
 )
 from conmult.model_check import (
     BetaGrid,
-    ConsecutiveBlocks,
-    GroupedOrderedCone,
     Strided,
     ZmParams,
     alpha_upper_bound,
     build_zm_table,
     consecutive_blocks,
     group_counts,
-    identity_grouping,
     kl_to_zm,
     kl_uniform_to_zm,
     rb_distance_check,
@@ -39,26 +36,19 @@ from conftest import FLY_COUNTS, TRINE_ASYMMETRIC, TRINE_ASYMMETRIC_A, TRINE_SYM
 class TestGroupSpecs:
     def test_consecutive_construction(self):
         spec = consecutive_blocks(18, 5)
-        assert spec.sizes == (4, 4, 4, 4, 2)
-        assert consecutive_blocks(18, 9).sizes == (2,) * 9
+        assert spec.group_array(np.ones(18)).tolist() == [4, 4, 4, 4, 2]
+        assert consecutive_blocks(18, 9).group_array(np.ones(18)).tolist() == [2] * 9
 
     def test_rejects_nonequal_blocks(self):
         with pytest.raises(ValueError):
-            ConsecutiveBlocks((2, 3, 2))
-        with pytest.raises(ValueError):
-            ConsecutiveBlocks((2, 2, 3))  # last larger
-        with pytest.raises(ValueError):
             consecutive_blocks(18, 7)  # no equal-block cover exists
+        with pytest.raises(ValueError):
+            consecutive_blocks(2, 0)
 
     def test_strided_sizes_non_increasing(self):
         spec = Strided(5, 18)
         grouped = spec.group_array(np.ones(18))
         assert grouped.tolist() == [4, 4, 4, 3, 3]
-
-    def test_identity_grouping(self):
-        t = CountVector(FLY_COUNTS)
-        out = group_counts(t, identity_grouping(18))
-        np.testing.assert_array_equal(out.counts, FLY_COUNTS)
 
     def test_group_counts_values(self):
         t = CountVector(FLY_COUNTS)
@@ -78,10 +68,6 @@ class TestGroupSpecs:
             for spec in (consecutive_blocks(18, 5), Strided(7, 18)):
                 g = spec.group_array(th)
                 assert np.all(np.diff(g) <= 1e-15)
-
-    def test_grouped_cone_region(self):
-        region = GroupedOrderedCone(Strided(3, 6))
-        assert region.contains_array(np.array([0.3, 0.2, 0.1, 0.2, 0.1, 0.1]))
 
 
 class TestRegionCheck:
@@ -152,9 +138,8 @@ class TestGroupedPriorMassLaw:
 
 
 @pytest.fixture(scope="module")
-def fly_table(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("zmcache")
-    return build_zm_table(17, 0.02, BetaGrid(), cache_dir=str(cache)), cache
+def fly_table():
+    return build_zm_table(17, 0.02, BetaGrid())
 
 
 class TestZmTable:
@@ -165,28 +150,19 @@ class TestZmTable:
             assert 0.02 <= val <= 0.02 * (1 + 1e-6)
 
     def test_beta_zero_single_uniform_entry(self, fly_table):
-        table, _ = fly_table
-        zero_rows = table.params[table.params[:, 1] == 0.0]
+        zero_rows = fly_table.params[fly_table.params[:, 1] == 0.0]
         assert zero_rows.shape[0] == 1
         np.testing.assert_allclose(
-            np.exp(table.log_probs[0]), 1 / 18, atol=1e-12
+            np.exp(fly_table.log_probs[0]), 1 / 18, atol=1e-12
         )
 
     def test_entries_respect_redundancy_bound(self, fly_table):
-        table, _ = fly_table
-        pos = table.params[:, 1] > 0
-        vals = kl_uniform_to_zm(table.params[pos, 0], table.params[pos, 1], 18)
+        pos = fly_table.params[:, 1] > 0
+        vals = kl_uniform_to_zm(fly_table.params[pos, 0], fly_table.params[pos, 1], 18)
         assert np.all(vals >= 0.02 * (1 - 1e-9))
-
-    def test_cache_round_trip(self, fly_table):
-        table, cache = fly_table
-        again = build_zm_table(17, 0.02, BetaGrid(), cache_dir=str(cache))
-        np.testing.assert_array_equal(table.params, again.params)
-        np.testing.assert_array_equal(table.log_probs, again.log_probs)
 
     def test_coverage_of_random_family_members(self, fly_table, rng):
         # raw table scan alone stays within 2 delta of any family member
-        table, _ = fly_table
         betas = np.exp(rng.uniform(np.log(0.05), np.log(25.0), 200))
         thetas = []
         for b in betas:
@@ -196,12 +172,11 @@ class TestZmTable:
             lo = -0.95 if amax > -0.95 else -1.0 + 1e-6
             a = rng.uniform(lo, amax)
             thetas.append(np.exp(zm_log_probs_array(a, b, 18)))
-        d, _, _ = zm_distance_batch(np.array(thetas), table, refine=False)
+        d, _, _ = zm_distance_batch(np.array(thetas), fly_table, refine=False)
         assert d.max() <= 2 * 0.02
 
     def test_self_consistency_under_refinement(self, fly_table):
-        table, _ = fly_table
-        d, _, _ = zm_distance_batch(np.exp(table.log_probs), table)
+        d, _, _ = zm_distance_batch(np.exp(fly_table.log_probs), fly_table)
         assert d.max() <= 0.02 / 2
 
     def test_empty_grid_rejected(self):
@@ -213,28 +188,24 @@ class TestZmTable:
 
 class TestKlToZm:
     def test_uniform_hits_zero(self, fly_table):
-        table, _ = fly_table
-        d, params = kl_to_zm(np.full(18, 1 / 18), table)
+        d, params = kl_to_zm(np.full(18, 1 / 18), fly_table)
         assert d <= 1e-12
         assert params.beta == 0.0 or params.alpha > 10
 
     def test_table_entry_refines_to_zero(self, fly_table):
-        table, _ = fly_table
-        entry = np.exp(table.log_probs[37])
-        d, _ = kl_to_zm(entry, table)
+        entry = np.exp(fly_table.log_probs[37])
+        d, _ = kl_to_zm(entry, fly_table)
         assert d <= 1e-6
 
     def test_refined_never_worse_than_scan(self, fly_table, rng):
-        table, _ = fly_table
         th = rng.dirichlet(np.ones(18), size=200)
-        raw, _, _ = zm_distance_batch(th, table, refine=False)
-        ref, _, _ = zm_distance_batch(th, table, refine=True)
+        raw, _, _ = zm_distance_batch(th, fly_table, refine=False)
+        ref, _, _ = zm_distance_batch(th, fly_table, refine=True)
         assert np.all(ref <= raw + 1e-15)
 
     def test_dimension_check(self, fly_table):
-        table, _ = fly_table
         with pytest.raises(ValueError):
-            kl_to_zm(np.array([0.5, 0.5]), table)
+            kl_to_zm(np.array([0.5, 0.5]), fly_table)
 
 
 @pytest.fixture(scope="module")

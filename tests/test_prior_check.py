@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conmult.core import CountVector, DirichletParams, weights_from_ordered_array
 from conmult.consistency import log_dirichlet_multinomial
@@ -30,6 +32,38 @@ def ordered_prior(tau, k1=18):
     alphas = np.ones(k1)
     alphas[-1] += tau
     return OrderedDirichletPrior(DirichletParams(alphas))
+
+
+def compositions(total, parts):
+    """Every way to write ``total`` as an ordered sum of ``parts`` non-negative integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def exact_ordered_log_predictive(t, alphas):
+    """Exact log predictive mass of counts ``t`` under the ordered prior.
+
+    theta_i = sum_{j>=i} omega_j / j, so prod_i theta_i^{t_i} expands over the
+    allocations m_ij (j >= i) of each t_i into terms prod_j (omega_j / j)^{M_j}
+    with M_j = sum_i m_ij, whose expectations are Dirichlet moments of omega.
+    """
+    k1 = len(t)
+    terms = []
+    for alloc in itertools.product(*(compositions(int(t[i]), k1 - i) for i in range(k1))):
+        m = np.zeros(k1)
+        log_c = 0.0
+        for i, row in enumerate(alloc):
+            for j, mij in enumerate(row, start=i):
+                m[j] += mij
+                log_c -= math.lgamma(mij + 1) + mij * math.log(j + 1)
+        log_c += sum(math.lgamma(a + mj) - math.lgamma(a) for a, mj in zip(alphas, m))
+        terms.append(log_c)
+    n, a0 = int(sum(t)), float(sum(alphas))
+    return math.lgamma(n + 1) + math.lgamma(a0) - math.lgamma(a0 + n) + logsumexp(terms)
 
 
 class TestPredictiveEstimator:
@@ -84,6 +118,30 @@ class TestPredictiveEstimator:
         spread_tol = 5 * math.hypot(max(ses), max(ses))
         assert max(vals) - min(vals) < max(spread_tol, 0.05)
 
+    def test_ordered_exact_oracle_normalizes(self):
+        for alphas in ([1.0, 1.0, 1.0], [0.5, 3.0, 3.0]):
+            total = sum(math.exp(exact_ordered_log_predictive(t, alphas))
+                        for t in itertools.product(range(5), repeat=3) if sum(t) == 4)
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("i, t, alphas", [
+        (0, (5, 2, 1), [1.0, 1.0, 1.0]),
+        (1, (8, 0, 0), [2.0, 0.7, 1.5]),
+        (2, (1, 2, 4), [1.5, 1.5, 4.0]),
+        (3, (3, 3, 2), [0.7, 3.0, 3.0]),
+        (4, (0, 0, 6), [0.9, 1.2, 2.5]),
+    ])
+    def test_ordered_matches_exact_enumeration(self, i, t, alphas):
+        prior = OrderedDirichletPrior(DirichletParams(np.array(alphas)))
+        tv = CountVector(np.array(t))
+        prop = proposal_for(tv, prior, 1.0)
+        # proposal alphas below twice the prior's keep the weight variance
+        # finite, so the delta-method se is a valid error bar
+        assert np.all(prop.alphas < 2 * np.array(alphas))
+        log_m, se = estimate_log_prior_predictive(tv, prior, prop, 4_000,
+                                                  RngStream(110 + i))
+        assert abs(log_m - exact_ordered_log_predictive(t, alphas)) < 3 * se
+
     def test_all_zero_weights_raise(self):
         # proposal concentrated at a corner far outside the trine ellipse
         prior = TrinePrior(1 / 3)
@@ -123,6 +181,11 @@ class TestProposals:
         np.testing.assert_allclose(got, expect, atol=1e-9)
         assert np.all(got[:-1] - got[1:] >= -1e-9)
 
+    def test_ordered_mode_decreasing_with_small_alpha(self):
+        # weights with alpha < 1 get no mode mass: xi = (0, 1/2, 1/2)
+        mode = OrderedDirichletPrior(DirichletParams(np.array([0.5, 3.0, 3.0]))).theta_mode()
+        np.testing.assert_allclose(mode, [5 / 12, 5 / 12, 1 / 6], atol=1e-15)
+
     def test_projection_boundary_has_tie(self):
         prior = ordered_prior(2.85)
         t = CountVector(np.array([35, 29, 20, 145, 96, 11, 4, 4, 4, 3, 3, 2, 2,
@@ -153,18 +216,17 @@ class TestTuneTau:
         prior = ordered_prior(2.85)
         t = CountVector(FLY_COUNTS)
         grid = [t.n / 100, t.n / 10, float(t.n)]
-        tau = tune_tau(t, prior, grid, RngStream(92), n_is=3000)
+        tau, profile = tune_tau(t, prior, grid, RngStream(92), n_is=3000)
         # wide proposals dominate here; the pick must be the grid's ESS argmax
-        from conmult.prior_check import _tau_profile
-
-        profile = _tau_profile(t, prior, grid, RngStream(92), 3000)
+        assert [p[0] for p in profile] == grid
         best = max(profile, key=lambda p: p[1])[0]
         assert tau == best
 
     def test_singleton_grid(self):
         prior = RawDirichletPrior(DirichletParams(np.ones(3)))
         t = CountVector(np.array([5, 3, 2]))
-        assert tune_tau(t, prior, [7.5], RngStream(93)) == 7.5
+        # a one-value grid needs no pilot run and has no profile
+        assert tune_tau(t, prior, [7.5], RngStream(93)) == (7.5, None)
 
     def test_empty_grid_rejected(self):
         prior = RawDirichletPrior(DirichletParams(np.ones(3)))
