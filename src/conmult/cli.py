@@ -3,8 +3,12 @@
 Subcommands run one analysis per process and write deterministic JSON
 reports (plus plot-ready CSVs) into the output directory; identical
 configuration and seed reproduce byte-identical reports. Exit codes:
-0 success / evidence in favor, 1 input error, 2 numerical failure,
-3 evidence against.
+0 success / evidence in favor, 1 input error (usage errors included),
+2 numerical failure, 3 evidence against.
+
+scipy is imported inside the functions that compute with it, so only
+``check-prior`` and ``consistency`` load it; the other commands start
+without it.
 """
 
 import argparse
@@ -64,6 +68,14 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _env_default(name, fallback, cast):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
@@ -118,6 +130,8 @@ def read_prior(path):
         raise InputError(f"cannot read prior file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f'{path}: expected an object with a "type" field')
     kind = data.get("type")
     try:
         if kind == "trine":
@@ -407,7 +421,7 @@ def cmd_consistency(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conmult",
         description="Bayesian checks for constrained multinomial models "
                     "(defaults can be overridden via CONMULT_* environment variables)",
@@ -480,9 +494,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
 from .core import CountVector, DirichletParams, SimplexPoint
 from .sampling import RngStream, sample_multinomial_array
@@ -44,6 +43,8 @@ def cell_index(r, n: int) -> CellIndex:
 
 def log_dirichlet_multinomial(counts, alphas) -> float:
     """Log predictive mass of counts under a Dirichlet prior (closed form)."""
+    from scipy.special import gammaln
+
     t = np.asarray(counts, dtype=float)
     al = np.asarray(alphas, dtype=float)
     n = t.sum(axis=-1)
@@ -114,6 +115,8 @@ def continuized_density(r, n: int, alphas: DirichletParams) -> float:
 
 def _beta_level_set_prob(a, b, x0):
     """P(pi(X) <= pi(x0)) for X ~ Beta(a, b), via the density level set."""
+    from scipy.special import betainc, betaln, xlog1py, xlogy
+
     if a == 1.0 and b == 1.0:
         return 1.0
 
@@ -220,6 +223,8 @@ def convergence_experiment(prior: DirichletParams, theta_true: SimplexPoint,
     For each n in the schedule and each replication, counts are simulated at
     theta_true and the p-value is computed by exact enumeration.
     """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
     check_prior_conditions(prior)
     limit = limiting_pvalue(prior, theta_true, 200_000, rng.substream(0))
     limit_strict = limiting_pvalue(prior, theta_true, 200_000, rng.substream(0),

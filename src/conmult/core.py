@@ -9,7 +9,6 @@ and closed-form log densities.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 SIMPLEX_SUM_TOL = 1e-12
 EQUALITY_TOL = 1e-9
@@ -348,6 +347,8 @@ def log_multinomial_pmf_array(counts, theta):
 
     Computed with log-gamma; a zero probability with a positive count gives -inf.
     """
+    from scipy.special import gammaln
+
     t = np.asarray(counts, dtype=float)
     th = np.asarray(theta, dtype=float)
     n = t.sum(axis=-1)
@@ -366,6 +367,8 @@ def log_multinomial_pmf(t: CountVector, theta: SimplexPoint) -> float:
 
 def log_dirichlet_pdf_array(x, alphas):
     """Dirichlet log density along the last axis (full normalization)."""
+    from scipy.special import gammaln
+
     al = np.asarray(alphas, dtype=float)
     xx = np.asarray(x, dtype=float)
     norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)

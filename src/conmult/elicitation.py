@@ -79,6 +79,8 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
     quasi-deterministic. The returned upper bracket end achieves within one
     Monte Carlo standard error above gamma.
     """
+    if n_draws < 1:
+        raise ValueError(f"need at least one draw, got {n_draws}")
     theta_star, xi_sp = equispaced_mode(inp.k, inp.delta)
     ts = theta_star.probs
     # l = 0 is always admissible: the event theta_{k+1} > 0 holds almost surely

@@ -220,6 +220,11 @@ def alpha_upper_bound(beta: float, delta: float, k1: int):
     return float(lo)
 
 
+# rows of thetas scanned against the table at once; bounds the scan matrix
+# at ZM_SCAN_ROWS x table entries
+ZM_SCAN_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class ZmTable:
     """Tabulated ZM distributions used to seed the KL projection."""
@@ -274,9 +279,13 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
     k1 = th.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
-    dists = neg_ent[:, None] - th @ table.log_probs.T
-    j = np.argmin(dists, axis=1)
-    best = dists[np.arange(th.shape[0]), j]
+    j = np.empty(th.shape[0], dtype=np.intp)
+    best = np.empty(th.shape[0])
+    for start in range(0, th.shape[0], ZM_SCAN_ROWS):
+        rows = slice(start, start + ZM_SCAN_ROWS)
+        dists = neg_ent[rows, None] - th[rows] @ table.log_probs.T
+        j[rows] = np.argmin(dists, axis=1)
+        best[rows] = dists[np.arange(dists.shape[0]), j[rows]]
     alpha = table.params[j, 0].copy()
     beta = table.params[j, 1].copy()
     if not refine:
@@ -337,7 +346,6 @@ def _distance_sample(alphas, table, n_draws, rng, workers):
         d, _, _ = zm_distance_batch(th, table)
         return d
 
-    # modest chunks keep the (draws x table entries) scan matrix small
     return np.concatenate(
         chunked_monte_carlo(chunk, n_draws, rng, workers=workers, chunk_size=10_000)
     )

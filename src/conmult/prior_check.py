@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import (
     CountVector,
@@ -128,6 +127,8 @@ class OrderedDirichletPrior:
         return sample_ordered_prior_array(self.omega_params, size, rng)
 
     def log_density_array(self, thetas):
+        from scipy.special import gammaln
+
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         om = weights_from_ordered_array(th)
         ok = np.all(om > -1e-15, axis=-1)
@@ -220,6 +221,8 @@ def _is_log_predictive(t, prior, proposal, n_is, rng):
 
     Returns (log_m, se_log, ess).
     """
+    from scipy.special import logsumexp
+
     t = np.asarray(t, dtype=float)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     th, log_prior, log_q = prior.importance_draws(proposal, n_is, gen)
@@ -313,6 +316,8 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     predictive point. Points carry their own substreams, so results do not
     depend on ``workers``.
     """
+    if n_pred < 1 or n_is < 1:
+        raise ValueError(f"need n_pred >= 1 and n_is >= 1, got {n_pred} and {n_is}")
     n = t_obs.n
     if predictive_counts is None:
         gen = rng.substream(0).generator()

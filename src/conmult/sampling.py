@@ -137,6 +137,8 @@ def chunked_monte_carlo(draw_chunk, total: int, rng: RngStream,
     controls execution concurrency, so results are identical for any worker
     count. Returns the list of per-chunk results in chunk order.
     """
+    if total < 1:
+        raise ValueError(f"need at least one draw, got {total}")
     sizes = [chunk_size] * (total // chunk_size)
     if total % chunk_size:
         sizes.append(total % chunk_size)

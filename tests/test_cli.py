@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,14 +94,6 @@ class TestCheckModel:
         # the ZM table is rebuilt per run, never cached in the output directory
         assert not any(f.startswith("zm_table") for f in os.listdir(out))
 
-    @pytest.mark.parametrize("group", ["m=0", "triples"])
-    def test_too_few_cells_for_grouping_is_input_error(self, tmp_path, capsys, group):
-        counts = write_counts(tmp_path, np.array([5, 3]))
-        code = main(["check-model", "--counts", counts, "--region", "ordered",
-                     "--group", group, "--draws", "1000", "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "input error" in capsys.readouterr().err
-
     def test_measure_zero_region_is_input_error(self, tmp_path):
         counts = write_counts(tmp_path, np.array([25, 25, 25, 25]))
         code = main(["check-model", "--counts", counts, "--region", "crosshairs",
@@ -149,6 +143,14 @@ class TestCheckPrior:
                      str(tmp_path / "nope.json"), "--force",
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_non_object_prior_file(self, tmp_path):
+        from conmult.cli import InputError, read_prior
+
+        p = tmp_path / "prior.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(InputError, match="expected an object"):
+            read_prior(str(p))
 
     def test_grouped_check_needs_ordered_prior(self, tmp_path):
         counts = write_counts(tmp_path, FLY_COUNTS)
@@ -211,6 +213,93 @@ class TestElicitAndDownstream:
         assert code == 1
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        # too few cells for the grouping
+        pytest.param(["check-model", "--counts", "{pair}", "--region", "ordered",
+                      "--group", "m=0", "--draws", "1000"], id="m=0"),
+        pytest.param(["check-model", "--counts", "{pair}", "--region", "ordered",
+                      "--group", "triples", "--draws", "1000"], id="triples"),
+        # usage errors
+        pytest.param(["check-model", "--region", "trine"], id="missing-counts"),
+        pytest.param(["check-modle", "--counts", "{trine}"], id="unknown-command"),
+        pytest.param(["check-model", "--counts", "{trine}", "--draws", "many"],
+                     id="non-integer-draws"),
+        # non-positive budgets
+        pytest.param(["check-model", "--counts", "{trine}", "--region", "trine",
+                      "--draws", "0"], id="check-model-draws-0"),
+        pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "0.05",
+                      "--draws", "0"], id="zm-draws-0"),
+        pytest.param(["elicit", "--k", "3", "--l", "0.02", "--u", "0.8",
+                      "--draws", "0"], id="elicit-draws-0"),
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--force", "--npred", "0", "--nis", "500"], id="npred-0"),
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--force", "--npred", "20", "--nis", "0"], id="nis-0"),
+        pytest.param(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+                      "--schedule", "50", "--replications", "0"], id="replications-0"),
+    ])
+    def test_exits_1_with_input_error(self, tmp_path, capsys, argv):
+        files = {}
+        for name, counts in (("pair", np.array([5, 3])), ("trine", TRINE_SYMMETRIC)):
+            (tmp_path / name).mkdir()
+            files[name] = write_counts(tmp_path / name, counts)
+        files["prior"] = str(tmp_path / "prior.json")
+        with open(files["prior"], "w") as fh:
+            json.dump({"type": "trine", "a": 1 / 3}, fh)
+        code = main([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "input error:" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_only_check_prior_and_consistency_load_scipy(self, tmp_path):
+        """Run in a fresh interpreter: scipy stays unloaded until a command uses it."""
+        script = f"""
+import json, os, sys
+from conmult.cli import main
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+def write(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+assert not scipy_modules(), scipy_modules()
+d = {str(tmp_path)!r}
+trine, fly = os.path.join(d, "trine.json"), os.path.join(d, "fly.json")
+write(trine, {{"counts": {TRINE_SYMMETRIC.tolist()}}})
+write(fly, {{"counts": {FLY_COUNTS.tolist()}}})
+out = os.path.join(d, "out")
+assert main(["check-model", "--counts", trine, "--region", "trine",
+             "--draws", "2000", "--out", out]) == 0
+assert main(["check-model", "--counts", fly, "--group", "pairs",
+             "--draws", "2000", "--out", os.path.join(d, "pairs")]) == 0
+# on the fly data the first prior bin is empty, which exits 2 by design
+assert main(["check-model", "--counts", fly, "--zm-delta", "0.02",
+             "--draws", "1000", "--out", os.path.join(d, "zm")]) in (0, 2, 3)
+assert main(["elicit", "--k", "3", "--l", "0.02", "--u", "0.8", "--gamma", "0.9",
+             "--draws", "2000", "--out", out]) == 0
+write(os.path.join(d, "four.json"), {{"counts": [10, 8, 4, 2]}})
+assert main(["posterior", "--counts", os.path.join(d, "four.json"),
+             "--prior", os.path.join(out, "prior.json"), "--sweeps", "200",
+             "--burn-in", "50", "--out", out]) == 0
+assert not scipy_modules(), scipy_modules()
+write(os.path.join(d, "prior.json"), {{"type": "trine", "a": 1 / 3}})
+assert main(["check-prior", "--counts", trine, "--prior", os.path.join(d, "prior.json"),
+             "--npred", "20", "--nis", "500", "--out", out]) == 0
+assert "scipy.special" in sys.modules
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = {k: v for k, v in env.items() if not k.startswith("CONMULT_")}
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
+
 class TestConsistencyCommand:
     def test_writes_table_and_summary(self, tmp_path):
         out = str(tmp_path / "out")
@@ -238,3 +327,8 @@ class TestEnvOverrides:
         assert main(["check-model", "--counts", counts, "--region", "trine",
                      "--draws", "2000", "--out", out]) == 0
         assert load(out, "model_check.json")["config"]["seed"] == 12345
+
+    def test_bad_environment_value_is_input_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONMULT_SEED", "abc")
+        assert main(["--version"]) == 1
+        assert "input error: bad CONMULT_SEED" in capsys.readouterr().err
