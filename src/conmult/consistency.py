@@ -7,7 +7,6 @@ parameter. The convergence experiment tabulates exact p-values against that
 limit over a schedule of sample sizes.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,38 +65,50 @@ def exact_prior_predictive(t: CountVector, alphas: DirichletParams) -> float:
 
 
 def enumerate_lattice(k: int, n: int) -> np.ndarray:
-    """All count vectors with k+1 cells summing to n, as an array of rows."""
+    """All count vectors with k+1 cells summing to n, as rows in lexicographic order.
+
+    Each pass appends one coordinate to every row, running from 0 to what the
+    row has left, so the rows come out in order without filtering (n+1)^k tuples.
+    """
     size = math.comb(n + k, k)
     if size > ENUMERATION_GUARD:
         raise ValueError(f"lattice has {size} points, exceeding the {ENUMERATION_GUARD} guard")
-    if k == 1:
-        t1 = np.arange(n + 1)
-        return np.column_stack([t1, n - t1])
-    if k == 2:
-        t1 = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-        t2 = np.concatenate([np.arange(n - v + 1) for v in range(n + 1)])
-        return np.column_stack([t1, t2, n - t1 - t2])
-    rows = [
-        comb + (n - sum(comb),)
-        for comb in itertools.product(range(n + 1), repeat=k)
-        if sum(comb) <= n
-    ]
-    return np.array(rows)
+    heads = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([n], dtype=np.int64)
+    for _ in range(k):
+        reps = rem + 1
+        v = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        heads = np.column_stack([np.repeat(heads, reps, axis=0), v])
+        rem = np.repeat(rem, reps) - v
+    return np.column_stack([heads, rem])
 
 
-def exact_conflict_pvalue(t_obs: CountVector, alphas: DirichletParams) -> float:
-    """Conflict p-value by full enumeration: total mass of count vectors no more probable.
+def lattice_masses(k: int, n: int, alphas: DirichletParams):
+    """(log masses, masses) of every count vector of k+1 cells summing to n, in lattice order.
+
+    Computed once per (k, n, prior), they turn each enumeration p-value into
+    one mask and sum.
+    """
+    if k + 1 != len(alphas):
+        raise ValueError("dimension mismatch")
+    log_m = log_dirichlet_multinomial(enumerate_lattice(k, n), alphas.alphas)
+    return log_m, np.exp(log_m)
+
+
+def lattice_pvalue(masses, t_obs: CountVector, alphas: DirichletParams) -> float:
+    """Conflict p-value of ``t_obs`` from the :func:`lattice_masses` of its total.
 
     Log masses within LOG_TIE_TOL of the observed one count as ties (the flat
     case makes every mass mathematically equal, differing only in rounding).
     """
-    if len(t_obs) != len(alphas):
-        raise ValueError("dimension mismatch")
-    lattice = enumerate_lattice(t_obs.k, t_obs.n)
-    log_m = log_dirichlet_multinomial(lattice, alphas.alphas)
+    log_m, m = masses
     log_obs = log_dirichlet_multinomial(t_obs.counts, alphas.alphas)
-    keep = log_m <= log_obs + LOG_TIE_TOL
-    return float(np.exp(log_m[keep]).sum())
+    return float(m[log_m <= log_obs + LOG_TIE_TOL].sum())
+
+
+def exact_conflict_pvalue(t_obs: CountVector, alphas: DirichletParams) -> float:
+    """Conflict p-value by full enumeration: total mass of count vectors no more probable."""
+    return lattice_pvalue(lattice_masses(t_obs.k, t_obs.n, alphas), t_obs, alphas)
 
 
 def continuized_density(r, n: int, alphas: DirichletParams) -> float:
@@ -113,31 +124,43 @@ def continuized_density(r, n: int, alphas: DirichletParams) -> float:
 # limiting value and convergence experiment
 # ---------------------------------------------------------------------------
 
+def _bisect(f, lo, hi):
+    """Root of f between lo and hi, where f changes sign, bisected to the last bit.
+
+    Returns the last point found on lo's side of the sign change.
+    """
+    lo_positive = f(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if (f(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _beta_level_set_prob(a, b, x0):
     """P(pi(X) <= pi(x0)) for X ~ Beta(a, b), via the density level set."""
-    from scipy.special import betainc, betaln, xlog1py, xlogy
+    from scipy.special import betainc, xlog1py, xlogy
 
     if a == 1.0 and b == 1.0:
         return 1.0
-
-    def logpdf(x):
-        return xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b)
-
     if a <= 1.0 <= b:  # decreasing density
         return float(1.0 - betainc(a, b, x0))
     if b <= 1.0 <= a:  # increasing density
         return float(betainc(a, b, x0))
+
     # interior mode: level set is the union of two tails
-    from scipy.optimize import brentq
+    def level(x):
+        return xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - c
 
     mode = (a - 1.0) / (a + b - 2.0)
-    c = logpdf(x0)
+    c = xlogy(a - 1.0, x0) + xlog1py(b - 1.0, -x0)
     if x0 < mode:
-        x1 = x0
-        x2 = brentq(lambda x: logpdf(x) - c, mode, 1.0 - 1e-15)
+        x1, x2 = x0, _bisect(level, mode, 1.0 - 1e-15)
     elif x0 > mode:
-        x2 = x0
-        x1 = brentq(lambda x: logpdf(x) - c, 1e-15, mode)
+        x1, x2 = _bisect(level, 1e-15, mode), x0
     else:
         return 1.0
     return float(betainc(a, b, x1) + 1.0 - betainc(a, b, x2))
@@ -233,7 +256,8 @@ def convergence_experiment(prior: DirichletParams, theta_true: SimplexPoint,
     for ni, n in enumerate(n_schedule):
         gen = rng.substream(1 + ni).generator()
         counts = sample_multinomial_array(int(n), theta_true.probs, replications, gen)
+        masses = lattice_masses(theta_true.k, int(n), prior)
         for rep in range(replications):
-            p = exact_conflict_pvalue(CountVector(counts[rep]), prior)
+            p = lattice_pvalue(masses, CountVector(counts[rep]), prior)
             rows.append(ConvergenceRow(int(n), rep, p, limit, abs(p - limit)))
     return ConvergenceTable(rows=tuple(rows), limit=limit, limit_strict=limit_strict)

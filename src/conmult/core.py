@@ -211,14 +211,6 @@ def kl_divergence(theta: SimplexPoint, p: SimplexPoint) -> float:
 # constraint regions
 # ---------------------------------------------------------------------------
 
-def trine_overlap_from_angle(phi0: float) -> float:
-    """Overlap parameter a = 0.5 sin^2(arccos(cot(2 phi0))) of a trine setup."""
-    c = 1.0 / np.tan(2.0 * phi0)
-    if abs(c) > 1:
-        raise ValueError("cot(2*phi0) must lie in [-1, 1]")
-    return float(0.5 * np.sin(np.arccos(c)) ** 2)
-
-
 def trine_center_matrix(a: float):
     """Center c and quadratic-form matrix C of the trine ellipse for overlap a."""
     if not (0 < a < 0.5):
@@ -298,11 +290,6 @@ class QuadBall:
         return ok
 
 
-def symmetric_trine_quadball() -> QuadBall:
-    """Sphere-cap form of the symmetric trine constraint on 3 cells."""
-    return QuadBall(dim=3, bound=0.5)
-
-
 def crosshairs_region() -> QuadBall:
     return QuadBall(dim=4, bound=3.0 / 8.0, equalities=(((0, 1), 0.5), ((2, 3), 0.5)))
 
@@ -367,11 +354,38 @@ def log_multinomial_pmf(t: CountVector, theta: SimplexPoint) -> float:
 
 def log_dirichlet_pdf_array(x, alphas):
     """Dirichlet log density along the last axis (full normalization)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(np.asarray(x, dtype=float))
+    return log_dirichlet_pdf_from_logs(log_x, alphas)
+
+
+def log_dirichlet_pdf_from_logs(log_x, alphas):
+    """:func:`log_dirichlet_pdf_array` given log x, so one log serves several densities."""
     from scipy.special import gammaln
 
     al = np.asarray(alphas, dtype=float)
-    xx = np.asarray(x, dtype=float)
     norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(al != 1.0, (al - 1.0) * np.log(xx), 0.0)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(al != 1.0, (al - 1.0) * log_x, 0.0)
     return norm + terms.sum(axis=-1)
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array, bit for bit as ``scipy.special.logsumexp``.
+
+    As there, every entry tied at the maximum leaves the sum and enters as the
+    count of ties, and a non-finite result is recomputed as log(sum(exp(a))).
+    Unlike there, exp(a) is only taken when that fallback is needed.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out

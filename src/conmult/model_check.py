@@ -16,7 +16,6 @@ from .core import (
     MeasureZeroRegionError,
     OrderedCone,
     TrineEllipse,
-    ZmParams,
     kl_divergence_array,
     trine_prior_mass,
     zm_log_probs_array,
@@ -308,18 +307,6 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
         sa[~improved] *= 0.5
         sb[~improved] *= 0.5
     return np.maximum(best, 0.0), alpha, beta
-
-
-def kl_to_zm(theta, table: ZmTable):
-    """Minimum KL(theta || ZM) over the family, refined from the best table entry.
-
-    Returns (distance, ZmParams of the minimizer).
-    """
-    probs = theta.probs if hasattr(theta, "probs") else np.asarray(theta, dtype=float)
-    if probs.size != table.k + 1:
-        raise ValueError(f"table is for {table.k + 1} cells, point has {probs.size}")
-    d, a, b = zm_distance_batch(probs[None, :], table)
-    return float(d[0]), ZmParams(float(a[0]), float(b[0]))
 
 
 # ---------------------------------------------------------------------------

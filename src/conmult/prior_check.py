@@ -10,6 +10,7 @@ constant cancels in the comparisons.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from .core import (
     DirichletParams,
     TrineEllipse,
     log_dirichlet_pdf_array,
+    log_dirichlet_pdf_from_logs,
     log_multinomial_pmf_array,
+    logsumexp,
     ordered_from_weights_array,
     weights_from_ordered_array,
 )
@@ -77,10 +80,13 @@ class TrinePrior(_SimplexPrior):
     def sample_array(self, size, rng):
         return sample_trine_prior_array(self.a, size, rng)
 
+    @cached_property
+    def region(self):
+        return TrineEllipse(self.a)
+
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        region = TrineEllipse(self.a)
-        q = region.quad_form_array(th[:, :2])
+        q = self.region.quad_form_array(th[:, :2])
         ok = (q <= 1.0) & np.all(th > 0, axis=-1)
         out = np.full(th.shape[0], -np.inf)
         out[ok] = 0.5 * np.log1p(-q[ok])
@@ -168,9 +174,11 @@ class OrderedDirichletPrior:
     def importance_draws(self, proposal: DirichletParams, size: int, gen):
         """Draws made in weight space, where the linear-map Jacobians cancel in the ratio."""
         om = sample_dirichlet_array(proposal, size, gen)
+        with np.errstate(divide="ignore"):
+            log_om = np.log(om)
         return (ordered_from_weights_array(om),
-                log_dirichlet_pdf_array(om, self.omega_params.alphas),
-                log_dirichlet_pdf_array(om, proposal.alphas))
+                log_dirichlet_pdf_from_logs(log_om, self.omega_params.alphas),
+                log_dirichlet_pdf_from_logs(log_om, proposal.alphas))
 
     def tau_grid(self, n):
         return np.geomspace(n / 100.0, n, 7)
@@ -192,7 +200,7 @@ def project_to_cone(x, anchor):
 
     def feasible(lam):
         v = lam * x + (1.0 - lam) * anchor
-        return np.all(v[:-1] >= v[1:])
+        return (v[:-1] >= v[1:]).all()
 
     if feasible(1.0):
         return x
@@ -221,8 +229,6 @@ def _is_log_predictive(t, prior, proposal, n_is, rng):
 
     Returns (log_m, se_log, ess).
     """
-    from scipy.special import logsumexp
-
     t = np.asarray(t, dtype=float)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     th, log_prior, log_q = prior.importance_draws(proposal, n_is, gen)

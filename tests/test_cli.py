@@ -300,6 +300,34 @@ assert "scipy.special" in sys.modules
         assert res.returncode == 0, res.stderr
 
 
+    def test_consistency_and_check_prior_leave_scipy_optimize_unloaded(self, tmp_path):
+        """Run in a fresh interpreter: neither p-value command imports ``scipy.optimize``."""
+        script = f"""
+import json, os, sys
+from conmult.cli import main
+
+d = {str(tmp_path)!r}
+trine = os.path.join(d, "trine.json")
+with open(trine, "w") as fh:
+    json.dump({{"counts": {TRINE_SYMMETRIC.tolist()}}}, fh)
+with open(os.path.join(d, "prior.json"), "w") as fh:
+    json.dump({{"type": "trine", "a": 1 / 3}}, fh)
+assert main(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+             "--schedule", "50,200", "--replications", "5", "--out", d]) == 0
+assert main(["check-prior", "--counts", trine, "--prior", os.path.join(d, "prior.json"),
+             "--npred", "20", "--nis", "500", "--force", "--out", d]) == 0
+assert "scipy.special" in sys.modules
+assert "scipy.optimize" not in sys.modules
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = {k: v for k, v in env.items() if not k.startswith("CONMULT_")}
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
+
 class TestConsistencyCommand:
     def test_writes_table_and_summary(self, tmp_path):
         out = str(tmp_path / "out")

@@ -1,11 +1,16 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import betainc
 
 from conmult.consistency import (
     CellIndex,
     ConvergenceTable,
+    _beta_level_set_prob,
     cell_index,
     check_prior_conditions,
     continuized_density,
@@ -13,7 +18,10 @@ from conmult.consistency import (
     enumerate_lattice,
     exact_conflict_pvalue,
     exact_prior_predictive,
+    lattice_masses,
+    lattice_pvalue,
     limiting_pvalue,
+    log_dirichlet_multinomial,
 )
 from conmult.core import CountVector, DirichletParams, SimplexPoint
 from conmult.prior_check import RawDirichletPrior, conflict_pvalue
@@ -41,8 +49,6 @@ class TestExactPredictive:
             for n in (7, 33, 60):
                 alphas = DirichletParams(rng.uniform(0.5, 4.0, size=k + 1))
                 lattice = enumerate_lattice(k, n)
-                from conmult.consistency import log_dirichlet_multinomial
-
                 total = np.exp(log_dirichlet_multinomial(lattice, alphas.alphas)).sum()
                 assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -61,6 +67,16 @@ class TestLatticeEnumeration:
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             enumerate_lattice(3, 5000)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lexicographic_order_of_filtered_product(self, k):
+        for n in range(7):
+            expect = np.array([head + (n - sum(head),)
+                               for head in itertools.product(range(n + 1), repeat=k)
+                               if sum(head) <= n])
+            got = enumerate_lattice(k, n)
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
 
 
 class TestExactConflictPvalue:
@@ -90,6 +106,75 @@ class TestExactConflictPvalue:
                                   400, 4000, RngStream(500 + case))
             se = math.sqrt(max(exact * (1 - exact), 1e-4) / 400)
             assert abs(rep.pvalue - exact) < 3 * se + 0.03
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 9),
+           alphas=st.lists(st.floats(0.3, 6.0), min_size=4, max_size=4))
+    def test_cached_lattice_bitwise_equal_at_every_point(self, k, n, alphas):
+        prior = DirichletParams(np.array(alphas[:k + 1]))
+        masses = lattice_masses(k, n, prior)
+        lattice = enumerate_lattice(k, n)
+        log_m = log_dirichlet_multinomial(lattice, prior.alphas)
+        for row in lattice:
+            t = CountVector(row)
+            cached = lattice_pvalue(masses, t, prior)
+            # the mask-then-exponentiate form, evaluated from scratch
+            log_obs = log_dirichlet_multinomial(row, prior.alphas)
+            fresh = float(np.exp(log_m[log_m <= log_obs + 1e-9]).sum())
+            assert cached == exact_conflict_pvalue(t, prior) == fresh
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            exact_conflict_pvalue(CountVector(np.array([1, 2, 3])),
+                                  DirichletParams(np.array([2.0, 2.0])))
+
+
+def mp_level_set_prob(a, b, x0):
+    """P(pi(X) <= pi(x0)) for X ~ Beta(a, b) with an interior mode, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a, b, x0 = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x0)
+        mode = (a - 1) / (a + b - 2)
+        c = (a - 1) * mpmath.log(x0) + (b - 1) * mpmath.log1p(-x0)
+
+        def level(x):
+            return (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - c
+
+        if x0 < mode:
+            x1, x2 = x0, mpmath.findroot(level, (mode, 1 - mpmath.mpf(10) ** -30),
+                                         solver="anderson")
+        else:
+            x1, x2 = mpmath.findroot(level, (mpmath.mpf(10) ** -30, mode),
+                                     solver="anderson"), x0
+        tails = (mpmath.betainc(a, b, 0, x1, regularized=True)
+                 + mpmath.betainc(a, b, x2, 1, regularized=True))
+        return float(tails)
+
+
+class TestBetaLevelSet:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1.2, 8.0), b=st.floats(1.2, 8.0), x0=st.floats(0.02, 0.98))
+    def test_matches_mpmath(self, a, b, x0):
+        mode = (a - 1.0) / (a + b - 2.0)
+        assume(abs(x0 - mode) > 0.05)
+        # the other root must lie in the bracket the bisection searches
+        log_pdf = (a - 1.0) * math.log(x0) + (b - 1.0) * math.log1p(-x0)
+        assume(log_pdf > (a - 1.0) * math.log(1e-12) + (b - 1.0) * math.log1p(-1e-12))
+        assume(log_pdf > (b - 1.0) * math.log(1e-12) + (a - 1.0) * math.log1p(-1e-12))
+        assert _beta_level_set_prob(a, b, x0) == pytest.approx(mp_level_set_prob(a, b, x0),
+                                                               abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1.2, 20.0), x0=st.floats(0.02, 0.45))
+    def test_symmetric_prior_mirrors_the_root(self, a, x0):
+        # for Beta(a, a) the second root is x2 = 1 - x0, so the level set has mass 2 I_x0(a, a)
+        assert _beta_level_set_prob(a, a, x0) == pytest.approx(2.0 * betainc(a, a, x0),
+                                                               abs=1e-14)
+        assert _beta_level_set_prob(a, a, 1.0 - x0) == pytest.approx(
+            2.0 * betainc(a, a, x0), abs=1e-14)
+
+    def test_beta22_limit_to_the_last_digits(self):
+        assert abs(_beta_level_set_prob(2.0, 2.0, 0.3) - 0.432) <= 1e-16
 
 
 class TestContinuizedDensity:

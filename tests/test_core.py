@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from conmult.core import (
     CountVector,
@@ -13,12 +15,11 @@ from conmult.core import (
     crosshairs_region,
     kl_divergence,
     log_multinomial_pmf,
+    logsumexp,
     ordered_from_weights,
     pauli_region,
     region_contains,
-    symmetric_trine_quadball,
     tetrahedron_region,
-    trine_overlap_from_angle,
     trine_prior_mass,
     weights_from_ordered,
     zm_distribution,
@@ -201,10 +202,6 @@ class TestKlDivergence:
 
 
 class TestTrineGeometry:
-    def test_angle_to_overlap(self):
-        assert trine_overlap_from_angle(np.pi / 6) == pytest.approx(1 / 3, abs=1e-12)
-        assert trine_overlap_from_angle(2 * np.pi / 9) == pytest.approx(0.48445, abs=5e-6)
-
     def test_prior_mass_values(self):
         assert trine_prior_mass(1 / 3) == pytest.approx(0.6046, abs=5e-5)
         assert trine_prior_mass(0.48445) == pytest.approx(0.2684, abs=5e-5)
@@ -240,7 +237,7 @@ class TestRegions:
     def test_sphere_cap_form_agrees_at_symmetric_overlap(self, rng):
         # the sum-of-squares form and the ellipse form define the same set
         ellipse = TrineEllipse(1 / 3)
-        cap = symmetric_trine_quadball()
+        cap = QuadBall(dim=3, bound=0.5)
         th = random_simplex(rng, 3, 20_000)
         np.testing.assert_array_equal(
             ellipse.contains_array(th), cap.contains_array(th)
@@ -322,3 +319,34 @@ class TestMultinomialPmf:
         theta = SimplexPoint(np.array([0.48, 0.27, 0.25]))
         v = log_multinomial_pmf(t, theta)
         assert np.isfinite(v)
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestLogSumExp:
+    # entries from a small pool, so ties at the maximum and -inf come up often
+    entries = st.one_of(st.sampled_from([-np.inf, 0.0, -1.5, 3.25, 700.0]),
+                        st.floats(-800.0, 800.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, min_size=1, max_size=300))
+    @example([2.0])
+    @example([-np.inf])
+    @example([-np.inf, -np.inf, -np.inf])
+    @example([3.25, 3.25, -np.inf, 1.0])
+    @example([-745.5, -746.0, -1000.0])
+    def test_bitwise_equal_to_scipy(self, values):
+        a = np.array(values)
+        assert same_bits(logsumexp(a), scipy_logsumexp(a))
+        assert same_bits(logsumexp(2.0 * a), scipy_logsumexp(2.0 * a))
+
+    def test_bitwise_on_importance_sized_vectors(self, rng):
+        for _ in range(50):
+            a = rng.normal(-50.0, 20.0, size=2000)
+            a[rng.random(2000) < 0.1] = -np.inf
+            assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+    def test_all_minus_inf_is_minus_inf(self):
+        assert logsumexp(np.full(4, -np.inf)) == -np.inf

@@ -15,12 +15,10 @@ from conmult.core import (
 from conmult.model_check import (
     BetaGrid,
     Strided,
-    ZmParams,
     alpha_upper_bound,
     build_zm_table,
     consecutive_blocks,
     group_counts,
-    kl_to_zm,
     kl_uniform_to_zm,
     rb_distance_check,
     rb_grouped_check,
@@ -188,14 +186,14 @@ class TestZmTable:
 
 class TestKlToZm:
     def test_uniform_hits_zero(self, fly_table):
-        d, params = kl_to_zm(np.full(18, 1 / 18), fly_table)
-        assert d <= 1e-12
-        assert params.beta == 0.0 or params.alpha > 10
+        d, alpha, beta = zm_distance_batch(np.full((1, 18), 1 / 18), fly_table)
+        assert d[0] <= 1e-12
+        assert beta[0] == 0.0 or alpha[0] > 10
 
     def test_table_entry_refines_to_zero(self, fly_table):
         entry = np.exp(fly_table.log_probs[37])
-        d, _ = kl_to_zm(entry, fly_table)
-        assert d <= 1e-6
+        d, _, _ = zm_distance_batch(entry[None, :], fly_table)
+        assert d[0] <= 1e-6
 
     def test_refined_never_worse_than_scan(self, fly_table, rng):
         th = rng.dirichlet(np.ones(18), size=200)
@@ -205,7 +203,7 @@ class TestKlToZm:
 
     def test_dimension_check(self, fly_table):
         with pytest.raises(ValueError):
-            kl_to_zm(np.array([0.5, 0.5]), fly_table)
+            zm_distance_batch(np.array([[0.5, 0.5]]), fly_table)
 
 
 @pytest.fixture(scope="module")
