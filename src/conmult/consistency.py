@@ -68,7 +68,7 @@ def enumerate_lattice(k: int, n: int) -> np.ndarray:
     """All count vectors with k+1 cells summing to n, as rows in lexicographic order.
 
     Each pass appends one coordinate to every row, running from 0 to what the
-    row has left, so the rows come out in order without filtering (n+1)^k tuples.
+    row has left, which keeps the rows in lexicographic order.
     """
     size = math.comb(n + k, k)
     if size > ENUMERATION_GUARD:

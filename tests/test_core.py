@@ -347,6 +347,3 @@ class TestLogSumExp:
             a = rng.normal(-50.0, 20.0, size=2000)
             a[rng.random(2000) < 0.1] = -np.inf
             assert same_bits(logsumexp(a), scipy_logsumexp(a))
-
-    def test_all_minus_inf_is_minus_inf(self):
-        assert logsumexp(np.full(4, -np.inf)) == -np.inf
