@@ -5,6 +5,7 @@ random stream is unchanged. A change that alters the stream on purpose
 updates these pins and says so in CHANGES.md.
 """
 
+import hashlib
 import json
 import os
 
@@ -29,6 +30,8 @@ PINS = {
                 [78.20597924815739, 1.0083448398863706], [168.48967466014378, 1.1602540630275722],
                 [363.0, 1.0190810143940296]]),
     "pairs": (15513.12, 0.04275),
+    # (post_first_bin, prior_first_bin_empty, sha256 of distance_densities.csv)
+    "zm": (0.08, True, "4e05c3f34ad65824ffe7b9eb8fba169b4fc4631c5e025c24f38be1826b10412d"),
 }
 
 
@@ -92,3 +95,15 @@ def test_check_model_pairs(tmp_path, inputs):
                                   "--draws", "20000", "--seed", "14"],
               "model_check.json")
     assert (rep["rb"], rep["post_prob"]) == PINS["pairs"]
+
+
+def test_check_model_zm(tmp_path, inputs):
+    # 2000 flat draws leave the first prior bin empty: exit 2, rb undefined
+    out = str(tmp_path / "zm")
+    assert main(["check-model", "--counts", inputs["fly_counts"], "--zm-delta", "0.02",
+                 "--draws", "2000", "--seed", "15", "--out", out]) == 2
+    with open(os.path.join(out, "model_check.json")) as fh:
+        rep = json.load(fh)
+    with open(os.path.join(out, "distance_densities.csv"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert (rep["post_first_bin"], rep["prior_first_bin_empty"], digest) == PINS["zm"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conmult.core import (
     CountVector,
@@ -15,7 +17,8 @@ from conmult.core import (
 from conmult.model_check import (
     BetaGrid,
     Strided,
-    alpha_upper_bound,
+    _row_sums,
+    alpha_upper_bounds,
     build_zm_table,
     consecutive_blocks,
     group_counts,
@@ -140,12 +143,76 @@ def fly_table():
     return build_zm_table(17, 0.02, BetaGrid())
 
 
+def scalar_alpha_upper_bound(beta, delta, k1):
+    """One-beta-at-a-time bisection that ``alpha_upper_bounds`` must reproduce."""
+    if beta <= 0:
+        return None
+    lo = -1.0 + 1e-9
+    if kl_uniform_to_zm(lo, beta, k1) < delta:
+        return None
+    hi = 1.0
+    while kl_uniform_to_zm(hi, beta, k1) >= delta:
+        hi *= 2.0
+        if hi > 1e12:
+            return None
+    for _ in range(200):
+        if kl_uniform_to_zm(lo, beta, k1) <= delta * (1 + 1e-6):
+            break
+        mid = 0.5 * (lo + hi)
+        if kl_uniform_to_zm(mid, beta, k1) >= delta:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def scalar_table(k, delta, grid):
+    """(params, log_probs) of the ZM table built from the scalar bisection."""
+    rows = [(0.0, 0.0)]
+    for beta in grid.betas():
+        amax = scalar_alpha_upper_bound(float(beta), delta, k + 1)
+        if amax is None or amax <= grid.alpha_min:
+            continue
+        sweep = np.geomspace(1.0 + grid.alpha_min, 1.0 + amax, grid.n_alpha) - 1.0
+        rows.extend((float(a), float(beta)) for a in sweep)
+    params = np.array(rows)
+    return params, zm_log_probs_array(params[:, 0], params[:, 1], k + 1)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 class TestZmTable:
     def test_alpha_bound_bisection_contract(self):
-        for beta in (0.1, 1.0, 5.0):
-            amax = alpha_upper_bound(beta, 0.02, 18)
+        for amax, beta in zip(alpha_upper_bounds([0.1, 1.0, 5.0], 0.02, 18), (0.1, 1.0, 5.0)):
             val = kl_uniform_to_zm(amax, beta, 18)
             assert 0.02 <= val <= 0.02 * (1 + 1e-6)
+
+    @pytest.mark.parametrize("k1,delta", [(18, 0.02), (4, 0.05), (41, 0.01), (2, 0.3)])
+    def test_vector_bounds_equal_scalar_bisection(self, k1, delta):
+        # beta <= 0 and lines too close to uniform (NaN), bounds near 1e9
+        # (beta = 1e8), and doubling past 1e12 (NaN at beta = 1e13)
+        betas = np.concatenate([[-1.0, 0.0, 1e-4, 1e-3, 1e8, 1e13],
+                                np.geomspace(0.01, 60.0, 70)])
+        got = alpha_upper_bounds(betas, delta, k1)
+        want = [scalar_alpha_upper_bound(float(b), delta, k1) for b in betas]
+        assert want[4] > 1e7 and want[5] is None
+        assert np.isnan(got).tolist() == [w is None for w in want]
+        assert np.array_equal(bits(got[~np.isnan(got)]), bits([w for w in want if w is not None]))
+
+    @pytest.mark.parametrize("k,delta,grid", [
+        (17, 0.02, BetaGrid()),
+        (3, 0.05, BetaGrid()),
+        (40, 0.01, BetaGrid()),
+        (17, 0.02, BetaGrid(beta_min=0.01, beta_max=60.0, n_beta=90, n_alpha=10,
+                            alpha_min=-0.99)),
+    ])
+    def test_table_equals_scalar_build(self, k, delta, grid):
+        table = build_zm_table(k, delta, grid)
+        params, log_probs = scalar_table(k, delta, grid)
+        assert np.array_equal(bits(table.params), bits(params))
+        assert np.array_equal(bits(table.log_probs), bits(log_probs))
 
     def test_beta_zero_single_uniform_entry(self, fly_table):
         zero_rows = fly_table.params[fly_table.params[:, 1] == 0.0]
@@ -163,9 +230,8 @@ class TestZmTable:
         # raw table scan alone stays within 2 delta of any family member
         betas = np.exp(rng.uniform(np.log(0.05), np.log(25.0), 200))
         thetas = []
-        for b in betas:
-            amax = alpha_upper_bound(float(b), 0.02, 18)
-            if amax is None:
+        for b, amax in zip(betas, alpha_upper_bounds(betas, 0.02, 18)):
+            if np.isnan(amax):
                 continue
             lo = -0.95 if amax > -0.95 else -1.0 + 1e-6
             a = rng.uniform(lo, amax)
@@ -204,6 +270,79 @@ class TestKlToZm:
     def test_dimension_check(self, fly_table):
         with pytest.raises(ValueError):
             zm_distance_batch(np.array([[0.5, 0.5]]), fly_table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: arrays(
+    np.float64, (3, n),
+    elements=st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from([0.0, -0.0]))))
+@example(np.full((2, 9), -0.0))
+@example(np.arange(3 * 136, dtype=float).reshape(3, 136) * 1e-3)
+@example(np.linspace(-1.0, 1.0, 3 * 300).reshape(3, 300) ** 3)
+def test_row_sums_bitwise_equal_numpy(x):
+    # numpy sums n < 8 in order, up to 128 in 8 lanes plus a tail, and
+    # splits longer rows at n/2 rounded down to a multiple of 8
+    assert np.array_equal(bits(_row_sums(np.ascontiguousarray(x.T))), bits(np.sum(x, axis=-1)))
+    assert np.array_equal(bits(_row_sums(x.T)), bits(np.sum(x, axis=-1)))
+
+
+def draws_by_cells_search(thetas, table, refine=True, n_iters=50, step_alpha=0.5,
+                          step_beta=0.1):
+    """The pattern search written on (draws, cells) arrays with ``np.sum``.
+
+    ``zm_distance_batch`` reorganises this computation and must return the
+    same bits.
+    """
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    k1 = th.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
+    dists = neg_ent[:, None] - th @ table.log_probs.T
+    j = np.argmin(dists, axis=1)
+    best = dists[np.arange(th.shape[0]), j]
+    alpha = table.params[j, 0].copy()
+    beta = table.params[j, 1].copy()
+    if not refine:
+        return best, alpha, beta
+
+    def kl_at(a, b):
+        return neg_ent - np.sum(th * zm_log_probs_array(a, b, k1), axis=1)
+
+    sa = np.full(th.shape[0], step_alpha)
+    sb = np.full(th.shape[0], step_beta)
+    for _ in range(n_iters):
+        improved = np.zeros(th.shape[0], dtype=bool)
+        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            a2 = np.maximum(alpha + da * sa, -1.0 + 1e-9)
+            b2 = np.maximum(beta + db * sb, 0.0)
+            val = kl_at(a2, b2)
+            gain = val < best
+            alpha[gain], beta[gain], best[gain] = a2[gain], b2[gain], val[gain]
+            improved |= gain
+        sa[~improved] *= 0.5
+        sb[~improved] *= 0.5
+    return np.maximum(best, 0.0), alpha, beta
+
+
+class TestPatternSearchBitwise:
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("prior", ["flat", "posterior"])
+    @pytest.mark.parametrize("k1", [2, 3, 7, 8, 9, 18, 20])
+    def test_equals_draws_by_cells_search(self, k1, prior, refine):
+        table = build_zm_table(k1 - 1, 0.02)
+        gen = np.random.default_rng(9000 + k1)
+        # fewer than ZM_SCAN_ROWS draws, so the scan is one block in both
+        a = np.ones(k1) if prior == "flat" else gen.integers(0, 60, k1) + 1.0
+        th = gen.dirichlet(a, 600)
+        got = zm_distance_batch(th, table, refine=refine)
+        want = draws_by_cells_search(th, table, refine=refine)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
+
+    def test_table_rows_and_uniform(self, fly_table):
+        th = np.vstack([np.exp(fly_table.log_probs[::7]), np.full((1, 18), 1 / 18)])
+        for g, w in zip(zm_distance_batch(th, fly_table), draws_by_cells_search(th, fly_table)):
+            assert np.array_equal(bits(g), bits(w))
 
 
 @pytest.fixture(scope="module")
