@@ -254,17 +254,25 @@ def cmd_check_model(args):
                                workers=args.workers)
     else:
         rep = rb_region_check(t, region, args.draws, rng, workers=args.workers)
+    verdict = rep.verdict()
+    undefined = verdict == "undefined"
     payload = {
         "mode": "region",
         "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
-        "rb": rep.rb, "strength": rep.strength, "mc_se": rep.mc_se,
+        "rb": None if undefined else rep.rb, "strength": rep.strength, "mc_se": rep.mc_se,
         "n_draws": rep.n_draws, "prior_prob_analytic": rep.prior_prob_analytic,
-        "verdict": rep.verdict(),
+        "verdict": verdict,
     }
     write_report(args.out, "model_check.json", config, payload)
-    print(f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} "
-          f"rb={rep.rb:.6g} verdict={rep.verdict()}")
-    return EXIT_OK if rep.rb > 1 else EXIT_AGAINST
+    if undefined:
+        print(f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
+              f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief ratio "
+              "undefined; increase --draws or group the cells", file=sys.stderr)
+    rb = "None" if undefined else f"{rep.rb:.6g}"
+    print(f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} rb={rb} verdict={verdict}")
+    if undefined:
+        return EXIT_NUMERIC
+    return EXIT_OK if verdict == "favor" else EXIT_AGAINST
 
 
 def _require_model_pass(args):

@@ -238,8 +238,16 @@ class TrineEllipse:
         return 3
 
     def quad_form_array(self, theta12):
-        d = np.asarray(theta12, dtype=float) - self.center
-        return np.einsum("...i,ij,...j->...", d, self.matrix, d)
+        """(theta - c)^t C (theta - c) along the last axis.
+
+        Summed term by term in the order ``np.einsum`` uses for three or more
+        rows (it uses another for one or two), so a point's value does not
+        depend on how many points are evaluated with it.
+        """
+        th = np.asarray(theta12, dtype=float)
+        d0, d1 = th[..., 0] - self.center[0], th[..., 1] - self.center[1]
+        (c00, c01), (c10, c11) = self.matrix
+        return d0 * c00 * d0 + d0 * c01 * d1 + d1 * c10 * d0 + d1 * c11 * d1
 
     def contains_array(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -354,38 +362,61 @@ def log_multinomial_pmf(t: CountVector, theta: SimplexPoint) -> float:
 
 def log_dirichlet_pdf_array(x, alphas):
     """Dirichlet log density along the last axis (full normalization)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x = np.log(np.asarray(x, dtype=float))
-    return log_dirichlet_pdf_from_logs(log_x, alphas)
-
-
-def log_dirichlet_pdf_from_logs(log_x, alphas):
-    """:func:`log_dirichlet_pdf_array` given log x, so one log serves several densities."""
     from scipy.special import gammaln
 
     al = np.asarray(alphas, dtype=float)
     norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(al != 1.0, (al - 1.0) * log_x, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(al != 1.0, (al - 1.0) * np.log(np.asarray(x, dtype=float)), 0.0)
     return norm + terms.sum(axis=-1)
 
 
-def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D array, bit for bit as ``scipy.special.logsumexp``.
+def _row_sums(x):
+    """Sum an (n, ...) array over its n rows, bit for bit ``np.sum`` along a contiguous cell axis.
 
-    As there, every entry tied at the maximum leaves the sum and enters as the
-    count of ties, and a non-finite result is recomputed as log(sum(exp(a))).
-    Unlike there, exp(a) is only taken when that fallback is needed.
+    numpy adds a contiguous run of n < 8 values in order; up to 128 values in
+    8 interleaved lanes, combined pairwise, then the tail; longer runs as two
+    halves split at a multiple of 8; and it starts from a zero accumulator,
+    which turns a -0.0 sum into 0.0. This replays that order with whole rows,
+    so each entry gets numpy's rounding: a cells-by-draws array sums as its
+    draws-by-cells transpose would.
+    """
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(x[:half]) + _row_sums(x[half:])
+    if n < 8:
+        total, tail = x[0] + 0.0, x[1:]
+    else:
+        m = n - n % 8
+        lanes = x[:8] if m == 8 else x[:8] + x[8:16]
+        for i in range(16, m, 8):
+            lanes += x[i:i + 8]
+        total = 0.0 + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                       + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        tail = x[m:]
+    for row in tail:
+        total += row
+    return total
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) along the last axis, bit for bit as ``scipy.special.logsumexp(a, axis=-1)``.
+
+    A 1-D array gives a scalar and a 2-D array one value per row. As in scipy,
+    the entries tied at a row's maximum leave its sum and enter as the count
+    of ties, and a non-finite result is recomputed as log(sum(exp(row))).
+    Unlike there, exp(a) is only taken for the rows that need that fallback.
     """
     a = np.asarray(a, dtype=float)
-    a_max = a.max()
+    a_max = a.max(axis=-1, keepdims=True)
     top = a == a_max
-    m = np.float64(np.count_nonzero(top))
+    m = np.count_nonzero(top, axis=-1, keepdims=True).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return out
+        # scipy leaves s = 0 undivided; 0 / m is the same 0 for every m >= 1
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=-1, keepdims=True) / m
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out[()]

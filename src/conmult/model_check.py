@@ -16,6 +16,7 @@ from .core import (
     MeasureZeroRegionError,
     OrderedCone,
     TrineEllipse,
+    _row_sums,
     kl_divergence_array,
     trine_prior_mass,
     zm_log_probs_array,
@@ -99,6 +100,14 @@ class CheckReport:
     prior_prob_analytic: bool = True
 
     def verdict(self) -> str:
+        """Return "favor", "against", or "undefined" after zero hits in a too-small region.
+
+        With no posterior draw in the region its posterior content is only
+        bounded by the rule-of-three 3 / n_draws; when the prior content is at
+        or below that bound, the ratio may lie on either side of 1.
+        """
+        if self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
+            return "undefined"
         return "favor" if self.rb > 1 else "against"
 
 
@@ -271,34 +280,6 @@ def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid(),
     return ZmTable(k=k, delta=delta, grid=grid, params=params, log_probs=log_probs)
 
 
-def _row_sums(x):
-    """Sum a (n, N) array over its n rows, bit for bit ``np.sum(x.T, axis=-1)``.
-
-    numpy adds a contiguous run of n < 8 values in order; up to 128 values in
-    8 interleaved lanes, combined pairwise, then the tail; longer runs as two
-    halves split at a multiple of 8; and it starts from a zero accumulator,
-    which turns a -0.0 sum into 0.0. This replays that order with whole rows,
-    so each column gets numpy's rounding.
-    """
-    n = x.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(x[:half]) + _row_sums(x[half:])
-    if n < 8:
-        total, tail = x[0] + 0.0, x[1:]
-    else:
-        m = n - n % 8
-        lanes = x[:8] if m == 8 else x[:8] + x[8:16]
-        for i in range(16, m, 8):
-            lanes += x[i:i + 8]
-        total = 0.0 + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                       + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        tail = x[m:]
-    for row in tail:
-        total += row
-    return total
-
-
 def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
                       n_iters: int = 50, step_alpha: float = 0.5,
                       step_beta: float = 0.1):
@@ -319,9 +300,13 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
         neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
     j = np.empty(th.shape[0], dtype=np.intp)
     best = np.empty(th.shape[0])
+    # one scan buffer for all blocks: a fresh ~12 MB matrix per block let the
+    # heap layout, down to the output path's length, move the peak RSS by ~5 MB
+    scan = np.empty((min(th.shape[0], ZM_SCAN_ROWS), table.n_entries))
     for start in range(0, th.shape[0], ZM_SCAN_ROWS):
         rows = slice(start, start + ZM_SCAN_ROWS)
-        dists = neg_ent[rows, None] - th[rows] @ table.log_probs.T
+        dists = np.matmul(th[rows], table.log_probs.T, out=scan[:len(neg_ent[rows])])
+        np.subtract(neg_ent[rows, None], dists, out=dists)
         j[rows] = np.argmin(dists, axis=1)
         best[rows] = dists[np.arange(dists.shape[0]), j[rows]]
     alpha = table.params[j, 0].copy()

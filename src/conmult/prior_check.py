@@ -18,9 +18,8 @@ from .core import (
     CountVector,
     DirichletParams,
     TrineEllipse,
+    _row_sums,
     log_dirichlet_pdf_array,
-    log_dirichlet_pdf_from_logs,
-    log_multinomial_pmf_array,
     logsumexp,
     ordered_from_weights_array,
     weights_from_ordered_array,
@@ -44,9 +43,30 @@ class ProposalSupportError(RuntimeError):
 # ---------------------------------------------------------------------------
 #
 # Every prior provides the importance-sampling interface used below:
-# ``proposal(t, tau)`` gives the proposal for counts t, ``importance_draws``
-# returns (theta, log prior, log proposal) for draws from it, and
-# ``tau_grid(n)`` lists the concentrations worth trying.
+# ``proposal_alphas(counts, tau)`` gives the Dirichlet proposal of each count
+# row; ``importance_terms(draws, alphas)`` takes a block of points' draws
+# (B, n, K) from their proposals and returns log theta cells by draws
+# (K, B, n), which the caller may overwrite, with the log prior and log
+# proposal densities (B, n); and ``tau_grid(n)`` lists the concentrations
+# worth trying.
+
+def _log_dirichlet_by_cells(log_x, alphas):
+    """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, B, n).
+
+    Point b's draws are scored under ``alphas[b]`` (or under one shared 1-D
+    ``alphas``); each value is bitwise ``log_dirichlet_pdf_array`` of that
+    point's draws-by-cells array.
+    """
+    from scipy.special import gammaln
+
+    al = np.atleast_2d(alphas)
+    norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
+    al = al.T[:, :, None]
+    with np.errstate(invalid="ignore"):
+        terms = (al - 1.0) * log_x
+    np.copyto(terms, 0.0, where=al == 1.0)  # no 0 * log 0
+    return norm[:, None] + _row_sums(terms)
+
 
 class _SimplexPrior:
     """Importance sampling for priors with a density on the probability simplex.
@@ -54,12 +74,18 @@ class _SimplexPrior:
     The proposal is the Dirichlet with mode t/n and concentration tau.
     """
 
-    def proposal(self, t: CountVector, tau: float) -> DirichletParams:
-        return DirichletParams(1.0 + tau * (t.counts / t.n))
+    def proposal_alphas(self, counts, tau):
+        return 1.0 + tau * (counts / counts.sum(axis=-1, keepdims=True))
 
-    def importance_draws(self, proposal: DirichletParams, size: int, gen):
-        th = sample_dirichlet_array(proposal, size, gen)
-        return th, self.log_density_array(th), log_dirichlet_pdf_array(th, proposal.alphas)
+    def importance_terms(self, draws, alphas):
+        """Draws are probabilities; the prior density comes from ``log_density_array``."""
+        b, n, k1 = draws.shape
+        log_prior = self.log_density_array(draws.reshape(-1, k1)).reshape(b, n)
+        log_th = np.ascontiguousarray(draws.transpose(2, 0, 1))
+        del draws  # lowers the block's peak memory by one array
+        with np.errstate(divide="ignore"):
+            np.log(log_th, out=log_th)
+        return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas)
 
     def tau_grid(self, n):
         return (n,)
@@ -87,7 +113,9 @@ class TrinePrior(_SimplexPrior):
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         q = self.region.quad_form_array(th[:, :2])
-        ok = (q <= 1.0) & np.all(th > 0, axis=-1)
+        ok = q <= 1.0
+        for cell in th.T:  # np.all over a 3-wide axis costs a call per row
+            ok &= cell > 0
         out = np.full(th.shape[0], -np.inf)
         out[ok] = 0.5 * np.log1p(-q[ok])
         return out
@@ -161,24 +189,31 @@ class OrderedDirichletPrior:
             xi = excess / tau
         return ordered_from_weights_array(xi)
 
-    def proposal(self, t: CountVector, tau: float) -> DirichletParams:
+    def proposal_alphas(self, counts, tau):
         """Dirichlet on the weights, with the frequencies pulled into the cone toward the mode.
 
         Draws induced through the weights always stay in the cone.
         """
-        mode = project_to_cone(t.counts / t.n, self.theta_mode())
+        mode = project_to_cone(counts / counts.sum(axis=-1, keepdims=True), self.theta_mode())
         xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
-        xi = xi / xi.sum()
-        return DirichletParams(1.0 + tau * xi)
+        return 1.0 + tau * (xi / xi.sum(axis=-1, keepdims=True))
 
-    def importance_draws(self, proposal: DirichletParams, size: int, gen):
-        """Draws made in weight space, where the linear-map Jacobians cancel in the ratio."""
-        om = sample_dirichlet_array(proposal, size, gen)
+    def importance_terms(self, draws, alphas):
+        """Draws are weights, where the linear-map Jacobians cancel in the ratio.
+
+        One log of the weights serves both densities. theta_i = sum_{j >= i}
+        omega_j / j accumulates from the last cell, the order of the cumsum in
+        ``ordered_from_weights_array``.
+        """
+        om = np.ascontiguousarray(draws.transpose(2, 0, 1))
+        del draws  # lowers the block's peak memory by one array
+        th = om / np.arange(1, om.shape[0] + 1, dtype=float)[:, None, None]
+        for i in range(om.shape[0] - 2, -1, -1):
+            th[i] += th[i + 1]
         with np.errstate(divide="ignore"):
-            log_om = np.log(om)
-        return (ordered_from_weights_array(om),
-                log_dirichlet_pdf_from_logs(log_om, self.omega_params.alphas),
-                log_dirichlet_pdf_from_logs(log_om, proposal.alphas))
+            log_om, log_th = np.log(om, out=om), np.log(th, out=th)
+        return (log_th, _log_dirichlet_by_cells(log_om, self.omega_params.alphas),
+                _log_dirichlet_by_cells(log_om, alphas))
 
     def tau_grid(self, n):
         return np.geomspace(n / 100.0, n, 7)
@@ -193,54 +228,94 @@ def project_to_cone(x, anchor):
 
     Bisection on lambda in [0, 1] with theta = lambda x + (1 - lambda) anchor;
     the feasible set is an interval containing 0 since the anchor is in the
-    closed cone. Returns the last feasible point.
+    closed cone. Returns the last feasible point, and ``x`` itself when it is
+    in the cone. ``x`` may be one vector or a 2-D array of rows; all rows
+    bisect together, each with the midpoints and test a single row would see.
     """
     x = np.asarray(x, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
+    rows = np.atleast_2d(x)
 
-    def feasible(lam):
-        v = lam * x + (1.0 - lam) * anchor
-        return (v[:-1] >= v[1:]).all()
+    def feasible(lam, pts):
+        v = lam[:, None] * pts + (1.0 - lam[:, None]) * anchor
+        return (v[:, :-1] >= v[:, 1:]).all(axis=-1)
 
-    if feasible(1.0):
-        return x
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * x + (1.0 - lo) * anchor
+    out = rows.copy()
+    need = np.flatnonzero(~feasible(np.ones(rows.shape[0]), rows))
+    if need.size:
+        v = rows[need]
+        lo, hi = np.zeros(need.size), np.ones(need.size)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ok = feasible(mid, v)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        out[need] = lo[:, None] * v + (1.0 - lo[:, None]) * anchor
+    return out.reshape(x.shape)
 
 
 def proposal_for(t: CountVector, prior, tau: float) -> DirichletParams:
     """Importance proposal parameters for estimating the predictive mass of ``t``.
 
-    The parameters are for the space ``prior.importance_draws`` samples in.
+    The parameters are for the space ``prior.importance_terms`` scores draws in.
     """
-    if tau <= 0:
+    return DirichletParams(_proposal_alphas(t.counts[None], prior, tau)[0])
+
+
+def _proposal_alphas(counts, prior, tau):
+    """Proposal parameters of every count row; ``tau`` is a scalar or a column."""
+    if np.any(np.asarray(tau) <= 0):
         raise ValueError("tau must be > 0")
-    return prior.proposal(t, tau)
+    return prior.proposal_alphas(np.asarray(counts), tau)
 
 
-def _is_log_predictive(t, prior, proposal, n_is, rng):
-    """Importance estimate of the log predictive mass of counts ``t``.
+# temporaries of one block of importance-sampled points stay near this many
+# float64 entries (256 KB); larger blocks ran slower and raised the peak RSS
+IS_BLOCK_ENTRIES = 1 << 15
 
-    Returns (log_m, se_log, ess).
+
+def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
+    """Importance estimates of the log predictive masses of the count rows ``ts``.
+
+    Row j draws ``n_is`` points from Dirichlet(alphas[j]) on its own stream
+    ``streams[j]`` (an RngStream or a Generator), so its estimate is the same
+    whichever block and worker compute it. The weights of a block of rows are
+    evaluated together in a cells-by-draws layout; the cell sums go through
+    ``_row_sums`` and the log-sum-exps through the row-wise ``logsumexp``, so
+    every value is bitwise the single-row computation. Returns one
+    (log_m, se_log, ess) per row, (-inf, nan, 0.0) where all weights are zero.
     """
-    t = np.asarray(t, dtype=float)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    th, log_prior, log_q = prior.importance_draws(proposal, n_is, gen)
-    log_w = log_multinomial_pmf_array(t, th) + log_prior - log_q
-    lse = logsumexp(log_w)
-    if not np.isfinite(lse):
-        return -np.inf, np.nan, 0.0
-    lse2 = logsumexp(2.0 * log_w)
-    log_m = lse - math.log(n_is)
-    ess = float(np.exp(2.0 * lse - lse2))
-    rel_var = max(n_is * math.exp(lse2 - 2.0 * lse) - 1.0, 0.0) / n_is
-    return float(log_m), math.sqrt(rel_var), ess
+    from scipy.special import gammaln
+
+    ts = np.asarray(ts, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    size = max(1, IS_BLOCK_ENTRIES // (n_is * ts.shape[1]))
+
+    def block(start):
+        rows = slice(start, start + size)
+        t, al = ts[rows], alphas[rows]
+        # the draws go in unnamed, so importance_terms can free them early
+        log_th, log_prior, log_q = prior.importance_terms(
+            np.stack([sample_dirichlet_array(DirichletParams(a), n_is, s)
+                      for a, s in zip(al, streams[rows])]), al)
+        coef = gammaln(t.sum(axis=-1) + 1) - gammaln(t + 1).sum(axis=-1)
+        tc = t.T[:, :, None]
+        with np.errstate(invalid="ignore"):
+            terms = np.multiply(tc, log_th, out=log_th)
+        np.copyto(terms, 0.0, where=tc == 0)
+        log_w = coef[:, None] + _row_sums(terms) + log_prior - log_q
+        return zip(logsumexp(log_w), logsumexp(2.0 * log_w))
+
+    out = []
+    for part in parallel_map(block, range(0, ts.shape[0], size), workers):
+        for lse, lse2 in part:
+            if not np.isfinite(lse):
+                out.append((-np.inf, np.nan, 0.0))
+                continue
+            ess = float(np.exp(2.0 * lse - lse2))
+            rel_var = max(n_is * math.exp(lse2 - 2.0 * lse) - 1.0, 0.0) / n_is
+            out.append((float(lse - math.log(n_is)), math.sqrt(rel_var), ess))
+    return out
 
 
 def estimate_log_prior_predictive(t: CountVector, prior, proposal: DirichletParams,
@@ -251,7 +326,8 @@ def estimate_log_prior_predictive(t: CountVector, prior, proposal: DirichletPara
     Unnormalized prior densities shift log_m by a constant, which cancels in
     conflict comparisons.
     """
-    log_m, se, _ = _is_log_predictive(t.counts, prior, proposal, n_is, rng)
+    [(log_m, se, _)] = _is_log_predictive(t.counts[None], prior, proposal.alphas[None],
+                                          n_is, [rng])
     if log_m == -np.inf:
         raise ProposalSupportError(
             f"all importance weights are zero for proposal {np.round(proposal.alphas, 3)}"
@@ -268,20 +344,19 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
     """Pick the proposal concentration maximizing effective sample size.
 
     The estimator is pilot-run on a representative count vector at each grid
-    value; zero-weight values are excluded. Returns (tau, profile) with the
-    profile a tuple of (tau, ess) pairs, or (tau, None) for a one-value grid,
-    which needs no pilot run.
+    value, grid value i on substream i, as one block; zero-weight values are
+    excluded. Returns (tau, profile) with the profile a tuple of (tau, ess)
+    pairs, or (tau, None) for a one-value grid, which needs no pilot run.
     """
     if len(tau_grid) == 0:
         raise ValueError("tau grid must be nonempty")
     if len(tau_grid) == 1:
         return float(tau_grid[0]), None
-    profile = []
-    for i, tau in enumerate(tau_grid):
-        prop = proposal_for(t_repr, prior, float(tau))
-        _, _, ess = _is_log_predictive(t_repr.counts, prior, prop, n_is,
-                                       rng.substream(i))
-        profile.append((float(tau), ess))
+    taus = [float(tau) for tau in tau_grid]
+    alphas = _proposal_alphas(t_repr.counts[None], prior, np.array(taus)[:, None])
+    results = _is_log_predictive(np.broadcast_to(t_repr.counts, alphas.shape), prior,
+                                 alphas, n_is, [rng.substream(i) for i in range(len(taus))])
+    profile = [(tau, ess) for tau, (_, _, ess) in zip(taus, results)]
     live = [p for p in profile if p[1] > 0]
     if not live:
         raise ProposalSupportError("every tau in the grid produced all-zero weights")
@@ -319,8 +394,14 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     fraction at or below the observed estimate. Estimation failures count as
     minus infinity and flag the report as unreliable above 1% of points.
     Without ``tau``, it is tuned over ``prior.tau_grid`` on the first
-    predictive point. Points carry their own substreams, so results do not
-    depend on ``workers``.
+    predictive point.
+
+    The proposals of all points are built at once. Each point then draws on
+    its own substream (the observed counts on 2, predictive point j on 3 + j),
+    and the importance weights are evaluated for a block of points at a time
+    (see ``_is_log_predictive``), with ``workers`` threads sharing the blocks.
+    Every estimate has the bits of a point-by-point evaluation, so results do
+    not depend on the block size or on ``workers``.
     """
     if n_pred < 1 or n_is < 1:
         raise ValueError(f"need n_pred >= 1 and n_is >= 1, got {n_pred} and {n_is}")
@@ -336,19 +417,14 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     if tau is None:
         tau, tau_profile = tune_tau(CountVector(t_pred[0]), prior, prior.tau_grid(n),
                                     rng.substream(1), min(n_is, 4000))
-
-    def estimate(t_arr, stream):
-        prop = proposal_for(CountVector(t_arr), prior, tau)
-        return _is_log_predictive(np.asarray(t_arr, dtype=float), prior, prop,
-                                  n_is, stream)
-
-    obs_stream = rng.substream(2)
-    lm_obs, se_obs, ess_obs = estimate(t_obs.counts, obs_stream)
-    results = parallel_map(lambda j: estimate(t_pred[j], rng.substream(3 + j)),
-                           range(n_pred), workers)
-    lm = np.array([r[0] for r in results])
-    se = np.array([r[1] for r in results])
-    ess = np.array([r[2] for r in results] + [ess_obs])
+    ts = np.vstack([t_obs.counts, t_pred])
+    streams = [rng.substream(2)] + [rng.substream(3 + j) for j in range(n_pred)]
+    results = _is_log_predictive(ts, prior, _proposal_alphas(ts, prior, tau), n_is,
+                                 streams, workers)
+    lm_obs, se_obs, _ = results[0]
+    lm = np.array([r[0] for r in results[1:]])
+    se = np.array([r[1] for r in results[1:]])
+    ess = np.array([r[2] for r in results])
     n_failed = int(np.sum(~np.isfinite(lm))) + (0 if np.isfinite(lm_obs) else 1)
     pvalue = float(np.mean(lm <= lm_obs))
     return ConflictReport(

@@ -72,6 +72,19 @@ class TestCheckModel:
         assert code == 3
         assert load(out, "model_check.json")["verdict"] == "against"
 
+    def test_zero_hits_in_ungrouped_cone_are_undefined(self, tmp_path, capsys):
+        # the 18-cell cone has prior content 1/18!, which no feasible number of
+        # draws can hit: zero posterior hits say nothing either way
+        counts = write_counts(tmp_path, FLY_COUNTS)
+        out = str(tmp_path / "out")
+        code = main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--draws", "5000", "--seed", "7", "--out", out])
+        assert code == 2
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["rb"], rep["post_prob"]) == ("undefined", None, 0.0)
+        assert rep["prior_prob"] == pytest.approx(1.5619e-16, rel=1e-4)
+        assert "relative belief ratio undefined" in capsys.readouterr().err
+
     def test_grouped_ordered(self, tmp_path):
         counts = write_counts(tmp_path, FLY_COUNTS)
         out = str(tmp_path / "out")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
 
 from conmult.core import (
@@ -24,6 +25,8 @@ from conmult.core import (
     weights_from_ordered,
     zm_distribution,
 )
+
+from conftest import same_bits
 
 
 def random_simplex(rng, k1, size=1):
@@ -321,10 +324,6 @@ class TestMultinomialPmf:
         assert np.isfinite(v)
 
 
-def same_bits(x, y):
-    return np.float64(x).tobytes() == np.float64(y).tobytes()
-
-
 class TestLogSumExp:
     # entries from a small pool, so ties at the maximum and -inf come up often
     entries = st.one_of(st.sampled_from([-np.inf, 0.0, -1.5, 3.25, 700.0]),
@@ -347,3 +346,45 @@ class TestLogSumExp:
             a = rng.normal(-50.0, 20.0, size=2000)
             a[rng.random(2000) < 0.1] = -np.inf
             assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda cols, e=entries: arrays(
+        np.float64, st.tuples(st.integers(1, 6), st.just(cols)), elements=e)))
+    @example(np.full((3, 4), -np.inf))
+    @example(np.array([[1.0, 1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [700.0, 700.0, 700.0]]))
+    @example(np.array([[-np.inf], [2.5], [0.0]]))
+    @example(np.array([[3.25, 3.25, 1.0, -2.0]]))
+    def test_rows_bitwise_equal_to_scipy(self, a):
+        # one value per row, each bitwise scipy's along the last axis and
+        # bitwise the 1-D call on that row alone
+        got = logsumexp(a)
+        assert same_bits(got, scipy_logsumexp(a, axis=-1))
+        assert same_bits(got, [logsumexp(row) for row in a])
+        assert same_bits(logsumexp(2.0 * a), scipy_logsumexp(2.0 * a, axis=-1))
+
+    def test_rows_of_importance_sized_weights(self, rng):
+        a = rng.normal(-50.0, 20.0, size=(7, 2000))
+        a[rng.random(a.shape) < 0.1] = -np.inf
+        a[3] = -np.inf
+        assert same_bits(logsumexp(a), scipy_logsumexp(a, axis=-1))
+
+
+class TestTrineQuadForm:
+    coords = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1 / 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(3, 60), st.just(2)), elements=coords),
+           st.sampled_from([1 / 3, 0.1, 0.48445]))
+    def test_bitwise_equal_to_einsum_from_three_rows(self, theta12, a):
+        # np.einsum adds the four terms in this order for three or more rows
+        region = TrineEllipse(a)
+        d = theta12 - region.center
+        want = np.einsum("...i,ij,...j->...", d, region.matrix, d)
+        assert same_bits(region.quad_form_array(theta12), want)
+
+    def test_point_value_does_not_depend_on_the_batch(self, rng):
+        region = TrineEllipse(1 / 3)
+        theta = random_simplex(rng, 3, 500)
+        batch = region.quad_form_array(theta)
+        assert same_bits([region.quad_form_array(row) for row in theta], batch)
+        assert same_bits(region.quad_form_array(theta[:2]), batch[:2])

@@ -10,14 +10,15 @@ from conmult.core import (
     MeasureZeroRegionError,
     OrderedCone,
     TrineEllipse,
+    _row_sums,
     crosshairs_region,
     tetrahedron_region,
     zm_log_probs_array,
 )
 from conmult.model_check import (
     BetaGrid,
+    CheckReport,
     Strided,
-    _row_sums,
     alpha_upper_bounds,
     build_zm_table,
     consecutive_blocks,
@@ -31,7 +32,8 @@ from conmult.model_check import (
 from conmult.sampling import RngStream, sample_dirichlet_array
 from conmult.core import DirichletParams
 
-from conftest import FLY_COUNTS, TRINE_ASYMMETRIC, TRINE_ASYMMETRIC_A, TRINE_SYMMETRIC
+from conftest import (FLY_COUNTS, TRINE_ASYMMETRIC, TRINE_ASYMMETRIC_A, TRINE_SYMMETRIC,
+                      same_bits)
 
 
 class TestGroupSpecs:
@@ -112,6 +114,22 @@ class TestRegionCheck:
         b = rb_region_check(t, TrineEllipse(1 / 3), 150_000, RngStream(47), workers=4)
         assert a == b
 
+    def test_zero_hits_in_a_tiny_region_are_undefined(self):
+        # fly counts in the 18-cell cone: prior content 1/18! is far below 3 / n_draws
+        rep = rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 2_000, RngStream(48))
+        assert rep.post_prob == 0.0
+        assert rep.verdict() == "undefined"
+
+    @pytest.mark.parametrize("prior_prob, n_draws, verdict", [
+        (3e-3, 1000, "undefined"),  # the rule-of-three bound itself
+        (3.0001e-3, 1000, "against"),
+        (0.6046, 5000, "against"),
+    ])
+    def test_zero_hit_verdict_against_rule_of_three(self, prior_prob, n_draws, verdict):
+        rep = CheckReport(prior_prob=prior_prob, post_prob=0.0, rb=0.0, strength=0.0,
+                          mc_se=0.0, n_draws=n_draws)
+        assert rep.verdict() == verdict
+
 
 class TestGroupedPriorMassLaw:
     @pytest.mark.parametrize("m", [4, 5])
@@ -179,10 +197,6 @@ def scalar_table(k, delta, grid):
     return params, zm_log_probs_array(params[:, 0], params[:, 1], k + 1)
 
 
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
 class TestZmTable:
     def test_alpha_bound_bisection_contract(self):
         for amax, beta in zip(alpha_upper_bounds([0.1, 1.0, 5.0], 0.02, 18), (0.1, 1.0, 5.0)):
@@ -199,7 +213,7 @@ class TestZmTable:
         want = [scalar_alpha_upper_bound(float(b), delta, k1) for b in betas]
         assert want[4] > 1e7 and want[5] is None
         assert np.isnan(got).tolist() == [w is None for w in want]
-        assert np.array_equal(bits(got[~np.isnan(got)]), bits([w for w in want if w is not None]))
+        assert same_bits(got[~np.isnan(got)], [w for w in want if w is not None])
 
     @pytest.mark.parametrize("k,delta,grid", [
         (17, 0.02, BetaGrid()),
@@ -211,8 +225,8 @@ class TestZmTable:
     def test_table_equals_scalar_build(self, k, delta, grid):
         table = build_zm_table(k, delta, grid)
         params, log_probs = scalar_table(k, delta, grid)
-        assert np.array_equal(bits(table.params), bits(params))
-        assert np.array_equal(bits(table.log_probs), bits(log_probs))
+        assert same_bits(table.params, params)
+        assert same_bits(table.log_probs, log_probs)
 
     def test_beta_zero_single_uniform_entry(self, fly_table):
         zero_rows = fly_table.params[fly_table.params[:, 1] == 0.0]
@@ -282,8 +296,8 @@ class TestKlToZm:
 def test_row_sums_bitwise_equal_numpy(x):
     # numpy sums n < 8 in order, up to 128 in 8 lanes plus a tail, and
     # splits longer rows at n/2 rounded down to a multiple of 8
-    assert np.array_equal(bits(_row_sums(np.ascontiguousarray(x.T))), bits(np.sum(x, axis=-1)))
-    assert np.array_equal(bits(_row_sums(x.T)), bits(np.sum(x, axis=-1)))
+    assert same_bits(_row_sums(np.ascontiguousarray(x.T)), np.sum(x, axis=-1))
+    assert same_bits(_row_sums(x.T), np.sum(x, axis=-1))
 
 
 def draws_by_cells_search(thetas, table, refine=True, n_iters=50, step_alpha=0.5,
@@ -337,12 +351,12 @@ class TestPatternSearchBitwise:
         got = zm_distance_batch(th, table, refine=refine)
         want = draws_by_cells_search(th, table, refine=refine)
         for g, w in zip(got, want):
-            assert np.array_equal(bits(g), bits(w))
+            assert same_bits(g, w)
 
     def test_table_rows_and_uniform(self, fly_table):
         th = np.vstack([np.exp(fly_table.log_probs[::7]), np.full((1, 18), 1 / 18)])
         for g, w in zip(zm_distance_batch(th, fly_table), draws_by_cells_search(th, fly_table)):
-            assert np.array_equal(bits(g), bits(w))
+            assert same_bits(g, w)
 
 
 @pytest.fixture(scope="module")

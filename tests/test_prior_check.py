@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from conmult.core import CountVector, DirichletParams, weights_from_ordered_array
+from conmult.core import (
+    CountVector,
+    DirichletParams,
+    log_dirichlet_pdf_array,
+    log_multinomial_pmf_array,
+    ordered_from_weights_array,
+    weights_from_ordered_array,
+)
 from conmult.consistency import log_dirichlet_multinomial
 from conmult.model_check import Strided
 from conmult.prior_check import (
@@ -13,6 +21,7 @@ from conmult.prior_check import (
     ProposalSupportError,
     RawDirichletPrior,
     TrinePrior,
+    _is_log_predictive,
     conflict_pvalue,
     estimate_log_prior_predictive,
     grouped_bounds,
@@ -23,9 +32,9 @@ from conmult.prior_check import (
     reduce_ordered_prior,
     tune_tau,
 )
-from conmult.sampling import RngStream
+from conmult.sampling import RngStream, sample_dirichlet_array
 
-from conftest import FLY_COUNTS, FLY_ELICITATION
+from conftest import FLY_COUNTS, FLY_COUNTS_PERMUTED, FLY_ELICITATION, same_bits
 
 
 def ordered_prior(tau, k1=18):
@@ -419,3 +428,210 @@ class TestPredictiveRateAndGroupedCheck:
                                      RngStream(104))
         assert 0 <= rep.pvalue <= 1
         assert rep.n_predictive == 60
+
+
+# ---------------------------------------------------------------------------
+# the batched estimator against the point-by-point one
+# ---------------------------------------------------------------------------
+
+def scalar_project_to_cone(x, anchor):
+    """One point's cone projection as a scalar bisection; the reference for ``project_to_cone``."""
+    x = np.asarray(x, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+
+    def feasible(lam):
+        v = lam * x + (1.0 - lam) * anchor
+        return (v[:-1] >= v[1:]).all()
+
+    if feasible(1.0):
+        return x
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo * x + (1.0 - lo) * anchor
+
+
+def point_proposal(t, prior, tau):
+    """One point's proposal parameters, computed on its own."""
+    freqs = t / t.sum()
+    if isinstance(prior, OrderedDirichletPrior):
+        mode = scalar_project_to_cone(freqs, prior.theta_mode())
+        xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
+        return 1.0 + tau * (xi / xi.sum())
+    return 1.0 + tau * freqs
+
+
+def point_log_predictive(t, prior, alphas, n_is, rng):
+    """One point's importance estimate on draws-by-cells arrays, with scipy's logsumexp.
+
+    ``_is_log_predictive`` evaluates blocks of points in a cells-by-draws
+    layout and must return the same bits.
+    """
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    draws = sample_dirichlet_array(DirichletParams(alphas), n_is, gen)
+    if isinstance(prior, OrderedDirichletPrior):
+        th = ordered_from_weights_array(draws)
+        log_prior = log_dirichlet_pdf_array(draws, prior.omega_params.alphas)
+    else:
+        th, log_prior = draws, prior.log_density_array(draws)
+    log_q = log_dirichlet_pdf_array(draws, alphas)
+    log_w = log_multinomial_pmf_array(np.asarray(t, dtype=float), th) + log_prior - log_q
+    lse = logsumexp(log_w)
+    if not np.isfinite(lse):
+        return -np.inf, np.nan, 0.0
+    lse2 = logsumexp(2.0 * log_w)
+    ess = float(np.exp(2.0 * lse - lse2))
+    rel_var = max(n_is * math.exp(lse2 - 2.0 * lse) - 1.0, 0.0) / n_is
+    return float(lse - math.log(n_is)), math.sqrt(rel_var), ess
+
+
+def point_conflict_pvalue(t_obs, prior, n_pred, n_is, rng, tau=None):
+    """``conflict_pvalue`` one point at a time: (pvalue, tau, tau_profile, obs, pred rows)."""
+    gen = rng.substream(0).generator()
+    t_pred = gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen))
+    profile = None
+    if tau is None:
+        grid = prior.tau_grid(t_obs.n)
+        if len(grid) == 1:
+            tau = float(grid[0])
+        else:
+            pilot = rng.substream(1)
+            profile = tuple(
+                (float(g), point_log_predictive(t_pred[0], prior,
+                                                point_proposal(t_pred[0], prior, float(g)),
+                                                min(n_is, 4000), pilot.substream(i))[2])
+                for i, g in enumerate(grid))
+            tau = max((p for p in profile if p[1] > 0), key=lambda p: p[1])[0]
+    obs = point_log_predictive(t_obs.counts, prior, point_proposal(t_obs.counts, prior, tau),
+                               n_is, rng.substream(2))
+    pred = [point_log_predictive(t, prior, point_proposal(t, prior, tau), n_is,
+                                 rng.substream(3 + j)) for j, t in enumerate(t_pred)]
+    pvalue = float(np.mean(np.array([r[0] for r in pred]) <= obs[0]))
+    return pvalue, tau, profile, obs, pred
+
+
+def assert_report_matches_points(rep, want):
+    pvalue, tau, profile, obs, pred = want
+    assert rep.pvalue == pvalue and rep.tau == tau
+    assert rep.tau_profile == profile  # tuples of floats compare exactly
+    assert same_bits([rep.log_m_obs, rep.se_obs], obs[:2])
+    assert same_bits(rep.log_m_pred, [r[0] for r in pred])
+    assert same_bits(rep.se_pred, [r[1] for r in pred])
+    ess = np.array([r[2] for r in pred] + [obs[2]])
+    assert same_bits([rep.ess_min, rep.ess_median], [ess.min(), np.median(ess)])
+    assert rep.n_failed == sum(not np.isfinite(r[0]) for r in pred + [obs])
+
+
+class TestBatchedEstimatorBitwise:
+    """Blocks of points give every point the bits it gets when estimated on its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case, t_obs, prior, n_pred, n_is, tau", [
+        # 32768 // (300 * 3) = 36 points per block: 51 points fill one and a part
+        ("trine", (341, 191, 175), TrinePrior(1 / 3), 50, 300, None),
+        ("trine-one-point", (341, 191, 175), TrinePrior(1 / 3), 1, 300, None),
+        # a concentrated proposal far outside the ellipse: all-zero weights
+        ("trine-miss", (40, 2, 1), TrinePrior(1 / 3), 60, 300, 4000.0),
+        ("raw", (20, 12, 8, 3), RawDirichletPrior(DirichletParams(np.array([3.0, 2.0, 1.5, 0.7]))),
+         41, 250, None),
+        # 18 cells: 6 points per block, tau tuned over the 7-value grid as one block
+        ("ordered-fly", tuple(FLY_COUNTS), ordered_prior(2.85), 20, 300, None),
+        ("ordered-one-point", tuple(FLY_COUNTS_PERMUTED), ordered_prior(2.85), 1, 300, None),
+        ("ordered-small-alpha", (9, 6, 4, 1, 0),
+         OrderedDirichletPrior(DirichletParams(np.array([0.5, 3.0, 1.0, 2.0, 0.8]))), 33, 400, None),
+    ])
+    def test_conflict_pvalue(self, case, t_obs, prior, n_pred, n_is, tau, workers):
+        t = CountVector(np.array(t_obs))
+        rep = conflict_pvalue(t, prior, n_pred, n_is, RngStream(31, 4), tau=tau, workers=workers)
+        assert_report_matches_points(rep, point_conflict_pvalue(t, prior, n_pred, n_is,
+                                                                RngStream(31, 4), tau=tau))
+        if case == "trine-miss":
+            assert rep.n_failed > 0
+
+    @pytest.mark.parametrize("prior", [
+        TrinePrior(1 / 3),
+        RawDirichletPrior(DirichletParams(np.array([3.0, 2.0, 1.5]))),
+        ordered_prior(2.85, k1=6),
+    ])
+    def test_every_point_estimate(self, prior):
+        # the report keeps only ess_min and ess_median; compare every (log_m, se, ess)
+        gen = np.random.default_rng(3)
+        ts = gen.multinomial(300, prior.sample_array(150, gen))
+        alphas = np.array([point_proposal(t, prior, 60.0) for t in ts])
+        streams = [RngStream(8, j) for j in range(len(ts))]
+        got = _is_log_predictive(ts, prior, alphas, 200, streams, workers=2)
+        want = [point_log_predictive(t, prior, a, 200, s) for t, a, s in zip(ts, alphas, streams)]
+        assert same_bits(got, want)
+
+    def test_zero_row_redraws_consume_each_stream_as_alone(self):
+        # tiny alphas underflow whole gamma rows to zero, which the sampler redraws
+        alphas = np.array([[2e-3, 2e-3, 2e-3], [1.0, 2.0, 3.0], [1e-3, 5e-3, 1e-3],
+                           [4.0, 4.0, 4.0], [2e-3, 1.0, 2e-3]])
+        n_is = 200
+        streams = [RngStream(7, j) for j in range(len(alphas))]
+        zero_rows = (streams[0].generator().standard_gamma(alphas[0], size=(n_is, 3))
+                     .sum(axis=1) == 0.0)
+        assert zero_rows.any()
+        ts = np.array([[3, 0, 0], [5, 2, 1], [0, 0, 4], [2, 2, 2], [1, 0, 1]])
+        for prior in (RawDirichletPrior(DirichletParams(np.array([0.5, 1.0, 2.0]))),
+                      TrinePrior(1 / 3),
+                      OrderedDirichletPrior(DirichletParams(np.array([1.0, 2.0, 3.0])))):
+            with np.errstate(invalid="ignore"):  # inf - inf where zero draws meet alpha < 1
+                got = _is_log_predictive(ts, prior, alphas, n_is, streams)
+                want = [point_log_predictive(t, prior, a, n_is, s)
+                        for t, a, s in zip(ts, alphas, streams)]
+            assert same_bits(got, want)
+
+    def test_one_point_calls(self):
+        prior = ordered_prior(2.85)
+        t = CountVector(FLY_COUNTS)
+        prop = proposal_for(t, prior, 40.0)
+        assert same_bits(prop.alphas, point_proposal(t.counts, prior, 40.0))
+        gen_a, gen_b = np.random.default_rng(5), np.random.default_rng(5)
+        got = estimate_log_prior_predictive(t, prior, prop, 500, gen_a)
+        assert same_bits(got, point_log_predictive(t.counts, prior, prop.alphas, 500, gen_b)[:2])
+        grid = [t.n / 100, t.n / 10, float(t.n)]
+        _, profile = tune_tau(t, prior, grid, RngStream(92), n_is=400)
+        want = [point_log_predictive(t.counts, prior, point_proposal(t.counts, prior, g), 400,
+                                     RngStream(92).substream(i))[2] for i, g in enumerate(grid)]
+        assert profile == tuple(zip(grid, want))
+
+
+def cone_rows(k1):
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    return st.lists(st.lists(unit, min_size=k1, max_size=k1).filter(lambda r: sum(r) > 0),
+                    min_size=1, max_size=12)
+
+
+class TestVectorisedProjection:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda k1: st.tuples(cone_rows(k1), cone_rows(k1))),
+           st.booleans())
+    def test_rows_bitwise_equal_scalar_bisection(self, rows_and_anchors, sort_some):
+        raw, anchors = rows_and_anchors
+        x = np.array(raw) / np.array(raw).sum(axis=1, keepdims=True)
+        if sort_some:  # decreasing rows are in the cone and come back unchanged
+            x[::2] = -np.sort(-x[::2], axis=1)
+        anchor = -np.sort(-np.array(anchors[0]))
+        anchor /= anchor.sum()
+        got = project_to_cone(x, anchor)
+        want = np.array([scalar_project_to_cone(row, anchor) for row in x])
+        assert same_bits(got, want)
+        assert same_bits([project_to_cone(row, anchor) for row in x], want)
+        inside = (np.diff(x, axis=1) <= 0).all(axis=1)
+        assert same_bits(got[inside], x[inside])
+
+    def test_boundary_tie_rows(self):
+        prior = ordered_prior(2.85)
+        anchor = prior.theta_mode()
+        x = np.array([FLY_COUNTS_PERMUTED, FLY_COUNTS, FLY_COUNTS_PERMUTED[::-1]], dtype=float)
+        x /= x.sum(axis=1, keepdims=True)
+        got = project_to_cone(x, anchor)
+        assert same_bits(got, [scalar_project_to_cone(row, anchor) for row in x])
+        assert same_bits(got[1], x[1])
+        diffs = got[:, :-1] - got[:, 1:]
+        assert np.all(diffs >= -1e-15) and np.all(diffs[[0, 2]].min(axis=1) <= 1e-9)
