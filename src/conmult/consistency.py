@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountVector, DirichletParams, SimplexPoint
+from .core import CountVector, DirichletParams, SimplexPoint, gammaln
 from .sampling import RngStream, sample_multinomial_array
 
 ENUMERATION_GUARD = 10**8
@@ -41,9 +41,10 @@ def cell_index(r, n: int) -> CellIndex:
 
 
 def log_dirichlet_multinomial(counts, alphas) -> float:
-    """Log predictive mass of counts under a Dirichlet prior (closed form)."""
-    from scipy.special import gammaln
+    """Log predictive mass of counts under a Dirichlet prior (closed form).
 
+    ``counts`` may be one vector or a 2-D array of rows, one mass per row.
+    """
     t = np.asarray(counts, dtype=float)
     al = np.asarray(alphas, dtype=float)
     n = t.sum(axis=-1)
@@ -101,8 +102,12 @@ def lattice_pvalue(masses, t_obs: CountVector, alphas: DirichletParams) -> float
     Log masses within LOG_TIE_TOL of the observed one count as ties (the flat
     case makes every mass mathematically equal, differing only in rounding).
     """
+    return _pvalue_at(masses, log_dirichlet_multinomial(t_obs.counts, alphas.alphas))
+
+
+def _pvalue_at(masses, log_obs):
+    """Total mass of the lattice points whose log mass is at most ``log_obs`` (with ties)."""
     log_m, m = masses
-    log_obs = log_dirichlet_multinomial(t_obs.counts, alphas.alphas)
     return float(m[log_m <= log_obs + LOG_TIE_TOL].sum())
 
 
@@ -244,20 +249,24 @@ def convergence_experiment(prior: DirichletParams, theta_true: SimplexPoint,
     """Tabulate exact conflict p-values against the limiting value over sample sizes.
 
     For each n in the schedule and each replication, counts are simulated at
-    theta_true and the p-value is computed by exact enumeration.
+    theta_true and the p-value is computed by exact enumeration: the lattice
+    masses and every replication's observed log mass take one call each per n.
     """
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     check_prior_conditions(prior)
+    n_schedule = [int(n) for n in n_schedule]
+    if any(n < 1 for n in n_schedule):
+        raise ValueError("total count must be >= 1")
     limit = limiting_pvalue(prior, theta_true, 200_000, rng.substream(0))
     limit_strict = limiting_pvalue(prior, theta_true, 200_000, rng.substream(0),
                                    strict=True)
     rows = []
     for ni, n in enumerate(n_schedule):
         gen = rng.substream(1 + ni).generator()
-        counts = sample_multinomial_array(int(n), theta_true.probs, replications, gen)
-        masses = lattice_masses(theta_true.k, int(n), prior)
-        for rep in range(replications):
-            p = lattice_pvalue(masses, CountVector(counts[rep]), prior)
-            rows.append(ConvergenceRow(int(n), rep, p, limit, abs(p - limit)))
+        counts = sample_multinomial_array(n, theta_true.probs, replications, gen)
+        masses = lattice_masses(theta_true.k, n, prior)
+        for rep, log_obs in enumerate(log_dirichlet_multinomial(counts, prior.alphas)):
+            p = _pvalue_at(masses, log_obs)
+            rows.append(ConvergenceRow(n, rep, p, limit, abs(p - limit)))
     return ConvergenceTable(rows=tuple(rows), limit=limit, limit_strict=limit_strict)

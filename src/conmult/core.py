@@ -6,6 +6,7 @@ Zipf-Mandelbrot probabilities, KL divergence, constraint-region membership,
 and closed-form log densities.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,13 +338,92 @@ def trine_prior_mass(a: float) -> float:
 # log densities
 # ---------------------------------------------------------------------------
 
+# Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989):
+# the asymptotic series for x >= 13 and the rational approximation on [2, 3)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # above this, log Gamma overflows
+
+
+def _horner(x, start, coefs):
+    """Horner's rule: ((start * x + c_0) * x + c_1) ... as Cephes ``polevl`` and ``p1evl``."""
+    for c in coefs:
+        start = start * x + c
+    return start
+
+
+def _libm_log(a):
+    """Elementwise natural log of a positive float array through ``math.log``."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _lgam_small(x):
+    """Cephes lgam on [0, 13): shift into [2, 3) by recurrence, then a rational fit."""
+    z, p, u = np.ones_like(x), np.zeros_like(x), x
+    while (down := u >= 3.0).any():
+        p = np.where(down, p - 1.0, p)
+        u = x + p
+        z = np.where(down, z * u, z)
+    with np.errstate(divide="ignore", over="ignore"):  # z = inf at x = 0 and tiny x
+        while (up := u < 2.0).any():
+            z = np.where(up, z / u, z)
+            p = np.where(up, p + 1.0, p)
+            u = x + p
+    log_z = _libm_log(np.abs(z))
+    x = x + (p - 2.0)
+    fit = log_z + x * _horner(x, _LGAM_B[0], _LGAM_B[1:]) / _horner(x, x + _LGAM_C[0], _LGAM_C[1:])
+    return np.where(u == 2.0, log_z, fit)
+
+
+def _lgam_large(x):
+    """Cephes lgam on [13, inf): Stirling's series, shorter as x grows."""
+    with np.errstate(over="ignore"):
+        q = (x - 0.5) * _libm_log(x) - x + _LS2PI
+        p = 1.0 / (x * x)
+    tail = np.where(
+        x >= 1000.0,
+        ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+         + 0.0833333333333333333333) / x,
+        _horner(p, _LGAM_A[0], _LGAM_A[1:]) / x)
+    return np.where(x > _MAXLGM, np.inf, np.where(x > 1e8, q, q + tail))
+
+
+def gammaln(x):
+    """log Gamma(x) for x >= 0, bit for bit as ``scipy.special.gammaln``.
+
+    A numpy port of Cephes ``lgam``, the routine scipy calls: the same
+    branches, coefficients and order of operations. Every logarithm goes
+    through ``math.log``, which is the C library's ``log`` that scipy's code
+    calls; numpy's vectorised ``np.log`` may differ from it in the last bit,
+    and that bit then shows in log Gamma. 0 and inf give inf, NaN gives NaN,
+    a scalar gives a numpy scalar. Negative x (where scipy returns
+    log|Gamma(x)|) raises ``ValueError``: no caller here needs it.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("gammaln is only implemented for x >= 0")
+    # counts, lattices and totals repeat values; each distinct one costs one math.log
+    vals, where = np.unique(x, return_inverse=True)
+    out = vals.copy()  # inf and NaN map to themselves
+    small = vals < 13.0
+    if small.any():
+        out[small] = _lgam_small(vals[small])
+    large = (vals >= 13.0) & (vals < np.inf)
+    if large.any():
+        out[large] = _lgam_large(vals[large])
+    return out[where].reshape(x.shape)[()]
+
+
 def log_multinomial_pmf_array(counts, theta):
     """Multinomial log pmf along the last axis, broadcasting counts vs theta.
 
     Computed with log-gamma; a zero probability with a positive count gives -inf.
     """
-    from scipy.special import gammaln
-
     t = np.asarray(counts, dtype=float)
     th = np.asarray(theta, dtype=float)
     n = t.sum(axis=-1)
@@ -360,12 +440,20 @@ def log_multinomial_pmf(t: CountVector, theta: SimplexPoint) -> float:
     return float(log_multinomial_pmf_array(t.counts, theta.probs))
 
 
-def log_dirichlet_pdf_array(x, alphas):
-    """Dirichlet log density along the last axis (full normalization)."""
-    from scipy.special import gammaln
-
+def log_dirichlet_norm(alphas):
+    """Dirichlet log normaliser log Gamma(sum alpha) - sum log Gamma(alpha), along the last axis."""
     al = np.asarray(alphas, dtype=float)
-    norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
+    return gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
+
+
+def log_dirichlet_pdf_array(x, alphas, norm=None):
+    """Dirichlet log density along the last axis (full normalization).
+
+    ``norm`` is ``log_dirichlet_norm(alphas)``, for callers that keep it.
+    """
+    al = np.asarray(alphas, dtype=float)
+    if norm is None:
+        norm = log_dirichlet_norm(al)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(al != 1.0, (al - 1.0) * np.log(np.asarray(x, dtype=float)), 0.0)
     return norm + terms.sum(axis=-1)

@@ -19,6 +19,8 @@ from .core import (
     DirichletParams,
     TrineEllipse,
     _row_sums,
+    gammaln,
+    log_dirichlet_norm,
     log_dirichlet_pdf_array,
     logsumexp,
     ordered_from_weights_array,
@@ -44,28 +46,26 @@ class ProposalSupportError(RuntimeError):
 #
 # Every prior provides the importance-sampling interface used below:
 # ``proposal_alphas(counts, tau)`` gives the Dirichlet proposal of each count
-# row; ``importance_terms(draws, alphas)`` takes a block of points' draws
-# (B, n, K) from their proposals and returns log theta cells by draws
+# row; ``importance_terms(draws, alphas, norms)`` takes a block of points'
+# draws (B, n, K) from their proposals, with the proposals' parameters and
+# ``log_dirichlet_norm`` values, and returns log theta cells by draws
 # (K, B, n), which the caller may overwrite, with the log prior and log
 # proposal densities (B, n); and ``tau_grid(n)`` lists the concentrations
 # worth trying.
 
-def _log_dirichlet_by_cells(log_x, alphas):
+def _log_dirichlet_by_cells(log_x, alphas, norm):
     """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, B, n).
 
-    Point b's draws are scored under ``alphas[b]`` (or under one shared 1-D
-    ``alphas``); each value is bitwise ``log_dirichlet_pdf_array`` of that
-    point's draws-by-cells array.
+    Point b's draws are scored under ``alphas[b]``, with normaliser
+    ``norm[b]`` (or under one shared 1-D ``alphas`` and scalar ``norm``); each
+    value is bitwise ``log_dirichlet_pdf_array`` of that point's
+    draws-by-cells array.
     """
-    from scipy.special import gammaln
-
-    al = np.atleast_2d(alphas)
-    norm = gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
-    al = al.T[:, :, None]
+    al = np.atleast_2d(alphas).T[:, :, None]
     with np.errstate(invalid="ignore"):
         terms = (al - 1.0) * log_x
     np.copyto(terms, 0.0, where=al == 1.0)  # no 0 * log 0
-    return norm[:, None] + _row_sums(terms)
+    return np.reshape(norm, (-1, 1)) + _row_sums(terms)
 
 
 class _SimplexPrior:
@@ -77,7 +77,7 @@ class _SimplexPrior:
     def proposal_alphas(self, counts, tau):
         return 1.0 + tau * (counts / counts.sum(axis=-1, keepdims=True))
 
-    def importance_terms(self, draws, alphas):
+    def importance_terms(self, draws, alphas, norms):
         """Draws are probabilities; the prior density comes from ``log_density_array``."""
         b, n, k1 = draws.shape
         log_prior = self.log_density_array(draws.reshape(-1, k1)).reshape(b, n)
@@ -85,7 +85,7 @@ class _SimplexPrior:
         del draws  # lowers the block's peak memory by one array
         with np.errstate(divide="ignore"):
             np.log(log_th, out=log_th)
-        return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas)
+        return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas, norms)
 
     def tau_grid(self, n):
         return (n,)
@@ -136,9 +136,14 @@ class RawDirichletPrior(_SimplexPrior):
     def sample_array(self, size, rng):
         return sample_dirichlet_array(self.params, size, rng)
 
+    @cached_property
+    def log_norm(self):
+        """Dirichlet log normaliser of the probabilities."""
+        return log_dirichlet_norm(self.params.alphas)
+
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        return log_dirichlet_pdf_array(th, self.params.alphas)
+        return log_dirichlet_pdf_array(th, self.params.alphas, self.log_norm)
 
 
 @dataclass(frozen=True)
@@ -160,16 +165,19 @@ class OrderedDirichletPrior:
     def sample_array(self, size, rng):
         return sample_ordered_prior_array(self.omega_params, size, rng)
 
-    def log_density_array(self, thetas):
-        from scipy.special import gammaln
+    @cached_property
+    def log_norm(self):
+        """Dirichlet log normaliser of the weights."""
+        return log_dirichlet_norm(self.omega_params.alphas)
 
+    def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         om = weights_from_ordered_array(th)
         ok = np.all(om > -1e-15, axis=-1)
         out = np.full(th.shape[0], -np.inf)
         if ok.any():
             omk = np.clip(om[ok], 0.0, None)
-            out[ok] = (log_dirichlet_pdf_array(omk, self.omega_params.alphas)
+            out[ok] = (log_dirichlet_pdf_array(omk, self.omega_params.alphas, self.log_norm)
                        + gammaln(self.dim + 1))
         return out
 
@@ -198,7 +206,7 @@ class OrderedDirichletPrior:
         xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
         return 1.0 + tau * (xi / xi.sum(axis=-1, keepdims=True))
 
-    def importance_terms(self, draws, alphas):
+    def importance_terms(self, draws, alphas, norms):
         """Draws are weights, where the linear-map Jacobians cancel in the ratio.
 
         One log of the weights serves both densities. theta_i = sum_{j >= i}
@@ -212,8 +220,8 @@ class OrderedDirichletPrior:
             th[i] += th[i + 1]
         with np.errstate(divide="ignore"):
             log_om, log_th = np.log(om, out=om), np.log(th, out=th)
-        return (log_th, _log_dirichlet_by_cells(log_om, self.omega_params.alphas),
-                _log_dirichlet_by_cells(log_om, alphas))
+        return (log_th, _log_dirichlet_by_cells(log_om, self.omega_params.alphas, self.log_norm),
+                _log_dirichlet_by_cells(log_om, alphas, norms))
 
     def tau_grid(self, n):
         return np.geomspace(n / 100.0, n, 7)
@@ -282,14 +290,16 @@ def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
     whichever block and worker compute it. The weights of a block of rows are
     evaluated together in a cells-by-draws layout; the cell sums go through
     ``_row_sums`` and the log-sum-exps through the row-wise ``logsumexp``, so
-    every value is bitwise the single-row computation. Returns one
-    (log_m, se_log, ess) per row, (-inf, nan, 0.0) where all weights are zero.
+    every value is bitwise the single-row computation. The log-gamma terms,
+    every row's multinomial coefficient and proposal normaliser, are computed
+    once, before the blocks. Returns one (log_m, se_log, ess) per row,
+    (-inf, nan, 0.0) where all weights are zero.
     """
-    from scipy.special import gammaln
-
     ts = np.asarray(ts, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     size = max(1, IS_BLOCK_ENTRIES // (n_is * ts.shape[1]))
+    coefs = gammaln(ts.sum(axis=-1) + 1) - gammaln(ts + 1).sum(axis=-1)
+    norms = log_dirichlet_norm(alphas)
 
     def block(start):
         rows = slice(start, start + size)
@@ -297,13 +307,12 @@ def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
         # the draws go in unnamed, so importance_terms can free them early
         log_th, log_prior, log_q = prior.importance_terms(
             np.stack([sample_dirichlet_array(DirichletParams(a), n_is, s)
-                      for a, s in zip(al, streams[rows])]), al)
-        coef = gammaln(t.sum(axis=-1) + 1) - gammaln(t + 1).sum(axis=-1)
+                      for a, s in zip(al, streams[rows])]), al, norms[rows])
         tc = t.T[:, :, None]
         with np.errstate(invalid="ignore"):
             terms = np.multiply(tc, log_th, out=log_th)
         np.copyto(terms, 0.0, where=tc == 0)
-        log_w = coef[:, None] + _row_sums(terms) + log_prior - log_q
+        log_w = coefs[rows, None] + _row_sums(terms) + log_prior - log_q
         return zip(logsumexp(log_w), logsumexp(2.0 * log_w))
 
     out = []

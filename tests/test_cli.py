@@ -266,8 +266,8 @@ class TestInputErrors:
 
 
 class TestStartup:
-    def test_only_check_prior_and_consistency_load_scipy(self, tmp_path):
-        """Run in a fresh interpreter: scipy stays unloaded until a command uses it."""
+    def test_only_consistency_loads_scipy(self, tmp_path):
+        """Run in a fresh interpreter: scipy stays unloaded until ``consistency`` uses it."""
         script = f"""
 import json, os, sys
 from conmult.cli import main
@@ -302,6 +302,14 @@ assert not scipy_modules(), scipy_modules()
 write(os.path.join(d, "prior.json"), {{"type": "trine", "a": 1 / 3}})
 assert main(["check-prior", "--counts", trine, "--prior", os.path.join(d, "prior.json"),
              "--npred", "20", "--nis", "500", "--out", out]) == 0
+fly_prior = os.path.join(d, "fly_prior.json")
+write(fly_prior, {{"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}})
+for extra in ([], ["--group", "stride=9"]):
+    assert main(["check-prior", "--counts", fly, "--prior", fly_prior, "--npred", "20",
+                 "--nis", "300", "--force", "--out", os.path.join(d, "fly"), *extra]) in (0, 3)
+assert not scipy_modules(), scipy_modules()
+assert main(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+             "--schedule", "50", "--replications", "5", "--out", out]) == 0
 assert "scipy.special" in sys.modules
 """
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

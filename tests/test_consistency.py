@@ -25,7 +25,7 @@ from conmult.consistency import (
 )
 from conmult.core import CountVector, DirichletParams, SimplexPoint
 from conmult.prior_check import RawDirichletPrior, conflict_pvalue
-from conmult.sampling import RngStream
+from conmult.sampling import RngStream, sample_multinomial_array
 
 
 class TestExactPredictive:
@@ -273,6 +273,34 @@ class TestGuards:
 
 
 class TestConvergenceExperiment:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 2), schedule=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+           alphas=st.lists(st.floats(1.0, 5.0), min_size=3, max_size=3),
+           theta=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+           seed=st.integers(0, 10**6))
+    def test_rows_bitwise_equal_to_lattice_pvalue(self, k, schedule, alphas, theta, seed):
+        # every replication's observed mass comes from one batched call per n;
+        # each p-value must be lattice_pvalue's for that replication's counts
+        prior = DirichletParams(np.array(alphas[:k + 1]))
+        assume(np.any(prior.alphas != 1.0))
+        th = np.array(theta[:k + 1]) / sum(theta[:k + 1])
+        rng = RngStream(seed)
+        table = convergence_experiment(prior, SimplexPoint(th), schedule, rng, replications=7)
+        want = []
+        for ni, n in enumerate(schedule):
+            counts = sample_multinomial_array(n, th, 7, rng.substream(1 + ni).generator())
+            masses = lattice_masses(k, n, prior)
+            want += [(n, rep, lattice_pvalue(masses, CountVector(row), prior))
+                     for rep, row in enumerate(counts)]
+        assert [(r.n, r.replication, r.pvalue) for r in table.rows] == want
+        assert all(r.abs_error == abs(r.pvalue - table.limit) for r in table.rows)
+
+    def test_rejects_an_empty_total(self):
+        with pytest.raises(ValueError, match="total count"):
+            convergence_experiment(DirichletParams(np.array([2.0, 2.0])),
+                                   SimplexPoint(np.array([0.3, 0.7])), [10, 0],
+                                   RngStream(0), replications=2)
+
     def test_beta22_small_schedule(self):
         table = convergence_experiment(
             DirichletParams(np.array([2.0, 2.0])),

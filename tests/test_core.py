@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import gammaln as scipy_gammaln, logsumexp as scipy_logsumexp
 
 from conmult.core import (
     CountVector,
@@ -14,6 +14,7 @@ from conmult.core import (
     TrineEllipse,
     ZmParams,
     crosshairs_region,
+    gammaln,
     kl_divergence,
     log_multinomial_pmf,
     logsumexp,
@@ -367,6 +368,48 @@ class TestLogSumExp:
         a[rng.random(a.shape) < 0.1] = -np.inf
         a[3] = -np.inf
         assert same_bits(logsumexp(a), scipy_logsumexp(a, axis=-1))
+
+
+class TestGammaln:
+    """``gammaln`` against scipy's, bit for bit, on every Cephes branch and its edges."""
+
+    # [lo, hi) of each branch: the recurrence up from (0, 2), the rational fit on
+    # [2, 3), the recurrence down from [3, 13), the long and short Stirling series,
+    # and Stirling's leading terms alone above 1e8 (up to the overflow bound)
+    branches = [(0.0, 2.0), (2.0, 3.0), (3.0, 13.0), (13.0, 1000.0), (1000.0, 1e8),
+                (1e8, 2.556348e305)]
+    edges = [v for lo, hi in branches for v in (lo, np.nextafter(lo, 0.0), np.nextafter(lo, hi),
+                                                 hi, np.nextafter(hi, 0.0))]
+    values = st.one_of(
+        *[st.floats(lo, hi, exclude_min=lo == 0.0) for lo, hi in branches],
+        st.floats(1e-3, 1.0), st.floats(0.0, 1e-300), st.floats(1e300, 1.7e308),
+        st.sampled_from(edges), st.integers(1, 20001).map(float),
+        st.integers(0, 40000).map(lambda i: i + 0.5))
+
+    @settings(max_examples=600, deadline=None)
+    @given(arrays(np.float64, st.one_of(st.just(()), st.tuples(st.integers(1, 40)),
+                                       st.tuples(st.integers(1, 6), st.integers(1, 20))),
+                  elements=values))
+    def test_bitwise_equal_to_scipy(self, x):
+        got = gammaln(x)
+        assert same_bits(got, scipy_gammaln(x))
+        assert np.shape(got) == x.shape
+
+    def test_bitwise_on_integers_half_integers_and_small_alphas(self):
+        x = np.concatenate([np.arange(1, 20002.0), np.arange(0.5, 20001.0),
+                            np.geomspace(1e-3, 1.0, 5000)])
+        assert same_bits(gammaln(x), scipy_gammaln(x))
+        assert same_bits(gammaln(x.reshape(2, -1)), scipy_gammaln(x).reshape(2, -1))
+
+    def test_special_values(self):
+        assert same_bits(gammaln(np.array([0.0, np.inf, np.nan])), [np.inf, np.inf, np.nan])
+        assert isinstance(gammaln(5.0), np.float64)
+        assert gammaln(5.0) == math.log(24.0)
+
+    @pytest.mark.parametrize("x", [-1.0, -0.5, [2.0, -3.0], -np.inf])
+    def test_negative_input_raises(self, x):
+        with pytest.raises(ValueError, match=">= 0"):
+            gammaln(x)
 
 
 class TestTrineQuadForm:

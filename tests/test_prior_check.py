@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from conmult.core import (
     CountVector,
     DirichletParams,
+    gammaln,
     log_dirichlet_pdf_array,
     log_multinomial_pmf_array,
     ordered_from_weights_array,
@@ -357,6 +358,34 @@ class TestConflictPvalue:
         a = conflict_pvalue(t, prior, 80, 500, RngStream(12, 5))
         b = conflict_pvalue(t, prior, 80, 500, RngStream(12, 5), workers=4)
         np.testing.assert_array_equal(a.log_m_pred, b.log_m_pred)
+
+    @pytest.mark.parametrize("make_prior, t_obs, tau", [
+        (lambda: TrinePrior(1 / 3), (341, 191, 175), None),
+        (lambda: RawDirichletPrior(DirichletParams(np.array([3.0, 2.0, 1.5]))), (20, 12, 8), None),
+        (lambda: ordered_prior(2.85, k1=6), (9, 6, 4, 2, 1, 1), None),
+        (lambda: ordered_prior(2.85, k1=6), (9, 6, 4, 2, 1, 1), 20.0),
+    ])
+    def test_gammaln_calls_do_not_grow_with_n_pred(self, monkeypatch, make_prior, t_obs, tau):
+        # at n_is = 2000 a block holds 5 three-cell or 2 six-cell points, so the
+        # larger n_pred runs 13 to 31 blocks where the smaller runs 1
+        import conmult.core
+        import conmult.prior_check
+
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return gammaln(x)
+
+        monkeypatch.setattr(conmult.core, "gammaln", counted)
+        monkeypatch.setattr(conmult.prior_check, "gammaln", counted)
+        per_run = []
+        for n_pred in (2, 60):
+            calls.clear()
+            conflict_pvalue(CountVector(np.array(t_obs)), make_prior(), n_pred, 2000,
+                            RngStream(13), tau=tau)
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1] <= 10
 
 
 class TestGroupedBounds:

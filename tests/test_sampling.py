@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from conmult.core import (
@@ -24,6 +25,8 @@ from conmult.sampling import (
     sample_trine_prior,
     sample_trine_prior_array,
 )
+
+from conftest import same_bits
 
 
 class TestRngStream:
@@ -90,6 +93,35 @@ class TestDirichlet:
     def test_single_draw_api(self):
         p = sample_dirichlet(DirichletParams(np.array([2.0, 2.0])), RngStream(1))
         assert isinstance(p, SimplexPoint)
+
+    @staticmethod
+    def numpy_dirichlet(alphas, size, gen):
+        """The sampler with numpy's row sums, zero-row redraws included."""
+        g = gen.standard_gamma(alphas, size=(size, alphas.size))
+        s = g.sum(axis=1, keepdims=True)
+        for i in np.flatnonzero(s[:, 0] == 0.0):
+            while g[i].sum() == 0.0:
+                g[i] = gen.standard_gamma(alphas)
+            s[i, 0] = g[i].sum()
+        return g / s
+
+    @settings(max_examples=80, deadline=None)
+    @given(k1=st.integers(2, 20), size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 3e-3, 0.1, 1.0, 50.0]), data=st.data())
+    def test_bitwise_equal_to_numpy_row_sums(self, k1, size, seed, scale, data):
+        # alphas near 1e-3 underflow whole gamma rows to zero, which are redrawn
+        alphas = scale * np.array(data.draw(st.lists(st.floats(1.0, 4.0), min_size=k1,
+                                                     max_size=k1)))
+        got = sample_dirichlet_array(DirichletParams(alphas), size, np.random.default_rng(seed))
+        assert same_bits(got, self.numpy_dirichlet(alphas, size, np.random.default_rng(seed)))
+
+    def test_zero_rows_redrawn_as_with_numpy_row_sums(self):
+        alphas = np.array([1e-3, 2e-3])
+        zero_rows = np.random.default_rng(4).standard_gamma(alphas, size=(200, 2)).sum(axis=1) == 0
+        assert zero_rows.sum() > 10
+        got = sample_dirichlet_array(DirichletParams(alphas), 200, np.random.default_rng(4))
+        assert same_bits(got, self.numpy_dirichlet(alphas, 200, np.random.default_rng(4)))
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=1e-15)
 
     def test_mode_concentration_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
