@@ -20,7 +20,6 @@ from .core import (
     zm_distribution,
 )
 from .sampling import (
-    ModeConcentration,
     RngStream,
     sample_dirichlet,
     sample_multinomial,
@@ -32,7 +31,6 @@ __all__ = [
     "CountVector",
     "DirichletParams",
     "MeasureZeroRegionError",
-    "ModeConcentration",
     "OrderedCone",
     "QuadBall",
     "RngStream",

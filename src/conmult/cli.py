@@ -24,7 +24,6 @@ from . import __version__
 from .core import (
     CountVector,
     DirichletParams,
-    MeasureZeroRegionError,
     OrderedCone,
     SimplexPoint,
     TrineEllipse,
@@ -62,6 +61,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_AGAINST = 3
+VERDICT_EXIT = {"favor": EXIT_OK, "against": EXIT_AGAINST, "undefined": EXIT_NUMERIC}
 
 
 class InputError(Exception):
@@ -183,17 +183,18 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
-def write_report(out_dir, name, config, payload):
+def write_json(out_dir, name, obj):
     os.makedirs(out_dir, exist_ok=True)
-    report = dict(payload)
-    report["config"] = config
-    report["config_hash"] = config_hash(config)
-    report["version"] = __version__
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
+
+
+def write_report(out_dir, name, config, payload):
+    report = dict(payload, config=config, config_hash=config_hash(config), version=__version__)
+    return write_json(out_dir, name, report)
 
 
 def write_csv(out_dir, name, header, rows):
@@ -227,52 +228,48 @@ def cmd_check_model(args):
                   ["bin_left", "prior_density", "post_density"],
                   [(f"{b:.10g}", f"{p / args.zm_delta:.10g}", f"{q / args.zm_delta:.10g}")
                    for b, p, q in zip(bins, rep.prior_hist, rep.post_hist)])
+        verdict = rep.verdict()
+        undefined = verdict == "undefined"
         payload = {
             "mode": "zm_distance",
-            "rb": None if not np.isfinite(rep.rb_zero) else rep.rb_zero,
-            "strength": None if not np.isfinite(rep.strength) else rep.strength,
+            "rb": None if undefined else rep.rb_zero,
+            "strength": None if undefined else rep.strength,
             "delta": rep.delta, "n_draws": rep.n_draws,
             "prior_first_bin_empty": rep.prior_first_bin_empty,
             "prior_first_bin": float(rep.prior_hist[0]),
             "post_first_bin": float(rep.post_hist[0]),
-            "verdict": rep.verdict() if np.isfinite(rep.rb_zero) else "undefined",
+            "verdict": verdict,
         }
-        write_report(args.out, "model_check.json", config, payload)
-        if rep.prior_first_bin_empty:
-            print("first prior bin empty: relative belief ratio undefined; "
-                  "increase --draws", file=sys.stderr)
-        print(f"rb={payload['rb']} strength={payload['strength']} "
-              f"verdict={payload['verdict']}")
-        if payload["verdict"] == "undefined":
-            return EXIT_NUMERIC
-        return EXIT_OK if payload["verdict"] == "favor" else EXIT_AGAINST
-    region = parse_region(args.region, len(t))
-    if args.group is not None:
-        if not isinstance(region, OrderedCone):
-            raise InputError("--group applies only to the ordered region")
-        rep = rb_grouped_check(t, parse_group(args.group, len(t)), args.draws, rng,
-                               workers=args.workers)
+        note = "first prior bin empty: relative belief ratio undefined; increase --draws"
+        line = f"rb={payload['rb']} strength={payload['strength']} verdict={verdict}"
     else:
-        rep = rb_region_check(t, region, args.draws, rng, workers=args.workers)
-    verdict = rep.verdict()
-    undefined = verdict == "undefined"
-    payload = {
-        "mode": "region",
-        "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
-        "rb": None if undefined else rep.rb, "strength": rep.strength, "mc_se": rep.mc_se,
-        "n_draws": rep.n_draws, "prior_prob_analytic": rep.prior_prob_analytic,
-        "verdict": verdict,
-    }
+        region = parse_region(args.region, len(t))
+        if args.group is not None:
+            if not isinstance(region, OrderedCone):
+                raise InputError("--group applies only to the ordered region")
+            rep = rb_grouped_check(t, parse_group(args.group, len(t)), args.draws, rng,
+                                   workers=args.workers)
+        else:
+            rep = rb_region_check(t, region, args.draws, rng, workers=args.workers)
+        verdict = rep.verdict()
+        undefined = verdict == "undefined"
+        payload = {
+            "mode": "region",
+            "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
+            "rb": None if undefined else rep.rb, "strength": rep.strength,
+            "mc_se": rep.mc_se, "n_draws": rep.n_draws,
+            "prior_prob_analytic": rep.prior_prob_analytic, "verdict": verdict,
+        }
+        note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
+                f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
+                "ratio undefined; increase --draws or group the cells")
+        rb = "None" if undefined else f"{rep.rb:.6g}"
+        line = f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} rb={rb} verdict={verdict}"
     write_report(args.out, "model_check.json", config, payload)
     if undefined:
-        print(f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
-              f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief ratio "
-              "undefined; increase --draws or group the cells", file=sys.stderr)
-    rb = "None" if undefined else f"{rep.rb:.6g}"
-    print(f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} rb={rb} verdict={verdict}")
-    if undefined:
-        return EXIT_NUMERIC
-    return EXIT_OK if verdict == "favor" else EXIT_AGAINST
+        print(note, file=sys.stderr)
+    print(line)
+    return VERDICT_EXIT[verdict]
 
 
 def _require_model_pass(args):
@@ -353,11 +350,7 @@ def cmd_elicit(args):
         "l": args.l, "u": args.u, "gamma": args.gamma, "tau": res.tau,
         "omega_alphas": list(map(float, params.alphas)),
     }
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "prior.json")
-    with open(path, "w") as fh:
-        json.dump(spec, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = write_json(args.out, "prior.json", spec)
     write_report(args.out, "elicit.json", config, {
         "tau": res.tau, "achieved": res.achieved, "mc_se": res.mc_se,
         "prior_file": "prior.json",
@@ -371,8 +364,6 @@ def cmd_posterior(args):
     prior, meta = read_prior(args.prior)
     if not isinstance(prior, OrderedDirichletPrior):
         raise InputError("posterior sampling needs an ordered_dirichlet prior")
-    if len(t) != prior.dim:
-        raise InputError("counts and prior dimensions differ")
     samples, diag = run_gibbs(t, prior.omega_params, args.sweeps, args.burn_in,
                               None, RngStream(args.seed))
     write_csv(args.out, "posterior_samples.csv",
@@ -509,7 +500,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as exc:
-        # includes MeasureZeroRegionError, which points at the distance check
+        # includes core.MeasureZeroRegionError, which points at the distance check
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ProposalSupportError, RuntimeError, FloatingPointError,

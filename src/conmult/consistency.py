@@ -58,13 +58,6 @@ def log_dirichlet_multinomial(counts, alphas) -> float:
     )
 
 
-def exact_prior_predictive(t: CountVector, alphas: DirichletParams) -> float:
-    """Predictive mass of the counts under a Dirichlet prior."""
-    if len(t) != len(alphas):
-        raise ValueError("dimension mismatch")
-    return float(np.exp(log_dirichlet_multinomial(t.counts, alphas.alphas)))
-
-
 def enumerate_lattice(k: int, n: int) -> np.ndarray:
     """All count vectors with k+1 cells summing to n, as rows in lexicographic order.
 

@@ -66,8 +66,7 @@ class TauSearchResult:
 
 
 def _virtual_certainty(tau, xi, inp, seed, n_draws):
-    params = DirichletParams(1.0 + tau * xi)
-    th = sample_ordered_prior_array(params, n_draws, RngStream(seed))
+    th = sample_ordered_prior_array(dirichlet_from_mode(xi, tau), n_draws, RngStream(seed))
     return float(np.mean((th[:, -1] > inp.l) & (th[:, 0] < inp.u)))
 
 
@@ -91,12 +90,11 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
             f"need l < {ts[-1]:.6g} and {ts[0]:.6g} < u, got (l, u) = ({inp.l}, {inp.u}); "
             "no concentration can achieve gamma"
         )
-    xi = xi_sp.probs
     seed = rng.substream(0).stream_id
     trace = []
 
     def evaluate(tau):
-        p = _virtual_certainty(tau, xi, inp, seed, n_draws)
+        p = _virtual_certainty(tau, xi_sp, inp, seed, n_draws)
         trace.append((tau, p))
         return p
 
@@ -117,10 +115,6 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
     se = np.sqrt(max(achieved * (1 - achieved), 1e-12) / n_draws)
     return TauSearchResult(tau=float(hi), achieved=achieved, mc_se=float(se),
                            trace=tuple(trace))
-
-
-def find_tau(inp: ElicitationInput, n_draws: int, rng: RngStream) -> float:
-    return find_tau_result(inp, n_draws, rng).tau
 
 
 def elicit_ordered_prior(inp: ElicitationInput, n_draws: int, rng: RngStream):

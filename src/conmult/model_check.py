@@ -17,7 +17,6 @@ from .core import (
     OrderedCone,
     TrineEllipse,
     _row_sums,
-    kl_divergence_array,
     trine_prior_mass,
     zm_log_probs_array,
 )
@@ -243,8 +242,6 @@ class ZmTable:
     """Tabulated ZM distributions used to seed the KL projection."""
 
     k: int
-    delta: float
-    grid: BetaGrid
     params: np.ndarray = field(repr=False)      # (E, 2) alpha, beta
     log_probs: np.ndarray = field(repr=False)   # (E, k+1)
 
@@ -277,7 +274,7 @@ def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid(),
         rows.extend((float(a), float(beta)) for a in sweep)
     params = np.array(rows)
     log_probs = zm_log_probs_array(params[:, 0], params[:, 1], k1)
-    return ZmTable(k=k, delta=delta, grid=grid, params=params, log_probs=log_probs)
+    return ZmTable(k=k, params=params, log_probs=log_probs)
 
 
 def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
@@ -371,6 +368,9 @@ class DistanceCheckReport:
     prior_first_bin_empty: bool
 
     def verdict(self) -> str:
+        """Return "favor", "against", or "undefined" when the first prior bin is empty."""
+        if not np.isfinite(self.rb_zero):
+            return "undefined"
         return "favor" if self.rb_zero > 1 else "against"
 
 

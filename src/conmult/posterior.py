@@ -20,8 +20,6 @@ from .sampling import RngStream
 @dataclass(frozen=True)
 class GibbsDiagnostics:
     autocorr_time: np.ndarray
-    n_sweeps: int
-    burn_in: int
 
 
 def autocorrelation_time(x):
@@ -64,10 +62,6 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     weights, averaged with equal weights, set the first sweep's allocation
     probabilities. Returns (samples array of kept sweeps, GibbsDiagnostics).
     """
-    if n_sweeps < 1:
-        raise ValueError("n_sweeps must be >= 1")
-    if burn_in < 0 or burn_in >= n_sweeps:
-        raise ValueError("need 0 <= burn_in < n_sweeps")
     al = prior.alphas
     k1 = len(prior)
     cnt = np.zeros(k1, dtype=np.int64)
@@ -75,6 +69,10 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
         cnt = counts.counts if isinstance(counts, CountVector) else np.asarray(counts)
         if len(cnt) != k1:
             raise ValueError("counts and prior dimensions differ")
+    if n_sweeps < 1:
+        raise ValueError("n_sweeps must be >= 1")
+    if burn_in < 0 or burn_in >= n_sweeps:
+        raise ValueError("need 0 <= burn_in < n_sweeps")
     if init is None:
         from .prior_check import OrderedDirichletPrior
 
@@ -99,4 +97,4 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     omega = np.exp(log_kept - log_kept.max(axis=1, keepdims=True))
     kept = ordered_from_weights_array(omega / omega.sum(axis=1, keepdims=True))
     act = np.array([autocorrelation_time(kept[:, j]) for j in range(k1)])
-    return kept, GibbsDiagnostics(autocorr_time=act, n_sweeps=n_sweeps, burn_in=burn_in)
+    return kept, GibbsDiagnostics(autocorr_time=act)

@@ -312,7 +312,11 @@ def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
         with np.errstate(invalid="ignore"):
             terms = np.multiply(tc, log_th, out=log_th)
         np.copyto(terms, 0.0, where=tc == 0)
-        log_w = coefs[rows, None] + _row_sums(terms) + log_prior - log_q
+        # a coordinate that a proposal alpha < 1 underflows to 0 gives inf - inf:
+        # such a draw counts as a zero weight
+        with np.errstate(invalid="ignore"):
+            log_w = coefs[rows, None] + _row_sums(terms) + log_prior - log_q
+        np.copyto(log_w, -np.inf, where=np.isnan(log_w))
         return zip(logsumexp(log_w), logsumexp(2.0 * log_w))
 
     out = []
@@ -495,8 +499,7 @@ def reduce_ordered_prior(prior: OrderedDirichletPrior, m: int) -> OrderedDirichl
     spec = Strided(m, prior.dim)
     al = prior.omega_params.alphas
     tau = float((al - 1.0).sum())
-    mode_red = spec.group_array(prior.theta_mode())
-    mode_red = np.sort(mode_red)[::-1]
+    mode_red = spec.group_array(prior.theta_mode())  # decreasing, see group_counts
     xi_red = np.clip(weights_from_ordered_array(mode_red), 0.0, None)
     xi_red = xi_red / xi_red.sum()
     return OrderedDirichletPrior(DirichletParams(1.0 + tau * xi_red))

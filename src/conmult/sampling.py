@@ -44,21 +44,6 @@ class RngStream:
         return RngStream(seed=self.seed, stream_id=int(ss.generate_state(1, np.uint64)[0]))
 
 
-@dataclass(frozen=True)
-class ModeConcentration:
-    """Dirichlet written as mode xi plus concentration tau: alpha_i = 1 + tau * xi_i."""
-
-    mode: SimplexPoint
-    tau: float
-
-    def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-
-    def params(self) -> DirichletParams:
-        return DirichletParams(1.0 + self.tau * self.mode.probs)
-
-
 def sample_dirichlet_array(params: DirichletParams, size: int, rng) -> np.ndarray:
     """(size, k+1) Dirichlet draws via normalized gammas.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,43 @@ def same_bits(x, y):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def chain_ordered_log_predictive(t, alpha_last, n_grid=65536):
+    """Log predictive mass of ``t`` under the ordered prior with weights Dirichlet(1, ..., 1, alpha_last).
+
+    With x_i independent unit-rate gammas and theta = x / sum(x), the mass is
+    n!/prod t_i! * K! Gamma(A)/Gamma(alpha_last) * K^(alpha_last - 1) * J / Gamma(n + A)
+    for K cells and A = K - 1 + alpha_last, where J integrates
+    prod x_i^t_i e^-x_i * x_K^(alpha_last - 1) over x_1 >= ... >= x_K >= 0. With
+    every other weight parameter 1, J is a chain of running integrals:
+    H_K(x) = x^(t_K + alpha_last - 1) e^-x, H_i(x) = x^t_i e^-x int_0^x H_{i+1},
+    J = int_0^inf H_1. Each runs by the trapezoid rule on a uniform grid, in log
+    space with one rescale per step.
+    """
+    t = np.asarray(t, dtype=float)
+    k1, n = t.size, float(t.sum())
+    a0 = k1 - 1 + alpha_last
+    x = np.linspace(0.0, 2.0 * (n + a0) + 50.0, n_grid)  # sum(x) ~ Gamma(n + A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(x)
+
+        def log_factor(power):
+            return np.where(power != 0, power * log_x, 0.0) - x
+
+        def log_running_integral(log_h):
+            top = log_h.max()
+            h = np.exp(log_h - top)
+            steps = 0.5 * (h[1:] + h[:-1]) * np.diff(x)
+            return np.log(np.concatenate([[0.0], np.cumsum(steps)])) + top
+
+        log_h = log_factor(t[-1] + alpha_last - 1.0)
+        for t_i in t[-2::-1]:
+            log_h = log_factor(t_i) + log_running_integral(log_h)
+        log_j = log_running_integral(log_h)[-1]
+    lg = math.lgamma
+    return (lg(n + 1) - sum(lg(v + 1) for v in t) + lg(k1 + 1) + lg(a0) - lg(alpha_last)
+            + (alpha_last - 1.0) * math.log(k1) + log_j - lg(n + a0))
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from conmult.elicitation import (
     dirichlet_from_mode,
     elicit_ordered_prior,
     equispaced_mode,
-    find_tau,
     find_tau_result,
 )
 from conmult.sampling import RngStream, sample_dirichlet_array
@@ -84,7 +83,7 @@ class TestFindTau:
         inp = ElicitationInput(k=4, delta=0.0, l=0.3, u=0.9, gamma=0.9)
         # uniform mode has theta_5 = 0.2 < l = 0.3
         with pytest.raises(ValueError, match="gamma"):
-            find_tau(inp, 2000, RngStream(201))
+            find_tau_result(inp, 2000, RngStream(201)).tau
 
     def test_achieved_probability_contract(self):
         inp = ElicitationInput(k=5, delta=0.0, l=0.05, u=0.5, gamma=0.95)
@@ -104,15 +103,15 @@ class TestFindTau:
         from conmult.elicitation import _virtual_certainty, equispaced_mode
 
         _, xi = equispaced_mode(5, 0.0)
-        ps = [_virtual_certainty(tau, xi.probs, inp, seed=7, n_draws=20_000)
+        ps = [_virtual_certainty(tau, xi, inp, seed=7, n_draws=20_000)
               for tau in (1.0, 10.0, 100.0, 1000.0)]
         assert ps[-1] > 0.999
         assert ps == sorted(ps)
 
     def test_quasi_deterministic(self):
         inp = ElicitationInput(k=4, delta=0.0, l=0.02, u=0.6, gamma=0.9)
-        a = find_tau(inp, 5000, RngStream(204))
-        b = find_tau(inp, 5000, RngStream(204))
+        a = find_tau_result(inp, 5000, RngStream(204)).tau
+        b = find_tau_result(inp, 5000, RngStream(204)).tau
         assert a == b
 
     def test_elicit_returns_prior_params(self):

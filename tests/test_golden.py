@@ -32,6 +32,17 @@ PINS = {
     "pairs": (15513.12, 0.04275),
     # (post_first_bin, prior_first_bin_empty, sha256 of distance_densities.csv)
     "zm": (0.08, True, "4e05c3f34ad65824ffe7b9eb8fba169b4fc4631c5e025c24f38be1826b10412d"),
+    # (exit code, stdout, stderr) of check-model runs
+    "zm_lines": (2, "rb=None strength=None verdict=undefined\n",
+                 "first prior bin empty: relative belief ratio undefined; increase --draws\n"),
+    "ordered": (2, "prior=1.56192e-16 post=0 rb=None verdict=undefined\n",
+                "no posterior draw in the region, whose prior content 1.56e-16 is at or below "
+                "the 3/draws bound 0.00015: relative belief ratio undefined; increase --draws "
+                "or group the cells\n"),
+    "trine_region": (0, "prior=0.6046 post=1 rb=1.65399 verdict=favor\n", ""),
+    # (tau, achieved, sha256 of prior.json)
+    "elicit": (2.7491283416748047, 0.99,
+               "f212a686df0584f26e803588ee2eea9befdb29a500ae91b18ace8c56d6092a1b"),
 }
 
 
@@ -55,6 +66,11 @@ def inputs(tmp_path):
                                 {"type": "ordered_dirichlet",
                                  "omega_alphas": fly_alphas.tolist()}),
     }
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def run(tmp_path, name, argv, report):
@@ -97,13 +113,52 @@ def test_check_model_pairs(tmp_path, inputs):
     assert (rep["rb"], rep["post_prob"]) == PINS["pairs"]
 
 
-def test_check_model_zm(tmp_path, inputs):
+def test_check_model_zm(tmp_path, inputs, capsys):
     # 2000 flat draws leave the first prior bin empty: exit 2, rb undefined
     out = str(tmp_path / "zm")
-    assert main(["check-model", "--counts", inputs["fly_counts"], "--zm-delta", "0.02",
-                 "--draws", "2000", "--seed", "15", "--out", out]) == 2
+    code = main(["check-model", "--counts", inputs["fly_counts"], "--zm-delta", "0.02",
+                 "--draws", "2000", "--seed", "15", "--out", out])
+    lines = capsys.readouterr()
+    assert (code, lines.out, lines.err) == PINS["zm_lines"]
     with open(os.path.join(out, "model_check.json")) as fh:
         rep = json.load(fh)
-    with open(os.path.join(out, "distance_densities.csv"), "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = sha256(os.path.join(out, "distance_densities.csv"))
     assert (rep["post_first_bin"], rep["prior_first_bin_empty"], digest) == PINS["zm"]
+
+
+def test_check_model_ungrouped_ordered(tmp_path, inputs, capsys):
+    # the 18-cell cone's prior content 1/18! is below 3/draws: zero hits are undefined
+    out = str(tmp_path / "ordered")
+    code = main(["check-model", "--counts", inputs["fly_counts"], "--region", "ordered",
+                 "--draws", "20000", "--seed", "14", "--out", out])
+    lines = capsys.readouterr()
+    assert (code, lines.out, lines.err) == PINS["ordered"]
+    with open(os.path.join(out, "model_check.json")) as fh:
+        rep = json.load(fh)
+    assert (rep["verdict"], rep["rb"]) == ("undefined", None)
+
+
+def test_check_model_trine_region(tmp_path, inputs, capsys):
+    code = main(["check-model", "--counts", inputs["trine_counts"], "--region", "trine",
+                 "--draws", "20000", "--seed", "16", "--out", str(tmp_path / "tr")])
+    lines = capsys.readouterr()
+    assert (code, lines.out, lines.err) == PINS["trine_region"]
+
+
+def test_elicit(tmp_path):
+    out = str(tmp_path / "el")
+    rep = run(tmp_path, "el", ["elicit", "--k", "17", "--delta", "0", "--l", "0.002222",
+                               "--u", "0.5", "--gamma", "0.99", "--draws", "5000",
+                               "--seed", "17"],
+              "elicit.json")
+    digest = sha256(os.path.join(out, "prior.json"))
+    assert (rep["tau"], rep["achieved"], digest) == PINS["elicit"]
+
+
+def test_posterior_dimension_mismatch(tmp_path, inputs, capsys):
+    counts = write_json(tmp_path / "small.json", {"counts": [5, 3, 2, 1]})
+    code = main(["posterior", "--counts", counts, "--prior", inputs["fly_prior"],
+                 "--seed", "18", "--out", str(tmp_path / "po")])
+    lines = capsys.readouterr()
+    assert (code, lines.out, lines.err) == (
+        1, "", "input error: counts and prior dimensions differ\n")

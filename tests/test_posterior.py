@@ -7,6 +7,8 @@ from conmult.core import CountVector, DirichletParams, ordered_from_weights_arra
 from conmult.posterior import autocorrelation_time, run_gibbs
 from conmult.sampling import RngStream, sample_ordered_prior_array
 
+from conftest import FLY_COUNTS, chain_ordered_log_predictive
+
 
 class TestRunGibbs:
     def test_states_stay_in_cone_and_simplex(self):
@@ -78,6 +80,43 @@ class TestRunGibbs:
             run_gibbs(None, prior, 10, 10, None, RngStream(0))
         with pytest.raises(ValueError):
             run_gibbs(CountVector(np.array([1, 1])), prior, 10, 1, None, RngStream(0))
+
+
+# last weight parameter of the README elicitation's flat-mode prior
+FLY_ALPHA_LAST = 3.837129592895508
+
+
+def exact_posterior_means(t, alpha_last):
+    """E[theta_i | t] = (t_i + 1)/(n + 1) * m(t + e_i)/m(t) from chain-integral masses.
+
+    theta_i m(t) is (t_i + 1)/(n + 1) times the mass of t + e_i, whose
+    multinomial coefficient has one more count in cell i.
+    """
+    t = np.asarray(t)
+    log_m = chain_ordered_log_predictive(t, alpha_last)
+    shifted = np.array([chain_ordered_log_predictive(t + np.eye(t.size, dtype=int)[i],
+                                                     alpha_last) for i in range(t.size)])
+    return (t + 1) / (t.sum() + 1) * np.exp(shifted - log_m)
+
+
+class TestExactMeansOracle:
+    @pytest.fixture(scope="class")
+    def means(self):
+        return exact_posterior_means(FLY_COUNTS, FLY_ALPHA_LAST)
+
+    def test_means_sum_to_one(self, means):
+        assert abs(means.sum() - 1.0) < 1e-6
+        assert np.all(means[:-1] >= means[1:])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fly_chain_matches_exact_means(self, means, seed):
+        # se of each coordinate's mean corrected by its autocorrelation time
+        alphas = np.ones(18)
+        alphas[-1] = FLY_ALPHA_LAST
+        samples, diag = run_gibbs(CountVector(FLY_COUNTS), DirichletParams(alphas),
+                                  21_000, 1000, None, RngStream(seed))
+        se = samples.std(axis=0) * np.sqrt(diag.autocorr_time / samples.shape[0])
+        assert np.all(np.abs(samples.mean(axis=0) - means) <= 4 * se)
 
 
 def importance_oracle(counts, alpha, n_draws, seed):

@@ -35,7 +35,8 @@ from conmult.prior_check import (
 )
 from conmult.sampling import RngStream, sample_dirichlet_array
 
-from conftest import FLY_COUNTS, FLY_COUNTS_PERMUTED, FLY_ELICITATION, same_bits
+from conftest import (FLY_COUNTS, FLY_COUNTS_PERMUTED, FLY_ELICITATION,
+                      chain_ordered_log_predictive, same_bits)
 
 
 def ordered_prior(tau, k1=18):
@@ -74,43 +75,6 @@ def exact_ordered_log_predictive(t, alphas):
         terms.append(log_c)
     n, a0 = int(sum(t)), float(sum(alphas))
     return math.lgamma(n + 1) + math.lgamma(a0) - math.lgamma(a0 + n) + logsumexp(terms)
-
-
-def chain_ordered_log_predictive(t, alpha_last, n_grid=65536):
-    """Log predictive mass of ``t`` under the ordered prior with weights Dirichlet(1, ..., 1, alpha_last).
-
-    With x_i independent unit-rate gammas and theta = x / sum(x), the mass is
-    n!/prod t_i! * K! Gamma(A)/Gamma(alpha_last) * K^(alpha_last - 1) * J / Gamma(n + A)
-    for K cells and A = K - 1 + alpha_last, where J integrates
-    prod x_i^t_i e^-x_i * x_K^(alpha_last - 1) over x_1 >= ... >= x_K >= 0. With
-    every other weight parameter 1, J is a chain of running integrals:
-    H_K(x) = x^(t_K + alpha_last - 1) e^-x, H_i(x) = x^t_i e^-x int_0^x H_{i+1},
-    J = int_0^inf H_1. Each runs by the trapezoid rule on a uniform grid, in log
-    space with one rescale per step.
-    """
-    t = np.asarray(t, dtype=float)
-    k1, n = t.size, float(t.sum())
-    a0 = k1 - 1 + alpha_last
-    x = np.linspace(0.0, 2.0 * (n + a0) + 50.0, n_grid)  # sum(x) ~ Gamma(n + A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x = np.log(x)
-
-        def log_factor(power):
-            return np.where(power != 0, power * log_x, 0.0) - x
-
-        def log_running_integral(log_h):
-            top = log_h.max()
-            h = np.exp(log_h - top)
-            steps = 0.5 * (h[1:] + h[:-1]) * np.diff(x)
-            return np.log(np.concatenate([[0.0], np.cumsum(steps)])) + top
-
-        log_h = log_factor(t[-1] + alpha_last - 1.0)
-        for t_i in t[-2::-1]:
-            log_h = log_factor(t_i) + log_running_integral(log_h)
-        log_j = log_running_integral(log_h)[-1]
-    lg = math.lgamma
-    return (lg(n + 1) - sum(lg(v + 1) for v in t) + lg(k1 + 1) + lg(a0) - lg(alpha_last)
-            + (alpha_last - 1.0) * math.log(k1) + log_j - lg(n + a0))
 
 
 class TestChainOracle:
@@ -208,6 +172,17 @@ class TestPredictiveEstimator:
         log_m, se = estimate_log_prior_predictive(tv, prior, prop, 4_000,
                                                   RngStream(110 + i))
         assert abs(log_m - exact_ordered_log_predictive(t, alphas)) < 3 * se
+
+    def test_nan_weights_count_as_zero(self):
+        # proposal alphas 0.02 underflow coordinates to 0, where the log prior
+        # and log proposal densities are both +inf; seed 7 draws such points
+        prior = RawDirichletPrior(DirichletParams(np.array([0.5, 1.0, 2.0])))
+        t = CountVector(np.array([3, 0, 0]))
+        exact = log_dirichlet_multinomial(t.counts, prior.params.alphas)
+        for seed in range(1, 9):
+            log_m, se = estimate_log_prior_predictive(
+                t, prior, DirichletParams(np.full(3, 0.02)), 4000, RngStream(seed))
+            assert abs(log_m - exact) < 4 * se
 
     def test_all_zero_weights_raise(self):
         # proposal concentrated at a corner far outside the trine ellipse
@@ -509,6 +484,7 @@ def point_log_predictive(t, prior, alphas, n_is, rng):
         th, log_prior = draws, prior.log_density_array(draws)
     log_q = log_dirichlet_pdf_array(draws, alphas)
     log_w = log_multinomial_pmf_array(np.asarray(t, dtype=float), th) + log_prior - log_q
+    log_w[np.isnan(log_w)] = -np.inf  # a zero coordinate's inf - inf is a zero weight
     lse = logsumexp(log_w)
     if not np.isfinite(lse):
         return -np.inf, np.nan, 0.0

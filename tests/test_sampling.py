@@ -12,8 +12,8 @@ from conmult.core import (
     TrineEllipse,
     region_contains,
 )
+from conmult.elicitation import dirichlet_from_mode
 from conmult.sampling import (
-    ModeConcentration,
     RngStream,
     chunked_monte_carlo,
     sample_dirichlet,
@@ -75,7 +75,7 @@ class TestDirichlet:
         # coordinate mean (1 + tau*xi_i) / (tau + k + 1)
         xi = SimplexPoint(np.array([0.5, 0.3, 0.2]))
         tau = 12.0
-        params = ModeConcentration(xi, tau).params()
+        params = dirichlet_from_mode(xi, tau)
         np.testing.assert_allclose(params.alphas, [7.0, 4.6, 3.4])
         th = sample_dirichlet_array(params, 200_000, RngStream(5))
         expect = (1 + tau * xi.probs) / (tau + 3)
@@ -83,9 +83,9 @@ class TestDirichlet:
 
     def test_large_tau_concentrates_at_mode(self):
         xi = SimplexPoint(np.array([0.5, 0.3, 0.2]))
-        small = sample_dirichlet_array(ModeConcentration(xi, 10.0).params(),
+        small = sample_dirichlet_array(dirichlet_from_mode(xi, 10.0),
                                        20_000, RngStream(6))
-        large = sample_dirichlet_array(ModeConcentration(xi, 10_000.0).params(),
+        large = sample_dirichlet_array(dirichlet_from_mode(xi, 10_000.0),
                                        20_000, RngStream(6))
         assert np.all(large.var(axis=0) < small.var(axis=0) / 100)
         np.testing.assert_allclose(large.mean(axis=0), xi.probs, atol=2e-3)
@@ -125,7 +125,7 @@ class TestDirichlet:
 
     def test_mode_concentration_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            ModeConcentration(SimplexPoint(np.array([0.5, 0.5])), 0.0)
+            dirichlet_from_mode(SimplexPoint(np.array([0.5, 0.5])), 0.0)
 
 
 class TestMultinomial:
