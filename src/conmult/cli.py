@@ -397,7 +397,7 @@ def cmd_consistency(args):
                                    replications=args.replications)
     write_csv(args.out, "convergence.csv",
               ["n", "replication", "pvalue", "limit", "abs_error"],
-              [(r.n, r.replication, f"{r.pvalue:.10g}", f"{r.limit:.10g}",
+              [(r.n, r.replication, f"{r.pvalue:.10g}", f"{table.limit:.10g}",
                 f"{r.abs_error:.10g}") for r in table.rows])
     config = {
         "command": "consistency", "alphas": args.alphas,
@@ -405,7 +405,7 @@ def cmd_consistency(args):
         "replications": args.replications, "seed": args.seed,
     }
     write_report(args.out, "consistency.json", config, {
-        "limit": table.limit, "limit_strict": table.limit_strict,
+        "limit": table.limit,
         "medians": [{"n": n, "median_pvalue": p, "median_abs_error": e}
                     for n, p, e in table.medians()],
         "sandwich_ok": table.sandwich_ok(slack=0.05),

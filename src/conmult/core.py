@@ -212,15 +212,6 @@ def kl_divergence(theta: SimplexPoint, p: SimplexPoint) -> float:
 # constraint regions
 # ---------------------------------------------------------------------------
 
-def trine_center_matrix(a: float):
-    """Center c and quadratic-form matrix C of the trine ellipse for overlap a."""
-    if not (0 < a < 0.5):
-        raise ValueError(f"a must be in (0, 1/2), got {a}")
-    c = 0.5 * np.array([2 * a, 1 - a])
-    C = (1.0 / (1 - 2 * a)) * np.array([[(1 - 1 / a) ** 2, 2.0], [2.0, 4.0]])
-    return c, C
-
-
 @dataclass(frozen=True)
 class TrineEllipse:
     """Ellipse {(theta_1, theta_2): (theta - c)^t C (theta - c) <= 1} inside the 2-simplex."""
@@ -230,7 +221,11 @@ class TrineEllipse:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c, C = trine_center_matrix(self.a)
+        a = self.a
+        if not (0 < a < 0.5):
+            raise ValueError(f"a must be in (0, 1/2), got {a}")
+        c = 0.5 * np.array([2 * a, 1 - a])
+        C = (1.0 / (1 - 2 * a)) * np.array([[(1 - 1 / a) ** 2, 2.0], [2.0, 4.0]])
         object.__setattr__(self, "center", _readonly(c))
         object.__setattr__(self, "matrix", _readonly(C))
 

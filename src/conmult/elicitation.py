@@ -74,8 +74,8 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
     """Smallest concentration giving the (l, u) event probability at least gamma.
 
     Geometric bracket expansion from tau = 1 followed by bisection; every
-    evaluation reuses the same seed (common random numbers) so the search is
-    quasi-deterministic. The returned upper bracket end achieves within one
+    evaluation reuses the same seed (common random numbers), so the probability
+    found at the returned upper bracket end is its achieved value, within one
     Monte Carlo standard error above gamma.
     """
     if n_draws < 1:
@@ -107,13 +107,13 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
         p_hi = evaluate(hi)
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if evaluate(mid) >= inp.gamma:
-            hi = mid
+        p_mid = evaluate(mid)
+        if p_mid >= inp.gamma:
+            hi, p_hi = mid, p_mid
         else:
             lo = mid
-    achieved = evaluate(hi)
-    se = np.sqrt(max(achieved * (1 - achieved), 1e-12) / n_draws)
-    return TauSearchResult(tau=float(hi), achieved=achieved, mc_se=float(se),
+    se = np.sqrt(max(p_hi * (1 - p_hi), 1e-12) / n_draws)
+    return TauSearchResult(tau=float(hi), achieved=p_hi, mc_se=float(se),
                            trace=tuple(trace))
 
 

@@ -226,6 +226,89 @@ class TestElicitAndDownstream:
         assert code == 1
 
 
+def numbers(obj):
+    """Every number in a JSON report, config included."""
+    if isinstance(obj, dict):
+        return [v for x in obj.values() for v in numbers(x)]
+    if isinstance(obj, list):
+        return [v for x in obj for v in numbers(x)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
+def assert_finite_report(out, name):
+    rep = load(out, name)
+    assert np.all(np.isfinite(numbers(rep)))
+    return rep
+
+
+class TestEdgeInputs:
+    """Two cells, empty cells and a very large count through the whole CLI."""
+
+    def test_two_cell_ordered_region(self, tmp_path):
+        # posterior Beta(8, 4): P(theta_1 >= theta_2) = 1 - I_0.5(8, 4) = 1 - 232/2048
+        counts = write_counts(tmp_path, np.array([7, 3]))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--draws", "20000", "--seed", "1", "--out", out]) == 0
+        rep = assert_finite_report(out, "model_check.json")
+        assert rep["verdict"] == "favor"
+        assert rep["prior_prob"] == 0.5
+        post = 1.0 - 232 / 2048
+        assert abs(rep["post_prob"] - post) <= 4 * rep["mc_se"]
+        assert rep["rb"] == pytest.approx(post / 0.5, abs=8 * rep["mc_se"])
+
+    def test_two_cell_zm_distance(self, tmp_path):
+        counts = write_counts(tmp_path, np.array([7, 3]))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--zm-delta", "0.02",
+                     "--draws", "2000", "--seed", "1", "--out", out]) == 0
+        rep = assert_finite_report(out, "model_check.json")
+        assert rep["verdict"] == "favor"
+        assert rep["rb"] > 1.0
+
+    def test_two_cell_elicit_prior_check_and_posterior(self, tmp_path):
+        counts = write_counts(tmp_path, np.array([7, 3]))
+        out = str(tmp_path / "out")
+        prior = os.path.join(out, "prior.json")
+        assert main(["elicit", "--k", "1", "--l", "0.1", "--u", "0.95",
+                     "--draws", "5000", "--seed", "1", "--out", out]) == 0
+        rep = assert_finite_report(out, "elicit.json")
+        assert rep["achieved"] >= 0.99
+        assert len(load(out, "prior.json")["omega_alphas"]) == 2
+        assert main(["check-prior", "--counts", counts, "--prior", prior, "--force",
+                     "--npred", "100", "--nis", "500", "--seed", "1", "--out", out]) == 0
+        rep = assert_finite_report(out, "prior_check.json")
+        assert 0.0 <= rep["pvalue"] <= 1.0
+        assert rep["conflict"] is False
+        assert main(["posterior", "--counts", counts, "--prior", prior,
+                     "--sweeps", "400", "--burn-in", "50", "--seed", "1",
+                     "--out", out]) == 0
+        rep = assert_finite_report(out, "posterior.json")
+        assert rep["kept_sweeps"] == 350
+        assert rep["median"][0] >= rep["median"][1]
+
+    def test_empty_cells_zm_distance_against(self, tmp_path):
+        counts = write_counts(tmp_path, np.array([0, 0, 5]))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--zm-delta", "0.02",
+                     "--draws", "2000", "--seed", "1", "--out", out]) == 3
+        rep = assert_finite_report(out, "model_check.json")
+        assert rep["verdict"] == "against"
+        assert rep["rb"] < 1.0
+
+    def test_very_large_count_with_an_empty_cell(self, tmp_path):
+        # theta_1 >= theta_2 is certain; theta_2 >= theta_3 has posterior
+        # probability P(Gamma(2) >= Gamma(1)) = 3/4 as n grows, so RB -> 4.5
+        counts = write_counts(tmp_path, np.array([1_000_000, 1, 0]))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--draws", "20000", "--seed", "1", "--out", out]) == 0
+        rep = assert_finite_report(out, "model_check.json")
+        assert rep["verdict"] == "favor"
+        assert rep["prior_prob"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert abs(rep["post_prob"] - 0.75) <= 4 * rep["mc_se"]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         # too few cells for the grouping
@@ -360,6 +443,18 @@ class TestConsistencyCommand:
         assert rep["limit"] == pytest.approx(0.432, abs=1e-6)
         rows = open(os.path.join(out, "convergence.csv")).readlines()
         assert len(rows) == 1 + 2 * 30
+
+    @pytest.mark.parametrize("theta", ["1,0", "0,1"])
+    def test_limit_is_zero_where_the_density_vanishes(self, tmp_path, theta):
+        # Beta(2, 2) has density 0 at both ends, so the level set there is null
+        out = str(tmp_path / "out")
+        code = main(["consistency", "--alphas", "2,2", "--theta-true", theta,
+                     "--schedule", "100,1000", "--replications", "20",
+                     "--seed", "1", "--out", out])
+        assert code == 0
+        rep = load(out, "consistency.json")
+        assert rep["limit"] == 0.0
+        assert rep["sandwich_ok"] is True
 
     def test_flat_prior_rejected(self, tmp_path):
         code = main(["consistency", "--alphas", "1,1", "--theta-true", "0.3,0.7",

@@ -23,8 +23,10 @@ from conmult.consistency import (
     log_dirichlet_multinomial,
 )
 from conmult.core import CountVector, DirichletParams, SimplexPoint
-from conmult.prior_check import RawDirichletPrior, conflict_pvalue
+from conmult.prior_check import RawDirichletPrior, TrinePrior, conflict_pvalue
 from conmult.sampling import RngStream, sample_multinomial_array
+
+from conftest import TRINE_SYMMETRIC
 
 
 class TestExactPredictive:
@@ -130,7 +132,7 @@ class TestExactConflictPvalue:
 
 
 def mp_level_set_prob(a, b, x0):
-    """P(pi(X) <= pi(x0)) for X ~ Beta(a, b) with an interior mode, in 40-digit arithmetic."""
+    """P(pi(X) <= pi(x0)) for X ~ Beta(a, b) with an interior mode or antimode, in 40 digits."""
     with mpmath.workdps(40):
         a, b, x0 = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x0)
         mode = (a - 1) / (a + b - 2)
@@ -145,6 +147,8 @@ def mp_level_set_prob(a, b, x0):
         else:
             x1, x2 = mpmath.findroot(level, (mpmath.mpf(10) ** -30, mode),
                                      solver="anderson"), x0
+        if a < 1:  # antimode: the level set is the middle interval
+            return float(mpmath.betainc(a, b, x1, x2, regularized=True))
         tails = (mpmath.betainc(a, b, 0, x1, regularized=True)
                  + mpmath.betainc(a, b, x2, 1, regularized=True))
         return float(tails)
@@ -174,6 +178,37 @@ class TestBetaLevelSet:
 
     def test_beta22_limit_to_the_last_digits(self):
         assert abs(_beta_level_set_prob(2.0, 2.0, 0.3) - 0.432) <= 1e-16
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.15, 0.95), b=st.floats(0.15, 0.95), x0=st.floats(0.02, 0.98))
+    def test_u_shape_middle_interval_matches_mpmath(self, a, b, x0):
+        antimode = (1.0 - a) / (2.0 - a - b)
+        assume(abs(x0 - antimode) > 0.05)
+        # the other root must lie in the bracket the bisection searches
+        log_pdf = (a - 1.0) * math.log(x0) + (b - 1.0) * math.log1p(-x0)
+        assume(log_pdf < (a - 1.0) * math.log(1e-12) + (b - 1.0) * math.log1p(-1e-12))
+        assume(log_pdf < (b - 1.0) * math.log(1e-12) + (a - 1.0) * math.log1p(-1e-12))
+        assert _beta_level_set_prob(a, b, x0) == pytest.approx(mp_level_set_prob(a, b, x0),
+                                                               abs=1e-14)
+
+    @pytest.mark.parametrize("a, b, x0, want", [
+        (0.5, 0.5, 0.2, 0.4097), (0.5, 0.5, 0.7, 0.2620), (0.3, 0.8, 0.4, 0.2744)])
+    def test_u_shape_is_not_the_two_tails(self, a, b, x0, want):
+        p = _beta_level_set_prob(a, b, x0)
+        assert p == pytest.approx(mp_level_set_prob(a, b, x0), abs=1e-14)
+        assert p == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("a, b, want", [(2.0, 2.0, 0.0), (3.0, 2.0, 0.0), (2.0, 5.0, 0.0),
+                                            (0.5, 0.5, 1.0)])
+    def test_ends_of_the_interval(self, a, b, want):
+        # density 0 at an end of a unimodal Beta (a null level set), unbounded
+        # at an end of a U-shaped one (everything lies below it)
+        assert _beta_level_set_prob(a, b, 0.0) == want
+        assert _beta_level_set_prob(a, b, 1.0) == want
+
+    def test_at_the_mode_and_the_antimode(self):
+        assert _beta_level_set_prob(0.5, 0.5, 0.5) == 0.0
+        assert _beta_level_set_prob(2.0, 2.0, 0.5) == 1.0
 
 
 class TestContinuizedDensity:
@@ -248,11 +283,19 @@ class TestLimitingPvalue:
                             SimplexPoint(np.array([0.41, 0.59])), 10, RngStream(0))
         assert p == 1.0
 
-    def test_monte_carlo_agrees_with_closed_form(self):
-        prior = RawDirichletPrior(DirichletParams(np.array([2.0, 2.0])))
-        p = limiting_pvalue(prior, SimplexPoint(np.array([0.3, 0.7])),
-                            400_000, RngStream(601), strict=True)
-        assert p == pytest.approx(0.432, abs=4e-3)
+    def test_monte_carlo_agrees_with_trine_closed_form(self):
+        # the sampler's polar map gives q = r ~ Beta(1, 3/2) and the density
+        # (1 - q)^(1/2) falls as q grows, so P(pi <= pi(theta)) = (1 - q)^(3/2)
+        # while the ellipse lies inside the simplex (at a = 1/3 the inscribed circle)
+        prior = TrinePrior(1.0 / 3.0)
+        theta = SimplexPoint(TRINE_SYMMETRIC / TRINE_SYMMETRIC.sum())
+        q = float(prior.region.quad_form_array(theta.probs[None, :2])[0])
+        exact = (1.0 - q) ** 1.5
+        assert exact == pytest.approx(0.712106, abs=1e-6)
+        n_draws = 400_000
+        p = limiting_pvalue(prior, theta, n_draws, RngStream(601))
+        se = math.sqrt(p * (1.0 - p) / n_draws)
+        assert abs(p - exact) <= 4 * se
 
 
 class TestGuards:
@@ -311,6 +354,18 @@ class TestConvergenceExperiment:
         assert len(meds) == 2
         assert meds[1][2] <= meds[0][2] + 0.02  # error roughly shrinking
         assert table.sandwich_ok(slack=0.06)
+
+    def test_medians_from_the_rows_once(self):
+        table = convergence_experiment(
+            DirichletParams(np.array([3.0, 1.5])), SimplexPoint(np.array([0.6, 0.4])),
+            [40, 90], RngStream(604), replications=25,
+        )
+        want = []
+        for n in (40, 90):
+            ps = np.array([r.pvalue for r in table.rows if r.n == n])
+            want.append((n, float(np.median(ps)), float(np.median(np.abs(ps - table.limit)))))
+        assert list(table.medians()) == want
+        assert table.medians() is table.medians()
 
     def test_mode_case_tends_to_one(self):
         table = convergence_experiment(

@@ -114,6 +114,21 @@ class TestFindTau:
         b = find_tau_result(inp, 5000, RngStream(204)).tau
         assert a == b
 
+    def test_each_tau_evaluated_once(self):
+        # the achieved probability is the one found when tau was last accepted,
+        # and equals a fresh evaluation at tau on the same stream
+        from conmult.elicitation import _virtual_certainty
+
+        inp = ElicitationInput(k=4, delta=0.0, l=0.02, u=0.6, gamma=0.9)
+        rng = RngStream(206)
+        res = find_tau_result(inp, 5000, rng)
+        taus = [t for t, _ in res.trace]
+        assert len(set(taus)) == len(taus)
+        assert dict(res.trace)[res.tau] == res.achieved
+        _, xi = equispaced_mode(4, 0.0)
+        assert res.achieved == _virtual_certainty(res.tau, xi, inp,
+                                                  rng.substream(0).stream_id, 5000)
+
     def test_elicit_returns_prior_params(self):
         inp = ElicitationInput(k=4, delta=0.0, l=0.02, u=0.6, gamma=0.9)
         params, res = elicit_ordered_prior(inp, 5000, RngStream(205))
