@@ -6,9 +6,8 @@ configuration and seed reproduce byte-identical reports. Exit codes:
 0 success / evidence in favor, 1 input error (usage errors included),
 2 numerical failure, 3 evidence against.
 
-scipy is imported inside the one function that computes with it, the
-Beta level-set probability, so only ``consistency`` loads it; the other
-commands start without it.
+Every command runs on numpy and the standard library alone; none imports
+scipy.
 """
 
 import argparse

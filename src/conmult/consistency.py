@@ -8,6 +8,7 @@ limit over a schedule of sample sizes.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,35 +140,125 @@ def _bisect(f, lo, hi):
             hi = mid
 
 
+# Regularized incomplete beta I_x(a, b) after DiDonato & Morris (1992), ACM TOMS
+# 708: the continued fraction of their ``bfrac`` times the factor
+# x^a (1-x)^b / B(a, b) of their ``brcomp``.
+
+# Stirling series of log Gamma: B_2k / (2k (2k - 1)) for k = 1..9
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400, 43867 / 244188)
+
+
+def _stirling_rest(x):
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, for x >= 8."""
+    t = 1.0 / (x * x)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * t + c
+    return s / x
+
+
+def _beta_kernel(a, b, x, y, lam):
+    """x^a y^b / B(a, b) for 0 < x < 1, y = 1 - x and lam = a - (a + b) x.
+
+    Small shapes take the powers and Gamma functions as they are. Otherwise,
+    with x0 = a / (a + b), y0 = 1 - x0 and s <= l the two shapes, it is
+    exp(-D) s^s e^-s / Gamma(s) exp(rest(a + b) - rest(l)) / sqrt(1 + s / l):
+    D = a dev(x/x0 - 1) + b dev(y/y0 - 1) >= 0 is a deviance, rest is
+    :func:`_stirling_rest`, and s^s e^-s / Gamma(s) = sqrt(s / (2 pi)) exp(-rest(s))
+    once s >= 8. Gamma(a + b) is never formed, so (2, 500) is as safe as (500, 500).
+    """
+    if max(a, b) < 8.0:
+        return x**a * y**b * (math.gamma(a + b) / (math.gamma(a) * math.gamma(b)))
+    s, l = min(a, b), max(a, b)
+
+    def dev(e, ratio):  # e - log(1 + e) >= 0 for ratio = 1 + e; near e = -1 only ratio is exact
+        return e - (math.log1p(e) if abs(e) <= 0.6 else math.log(ratio))
+
+    deviance = a * dev(-lam / a, x * (a + b) / a) + b * dev(lam / b, y * (a + b) / b)
+    if s >= 8.0:
+        g = math.sqrt(s / (2.0 * math.pi)) * math.exp(-_stirling_rest(s))
+    else:
+        g = s**s * math.exp(-s) / math.gamma(s)
+    return (g * math.exp(_stirling_rest(a + b) - _stirling_rest(l) - deviance)
+            / math.sqrt(1.0 + s / l))
+
+
+def _beta_cf(a, b, x, y, lam):
+    """I_x(a, b) / (x^a y^b / B(a, b)) by the continued fraction of TOMS 708's ``bfrac``.
+
+    Its terms take 1 + lam and y as given, so near x = (a + 1) / (a + b + 2),
+    where 1 - (a + b) x / (a + 1) cancels, no digits are lost. Converges
+    for x < (a + 1) / (a + b + 2) in O(sqrt(max(a, b))) terms.
+    """
+    c = 1.0 + lam
+    a0, b0, a1, b1 = 0.0, 1.0, 1.0, a * c / (a + 1.0)
+    r = a1 / b1
+    for n in range(1, 10_000):
+        w = n * (b - n) * x
+        s = a + (2 * n - 1)
+        alpha = (a + (n - 1)) * (a + b + (n - 1)) * w * x / (s * s)
+        beta = n + w / s + (a + n) * (c + n * (1.0 + y)) / (s + 2.0)
+        a0, a1 = a1, beta * a1 + alpha * a0
+        b0, b1 = b1, beta * b1 + alpha * b0
+        r0, r = r, a1 / b1
+        if abs(r - r0) <= sys.float_info.epsilon * r:
+            return r
+        a0, b0, a1, b1 = a0 / b1, b0 / b1, r, 1.0  # rescale against overflow
+    raise RuntimeError(f"incomplete beta continued fraction did not converge at "
+                       f"a={a}, b={b}, x={x}")
+
+
+def _beta_tails(a, b, x):
+    """(I_x(a, b), 1 - I_x(a, b)) for X ~ Beta(a, b): P(X <= x) and P(X > x).
+
+    The continued fraction runs on the side where it converges: for
+    x < (a + 1) / (a + b + 2) it gives the lower tail, else the mirrored
+    I_(1-x)(b, a) gives the upper one; the other tail is its complement.
+    lam = a - (a + b) x is formed from x when a <= b and from 1 - x otherwise,
+    the side on which it does not cancel.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    if x >= 1.0:
+        return 1.0, 0.0
+    y = 1.0 - x
+    lam = (a + b) * y - b if a > b else a - (a + b) * x
+    kernel = _beta_kernel(a, b, x, y, lam)
+    if x < (a + 1.0) / (a + b + 2.0):
+        lower = kernel * _beta_cf(a, b, x, y, lam)
+        return lower, 1.0 - lower
+    upper = kernel * _beta_cf(b, a, y, x, -lam)
+    return 1.0 - upper, upper
+
+
 def _beta_level_set_prob(a, b, x0):
     """P(pi(X) <= pi(x0)) for X ~ Beta(a, b), via the density level set."""
-    from scipy.special import betainc, xlog1py, xlogy
-
     if a == 1.0 and b == 1.0:
         return 1.0
     if a <= 1.0 <= b:  # decreasing density
-        return float(1.0 - betainc(a, b, x0))
+        return _beta_tails(a, b, x0)[1]
     if b <= 1.0 <= a:  # increasing density
-        return float(betainc(a, b, x0))
+        return _beta_tails(a, b, x0)[0]
 
     # interior mode (a, b > 1): the level set is the union of two tails;
     # interior antimode (a, b < 1): it is the middle interval around the antimode
-    def level(x):
-        return xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - c
+    if x0 in (0.0, 1.0):  # an end: density 0 (a null level set) or unbounded (all lies below)
+        return float(a < 1.0)
 
-    c = xlogy(a - 1.0, x0) + xlog1py(b - 1.0, -x0)
-    if np.isinf(c):  # an end: density 0 (a null level set) or unbounded (all lies below)
-        return float(c > 0)
+    def log_ratio(x):  # log pi(x) / pi(x0), with (1 - x) / (1 - x0) = 1 + (x0 - x) / (1 - x0)
+        return (a - 1.0) * math.log(x / x0) + (b - 1.0) * math.log1p((x0 - x) / (1.0 - x0))
+
     mode = (a - 1.0) / (a + b - 2.0)
     if x0 < mode:
-        x1, x2 = x0, _bisect(level, mode, 1.0 - 1e-15)
+        x1, x2 = x0, _bisect(log_ratio, mode, 1.0 - 1e-15)
     elif x0 > mode:
-        x1, x2 = _bisect(level, 1e-15, mode), x0
+        x1, x2 = _bisect(log_ratio, 1e-15, mode), x0
     else:
         return float(a > 1.0)
     if a < 1.0:
-        return float(betainc(a, b, x2) - betainc(a, b, x1))
-    return float(betainc(a, b, x1) + 1.0 - betainc(a, b, x2))
+        return _beta_tails(a, b, x2)[0] - _beta_tails(a, b, x1)[0]
+    return _beta_tails(a, b, x1)[0] + _beta_tails(a, b, x2)[1]
 
 
 def limiting_pvalue(prior, theta_true: SimplexPoint, n_draws: int, rng: RngStream) -> float:
@@ -224,11 +315,15 @@ class ConvergenceTable:
 
     @cached_property
     def _medians(self):
+        # statistics.median has np.median's bits without the numpy.ma import np.median
+        # makes; imported here so that only the convergence experiment loads it
+        import statistics
+
         out = []
         for n in sorted({r.n for r in self.rows}):
             rows = [r for r in self.rows if r.n == n]
-            out.append((n, float(np.median([r.pvalue for r in rows])),
-                        float(np.median([r.abs_error for r in rows]))))
+            out.append((n, statistics.median([r.pvalue for r in rows]),
+                        statistics.median([r.abs_error for r in rows])))
         return tuple(out)
 
     def sandwich_ok(self, slack: float) -> bool:

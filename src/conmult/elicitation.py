@@ -5,7 +5,7 @@ interval (l, u) that should contain all cell probabilities with virtual
 certainty gamma, and the search returns the least concentration achieving it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,13 +20,12 @@ class ElicitationInput:
     l: float
     u: float
     gamma: float
+    mode: tuple = field(init=False, repr=False, compare=False)  # equispaced_mode(k, delta)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        dmax = 2.0 / (self.k * (self.k + 1))
-        if not (0 <= self.delta <= dmax):
-            raise ValueError(f"delta must lie in [0, {dmax}], got {self.delta}")
+        object.__setattr__(self, "mode", equispaced_mode(self.k, self.delta))
         if not (0 <= self.l < self.u <= 1):
             raise ValueError(f"need 0 <= l < u <= 1, got ({self.l}, {self.u})")
         if not (0 < self.gamma < 1):
@@ -80,7 +79,7 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
     """
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
-    theta_star, xi_sp = equispaced_mode(inp.k, inp.delta)
+    theta_star, xi_sp = inp.mode
     ts = theta_star.probs
     # l = 0 is always admissible: the event theta_{k+1} > 0 holds almost surely
     lower_ok = inp.l == 0.0 or inp.l < ts[-1]
@@ -120,5 +119,4 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
 def elicit_ordered_prior(inp: ElicitationInput, n_draws: int, rng: RngStream):
     """Full elicitation: returns (omega Dirichlet params, tau search result)."""
     res = find_tau_result(inp, n_draws, rng)
-    _, xi = equispaced_mode(inp.k, inp.delta)
-    return dirichlet_from_mode(xi, res.tau), res
+    return dirichlet_from_mode(inp.mode[1], res.tau), res

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,6 +60,29 @@ def chain_ordered_log_predictive(t, alpha_last, n_grid=65536):
     lg = math.lgamma
     return (lg(n + 1) - sum(lg(v + 1) for v in t) + lg(k1 + 1) + lg(a0) - lg(alpha_last)
             + (alpha_last - 1.0) * math.log(k1) + log_j - lg(n + a0))
+
+
+def mp_level_set_prob(a, b, x0):
+    """P(pi(X) <= pi(x0)) for X ~ Beta(a, b) with an interior mode or antimode, in 40 digits."""
+    with mpmath.workdps(40):
+        a, b, x0 = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x0)
+        mode = (a - 1) / (a + b - 2)
+        c = (a - 1) * mpmath.log(x0) + (b - 1) * mpmath.log1p(-x0)
+
+        def level(x):
+            return (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - c
+
+        if x0 < mode:
+            x1, x2 = x0, mpmath.findroot(level, (mode, 1 - mpmath.mpf(10) ** -30),
+                                         solver="anderson")
+        else:
+            x1, x2 = mpmath.findroot(level, (mpmath.mpf(10) ** -30, mode),
+                                     solver="anderson"), x0
+        if a < 1:  # antimode: the level set is the middle interval
+            return float(mpmath.betainc(a, b, x1, x2, regularized=True))
+        tails = (mpmath.betainc(a, b, 0, x1, regularized=True)
+                 + mpmath.betainc(a, b, x2, 1, regularized=True))
+        return float(tails)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 
 from conmult.cli import main
 
-from conftest import FLY_COUNTS, TRINE_SYMMETRIC
+from conftest import FLY_COUNTS, TRINE_SYMMETRIC, mp_level_set_prob
 
 
 def write_counts(path, counts, fmt="json"):
@@ -349,20 +349,30 @@ class TestInputErrors:
 
 
 class TestStartup:
-    def test_only_consistency_loads_scipy(self, tmp_path):
-        """Run in a fresh interpreter: scipy stays unloaded until ``consistency`` uses it."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """Run every command in a fresh interpreter in which ``import scipy`` fails."""
         script = f"""
 import json, os, sys
-from conmult.cli import main
 
-def scipy_modules():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.special
+except ImportError:
+    pass
+else:
+    raise AssertionError("the scipy block is not in force")
+
+from conmult.cli import main
 
 def write(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
-assert not scipy_modules(), scipy_modules()
 d = {str(tmp_path)!r}
 trine, fly = os.path.join(d, "trine.json"), os.path.join(d, "fly.json")
 write(trine, {{"counts": {TRINE_SYMMETRIC.tolist()}}})
@@ -381,7 +391,6 @@ write(os.path.join(d, "four.json"), {{"counts": [10, 8, 4, 2]}})
 assert main(["posterior", "--counts", os.path.join(d, "four.json"),
              "--prior", os.path.join(out, "prior.json"), "--sweeps", "200",
              "--burn-in", "50", "--out", out]) == 0
-assert not scipy_modules(), scipy_modules()
 write(os.path.join(d, "prior.json"), {{"type": "trine", "a": 1 / 3}})
 assert main(["check-prior", "--counts", trine, "--prior", os.path.join(d, "prior.json"),
              "--npred", "20", "--nis", "500", "--out", out]) == 0
@@ -390,38 +399,12 @@ write(fly_prior, {{"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.
 for extra in ([], ["--group", "stride=9"]):
     assert main(["check-prior", "--counts", fly, "--prior", fly_prior, "--npred", "20",
                  "--nis", "300", "--force", "--out", os.path.join(d, "fly"), *extra]) in (0, 3)
-assert not scipy_modules(), scipy_modules()
 assert main(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+             "--schedule", "50,200", "--replications", "5", "--out", out]) == 0
+assert main(["consistency", "--alphas", "2,500", "--theta-true", "0.006,0.994",
              "--schedule", "50", "--replications", "5", "--out", out]) == 0
-assert "scipy.special" in sys.modules
-"""
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env = {k: v for k, v in env.items() if not k.startswith("CONMULT_")}
-        res = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert res.returncode == 0, res.stderr
-
-
-    def test_consistency_and_check_prior_leave_scipy_optimize_unloaded(self, tmp_path):
-        """Run in a fresh interpreter: neither p-value command imports ``scipy.optimize``."""
-        script = f"""
-import json, os, sys
-from conmult.cli import main
-
-d = {str(tmp_path)!r}
-trine = os.path.join(d, "trine.json")
-with open(trine, "w") as fh:
-    json.dump({{"counts": {TRINE_SYMMETRIC.tolist()}}}, fh)
-with open(os.path.join(d, "prior.json"), "w") as fh:
-    json.dump({{"type": "trine", "a": 1 / 3}}, fh)
-assert main(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
-             "--schedule", "50,200", "--replications", "5", "--out", d]) == 0
-assert main(["check-prior", "--counts", trine, "--prior", os.path.join(d, "prior.json"),
-             "--npred", "20", "--nis", "500", "--force", "--out", d]) == 0
-assert "scipy.special" in sys.modules
-assert "scipy.optimize" not in sys.modules
+scipy_modules = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not scipy_modules, scipy_modules
 """
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
@@ -455,6 +438,15 @@ class TestConsistencyCommand:
         rep = load(out, "consistency.json")
         assert rep["limit"] == 0.0
         assert rep["sandwich_ok"] is True
+
+    def test_limit_of_a_skewed_prior_matches_mpmath(self, tmp_path):
+        # Gamma(502) overflows, so the limit's incomplete beta takes Stirling's series
+        out = str(tmp_path / "out")
+        code = main(["consistency", "--alphas", "2,500", "--theta-true", "0.006,0.994",
+                     "--schedule", "50,200", "--replications", "10", "--out", out])
+        assert code == 0
+        limit = load(out, "consistency.json")["limit"]
+        assert limit == pytest.approx(mp_level_set_prob(2.0, 500.0, 0.006), abs=1e-14)
 
     def test_flat_prior_rejected(self, tmp_path):
         code = main(["consistency", "--alphas", "1,1", "--theta-true", "0.3,0.7",

@@ -11,6 +11,7 @@ from conmult.consistency import (
     CellIndex,
     ConvergenceTable,
     _beta_level_set_prob,
+    _beta_tails,
     cell_index,
     check_prior_conditions,
     continuized_density,
@@ -26,7 +27,7 @@ from conmult.core import CountVector, DirichletParams, SimplexPoint
 from conmult.prior_check import RawDirichletPrior, TrinePrior, conflict_pvalue
 from conmult.sampling import RngStream, sample_multinomial_array
 
-from conftest import TRINE_SYMMETRIC
+from conftest import TRINE_SYMMETRIC, mp_level_set_prob
 
 
 class TestExactPredictive:
@@ -131,27 +132,79 @@ class TestExactConflictPvalue:
                                   DirichletParams(np.array([2.0, 2.0])))
 
 
-def mp_level_set_prob(a, b, x0):
-    """P(pi(X) <= pi(x0)) for X ~ Beta(a, b) with an interior mode or antimode, in 40 digits."""
+def mp_beta_tails(a, b, x):
+    """(I_x(a, b), 1 - I_x(a, b)) in 40 digits, each tail integrated on its own."""
     with mpmath.workdps(40):
-        a, b, x0 = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x0)
-        mode = (a - 1) / (a + b - 2)
-        c = (a - 1) * mpmath.log(x0) + (b - 1) * mpmath.log1p(-x0)
+        x = mpmath.mpf(x)
+        return (float(mpmath.betainc(a, b, 0, x, regularized=True)),
+                float(mpmath.betainc(b, a, 0, 1 - x, regularized=True)))
 
-        def level(x):
-            return (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - c
 
-        if x0 < mode:
-            x1, x2 = x0, mpmath.findroot(level, (mode, 1 - mpmath.mpf(10) ** -30),
-                                         solver="anderson")
-        else:
-            x1, x2 = mpmath.findroot(level, (mpmath.mpf(10) ** -30, mode),
-                                     solver="anderson"), x0
-        if a < 1:  # antimode: the level set is the middle interval
-            return float(mpmath.betainc(a, b, x1, x2, regularized=True))
-        tails = (mpmath.betainc(a, b, 0, x1, regularized=True)
-                 + mpmath.betainc(a, b, x2, 1, regularized=True))
-        return float(tails)
+def assert_tails_close(got, want, rel=2e-13):
+    # relative where a tail is below 0.01, within a few ulp of 1 above
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * min(w, 0.01) + 4e-15, (got, want)
+
+
+def x_near_the_bulk(a, b, z):
+    """The point z standard deviations from the mean of Beta(a, b)."""
+    mean = a / (a + b)
+    return mean + z * math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
+
+
+class TestIncompleteBeta:
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(0.1, 1000.0), b=st.floats(0.1, 1000.0), z=st.floats(-8.0, 8.0))
+    def test_matches_mpmath(self, a, b, z):
+        x = x_near_the_bulk(a, b, z)
+        assume(0.0 < x < 1.0)
+        assert_tails_close(_beta_tails(a, b, x), mp_beta_tails(a, b, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small=st.floats(0.1, 10.0), large=st.floats(10.0, 1000.0), swap=st.booleans(),
+           z=st.floats(-8.0, 8.0))
+    def test_skewed_shapes_match_mpmath(self, small, large, swap, z):
+        # one shape at most 10, the other up to 1000: Gamma(a + b) overflows past a + b = 171
+        a, b = (large, small) if swap else (small, large)
+        x = x_near_the_bulk(a, b, z)
+        assume(0.0 < x < 1.0)
+        assert_tails_close(_beta_tails(a, b, x), mp_beta_tails(a, b, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.1, 1000.0), b=st.floats(0.1, 1000.0), x=st.floats(1e-6, 1.0 - 1e-6))
+    def test_anywhere_in_the_interval(self, a, b, x):
+        # far out, x^a y^b / B(a, b) is exp of a large exponent whose rounding grows with it
+        assert_tails_close(_beta_tails(a, b, x), mp_beta_tails(a, b, x), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.1, 1000.0), b=st.floats(0.1, 1000.0), x=st.floats(0.0, 1.0))
+    def test_tails_sum_to_one(self, a, b, x):
+        lower, upper = _beta_tails(a, b, x)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        assert abs(lower + upper - 1.0) <= 2.0 * np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.1, 1000.0), x=st.floats(1e-6, 1.0 - 1e-6))
+    def test_closed_forms(self, s, x):
+        # I_x(s, 1) = x^s and I_x(1, s) = 1 - (1 - x)^s, in 40 digits
+        with mpmath.workdps(40):
+            x_s, y_s = mpmath.mpf(x) ** s, (1 - mpmath.mpf(x)) ** s
+            want_s1, want_1s = (float(x_s), float(1 - x_s)), (float(1 - y_s), float(y_s))
+        assert_tails_close(_beta_tails(s, 1.0, x), want_s1, rel=1e-12)
+        assert_tails_close(_beta_tails(1.0, s, x), want_1s, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.1), (2.0, 2.0), (2.0, 500.0), (1000.0, 0.5)])
+    def test_ends_of_the_interval(self, a, b):
+        assert _beta_tails(a, b, 0.0) == (0.0, 1.0)
+        assert _beta_tails(a, b, 1.0) == (1.0, 0.0)
+
+    def test_near_the_switch_of_sides(self):
+        # at x = (a + 1) / (a + b + 2) the continued fraction changes sides; both
+        # neighbours must agree with the integral to the same accuracy
+        for a, b in ((5.75, 777.68), (777.68, 5.75), (300.0, 400.0), (8.5, 0.13)):
+            switch = (a + 1.0) / (a + b + 2.0)
+            for x in (np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)):
+                assert_tails_close(_beta_tails(a, b, float(x)), mp_beta_tails(a, b, float(x)))
 
 
 class TestBetaLevelSet:
