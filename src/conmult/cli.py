@@ -7,11 +7,13 @@ configuration and seed reproduce byte-identical reports. Exit codes:
 2 numerical failure, 3 evidence against.
 
 Every command runs on numpy and the standard library alone; none imports
-scipy.
+scipy. Each command imports the modules it runs inside its own functions, so a
+process loads only what its command needs.
 """
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -28,29 +30,8 @@ from .core import (
     TrineEllipse,
     crosshairs_region,
     pauli_region,
+    quantiles,
     tetrahedron_region,
-)
-from .consistency import convergence_experiment
-from .elicitation import ElicitationInput, elicit_ordered_prior
-from .model_check import (
-    BetaGrid,
-    Strided,
-    build_zm_table,
-    consecutive_blocks,
-    rb_distance_check,
-    rb_grouped_check,
-    rb_region_check,
-)
-from .posterior import run_gibbs
-from .prior_check import (
-    OrderedDirichletPrior,
-    ProposalSupportError,
-    RawDirichletPrior,
-    TrinePrior,
-    conflict_pvalue,
-    grouped_bounds,
-    grouped_conflict_check,
-    predictive_in_region_rate,
 )
 from .sampling import RngStream
 
@@ -122,6 +103,8 @@ def read_counts(path) -> CountVector:
 
 def read_prior(path):
     """Prior spec from JSON; returns (prior object, metadata dict)."""
+    from .prior_check import OrderedDirichletPrior, RawDirichletPrior, TrinePrior
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -165,6 +148,8 @@ def parse_region(text, n_cells):
 
 
 def parse_group(text, n_cells):
+    from .model_check import Strided, consecutive_blocks
+
     if text == "pairs":
         return consecutive_blocks(n_cells, n_cells // 2)
     if text == "triples":
@@ -211,6 +196,9 @@ def write_csv(out_dir, name, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_check_model(args):
+    from .model_check import (BetaGrid, build_zm_table, rb_distance_check, rb_grouped_check,
+                              rb_region_check)
+
     t = read_counts(args.counts)
     rng = RngStream(args.seed)
     config = {
@@ -287,6 +275,9 @@ def _require_model_pass(args):
 
 
 def cmd_check_prior(args):
+    from .prior_check import (OrderedDirichletPrior, conflict_pvalue, grouped_bounds,
+                              grouped_conflict_check, predictive_in_region_rate)
+
     t = read_counts(args.counts)
     prior, meta = read_prior(args.prior)
     if not args.force:
@@ -337,6 +328,8 @@ def cmd_check_prior(args):
 
 
 def cmd_elicit(args):
+    from .elicitation import ElicitationInput, elicit_ordered_prior
+
     inp = ElicitationInput(k=args.k, delta=args.delta, l=args.l, u=args.u,
                            gamma=args.gamma)
     params, res = elicit_ordered_prior(inp, args.draws, RngStream(args.seed))
@@ -359,6 +352,9 @@ def cmd_elicit(args):
 
 
 def cmd_posterior(args):
+    from .posterior import run_gibbs
+    from .prior_check import OrderedDirichletPrior
+
     t = read_counts(args.counts)
     prior, meta = read_prior(args.prior)
     if not isinstance(prior, OrderedDirichletPrior):
@@ -372,7 +368,7 @@ def cmd_posterior(args):
         "command": "posterior", "counts": list(map(int, t.counts)), "prior": meta,
         "sweeps": args.sweeps, "burn_in": args.burn_in, "seed": args.seed,
     }
-    qs = np.quantile(samples, [0.025, 0.5, 0.975], axis=0)
+    qs = quantiles(samples, [0.025, 0.5, 0.975])
     ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
     write_report(args.out, "posterior.json", config, {
         "means": [float(v) for v in samples.mean(axis=0)],
@@ -389,6 +385,8 @@ def cmd_posterior(args):
 
 
 def cmd_consistency(args):
+    from .consistency import convergence_experiment
+
     alphas = DirichletParams(np.asarray([float(v) for v in args.alphas.split(",")]))
     theta = SimplexPoint(np.asarray([float(v) for v in args.theta_true.split(",")]))
     schedule = [int(v) for v in args.schedule.split(",")]
@@ -502,11 +500,25 @@ def main(argv=None):
         # includes core.MeasureZeroRegionError, which points at the distance check
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ProposalSupportError, RuntimeError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # RuntimeError includes prior_check.ProposalSupportError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 
+def entry():
+    """Process entry of the ``conmult`` script and of ``python -m conmult.cli``.
+
+    ``gc.freeze`` moves the objects the imports made, about 23k of numpy's and
+    the package's, into the collector's permanent generation, so no later
+    collection walks them, the full one at interpreter exit included. Frozen
+    objects are never freed, which suits a process that runs one command and
+    exits; ``main``, which tests and other callers run in-process, therefore
+    leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

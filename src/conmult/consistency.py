@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CountVector, DirichletParams, SimplexPoint, gammaln
+from .core import CountVector, DirichletParams, SimplexPoint, gammaln, median
 from .sampling import RngStream, sample_multinomial_array
 
 ENUMERATION_GUARD = 10**8
@@ -315,15 +315,11 @@ class ConvergenceTable:
 
     @cached_property
     def _medians(self):
-        # statistics.median has np.median's bits without the numpy.ma import np.median
-        # makes; imported here so that only the convergence experiment loads it
-        import statistics
-
         out = []
         for n in sorted({r.n for r in self.rows}):
             rows = [r for r in self.rows if r.n == n]
-            out.append((n, statistics.median([r.pvalue for r in rows]),
-                        statistics.median([r.abs_error for r in rows])))
+            out.append((n, float(median(np.array([r.pvalue for r in rows]))),
+                        float(median(np.array([r.abs_error for r in rows])))))
         return tuple(out)
 
     def sandwich_ok(self, slack: float) -> bool:

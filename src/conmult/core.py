@@ -483,6 +483,52 @@ def _row_sums(x):
     return total
 
 
+def median(x):
+    """``np.median`` of a 1-D float array, without the ``numpy.ma`` import it makes.
+
+    numpy's steps in its order: one partition at the middle entries and the
+    last, then the last entry if it is NaN, else the mean of the middle
+    entries. So the bits agree for NaN, infinities and -0.0 too; a sort
+    could put another NaN last, or 0.0 where numpy has -0.0.
+    """
+    n = x.size
+    mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(x, mid + [-1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[mid[0]:mid[-1] + 1])
+
+
+def quantiles(x, qs):
+    """``np.quantile(x, qs, axis=0)`` of a 2-D float array, without ``numpy.ma``.
+
+    ``np.quantile`` imports ``numpy.ma`` through ``np.unique``. This replays
+    its default "linear" method step for step: virtual index (n - 1) q; its
+    floor and the next row, both the last row once the index reaches n - 1;
+    one partition of the columns at those rows and the first and last; numpy's
+    lerp, taken from the upper end where the weight is at least 1/2; and a
+    column's NaN for the whole column. ``qs`` must lie in [0, 1].
+    """
+    n = x.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    top = virtual >= n - 1
+    lower[top] = upper[top] = -1
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    part = x.copy()
+    part.partition(sorted({0, -1, *lower.tolist(), *upper.tolist()}), axis=0)
+    a, b = part[lower], part[upper]
+    t = (virtual - lower)[:, None]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    nan = np.isnan(part[-1])
+    if nan.any():
+        np.copyto(out, part[-1], where=nan)
+    return out
+
+
 def logsumexp(a):
     """log(sum(exp(a))) along the last axis, bit for bit as ``scipy.special.logsumexp(a, axis=-1)``.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DirichletParams, SimplexPoint
-from .sampling import RngStream, sample_ordered_prior_array
+from .sampling import RngStream, sample_dirichlet_array
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,25 @@ class TauSearchResult:
     trace: tuple  # (tau, achieved) pairs in evaluation order
 
 
+def _end_coordinates(om):
+    """theta_1 and theta_{k+1} of ``ordered_from_weights_array(om)``, bit for bit.
+
+    theta_i = sum_{j >= i} omega_j / j; theta_1 is added in the order of that
+    map's reversed cumsum, from the last cell to the first.
+    """
+    k1 = om.shape[1]
+    last = om[:, -1] / k1
+    first = last
+    for j in range(k1 - 1, 0, -1):
+        first = first + om[:, j - 1] / j
+    return first, last
+
+
 def _virtual_certainty(tau, xi, inp, seed, n_draws):
-    th = sample_ordered_prior_array(dirichlet_from_mode(xi, tau), n_draws, RngStream(seed))
-    return float(np.mean((th[:, -1] > inp.l) & (th[:, 0] < inp.u)))
+    """P(theta_{k+1} > l and theta_1 < u) over ``n_draws`` ordered-prior draws."""
+    om = sample_dirichlet_array(dirichlet_from_mode(xi, tau), n_draws, RngStream(seed))
+    first, last = _end_coordinates(om)
+    return float(np.mean((last > inp.l) & (first < inp.u)))
 
 
 def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauSearchResult:

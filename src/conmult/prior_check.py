@@ -23,10 +23,10 @@ from .core import (
     log_dirichlet_norm,
     log_dirichlet_pdf_array,
     logsumexp,
+    median,
     ordered_from_weights_array,
     weights_from_ordered_array,
 )
-from .model_check import Strided
 from .sampling import (
     RngStream,
     parallel_map,
@@ -450,7 +450,7 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
         log_m_pred=lm,
         se_pred=se,
         ess_min=float(ess.min()),
-        ess_median=float(np.median(ess)),
+        ess_median=float(median(ess)),
         n_failed=n_failed,
         unreliable=n_failed > 0.01 * (n_pred + 1),
         tau_profile=tau_profile,
@@ -496,6 +496,8 @@ def reduce_ordered_prior(prior: OrderedDirichletPrior, m: int) -> OrderedDirichl
     Keeps the elicited concentration and moves the mode to the grouped mode,
     so the reduced prior expresses the same information on the coarser scale.
     """
+    from .model_check import Strided
+
     spec = Strided(m, prior.dim)
     al = prior.omega_params.alphas
     tau = float((al - 1.0).sum())
@@ -515,6 +517,8 @@ def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
     the exact reduced predictive); their masses are ranked under the surrogate
     reduced prior.
     """
+    from .model_check import Strided
+
     spec = Strided(m, len(t_obs))
     reduced = reduce_ordered_prior(prior, m)
     gen = rng.substream(0).generator()

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -21,6 +22,14 @@ def write_counts(path, counts, fmt="json"):
         with open(path, "w") as fh:
             fh.write("\n".join(str(int(c)) for c in counts) + "\n")
     return path
+
+
+def fresh_env():
+    """The caller's environment with ``src`` on PYTHONPATH and no CONMULT_* defaults."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CONMULT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def load(out, name):
@@ -406,13 +415,84 @@ assert main(["consistency", "--alphas", "2,500", "--theta-true", "0.006,0.994",
 scipy_modules = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not scipy_modules, scipy_modules
 """
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env = {k: v for k, v in env.items() if not k.startswith("CONMULT_")}
-        res = subprocess.run([sys.executable, "-c", script], env=env,
+        res = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+    # conmult modules each command loads besides conmult, conmult.core and conmult.sampling
+    COMMANDS = {
+        "version": (["--version"], []),
+        "model-trine": (["check-model", "--counts", "{trine}", "--region", "trine",
+                         "--draws", "2000"], ["model_check"]),
+        "model-pairs": (["check-model", "--counts", "{fly}", "--group", "pairs",
+                         "--draws", "2000"], ["model_check"]),
+        "model-zm": (["check-model", "--counts", "{fly}", "--zm-delta", "0.02",
+                      "--draws", "500"], ["model_check"]),
+        "prior-trine": (["check-prior", "--counts", "{trine}", "--prior", "{trine_prior}",
+                         "--npred", "20", "--nis", "200", "--force"], ["prior_check"]),
+        "prior-grouped": (["check-prior", "--counts", "{fly}", "--prior", "{fly_prior}",
+                           "--npred", "20", "--nis", "200", "--force", "--group", "stride=9"],
+                          ["model_check", "prior_check"]),
+        "elicit": (["elicit", "--k", "3", "--l", "0.02", "--u", "0.8", "--gamma", "0.9",
+                    "--draws", "2000"], ["elicitation"]),
+        "posterior": (["posterior", "--counts", "{fly}", "--prior", "{fly_prior}",
+                       "--sweeps", "200", "--burn-in", "50"], ["posterior", "prior_check"]),
+        "consistency": (["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+                         "--schedule", "50", "--replications", "5"],
+                        ["consistency", "prior_check"]),
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_import_footprint_at_exit(self, tmp_path, name):
+        """Run a command as ``python -m conmult.cli`` does and look at the process at exit.
+
+        ``runpy.run_module`` runs the module as ``__main__``, which is what ``-m``
+        does, so the entry block runs; an exit hook registered first records
+        what the process loaded and froze.
+        """
+        files = {"trine": {"counts": TRINE_SYMMETRIC.tolist()},
+                 "fly": {"counts": FLY_COUNTS.tolist()},
+                 "trine_prior": {"type": "trine", "a": 1 / 3},
+                 "fly_prior": {"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}}
+        paths = {}
+        for key, obj in files.items():
+            paths[key] = str(tmp_path / f"{key}.json")
+            with open(paths[key], "w") as fh:
+                json.dump(obj, fh)
+        argv, loaded = self.COMMANDS[name]
+        argv = [a.format(**paths) for a in argv]
+        if name != "version":
+            argv += ["--out", str(tmp_path / "out")]
+        record = str(tmp_path / "record.json")
+        script = f"""
+import atexit, gc, json, runpy, sys
+
+@atexit.register
+def record():
+    with open({record!r}, "w") as fh:
+        json.dump({{"modules": sorted(m for m in sys.modules if m.startswith("conmult")),
+                   "numpy_ma": "numpy.ma" in sys.modules,
+                   "freeze_count": gc.get_freeze_count()}}, fh)
+
+sys.argv = ["conmult", *{argv!r}]
+runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
+"""
+        res = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                             capture_output=True, text=True, timeout=120)
+        # on the fly data the ZM check's first prior bin is empty, which exits 2 by design
+        assert res.returncode == (2 if name == "model-zm" else 0), res.stderr
+        with open(record) as fh:
+            seen = json.load(fh)
+        assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
+                                         + [f"conmult.{m}" for m in loaded])
+        assert not seen["numpy_ma"]
+        assert seen["freeze_count"] > 0
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["elicit", "--k", "2", "--l", "0.02", "--u", "0.9", "--gamma", "0.9",
+                     "--draws", "500", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestConsistencyCommand:

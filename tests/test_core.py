@@ -18,8 +18,10 @@ from conmult.core import (
     kl_divergence,
     log_multinomial_pmf,
     logsumexp,
+    median,
     ordered_from_weights,
     pauli_region,
+    quantiles,
     region_contains,
     tetrahedron_region,
     trine_prior_mass,
@@ -368,6 +370,49 @@ class TestLogSumExp:
         a[rng.random(a.shape) < 0.1] = -np.inf
         a[3] = -np.inf
         assert same_bits(logsumexp(a), scipy_logsumexp(a, axis=-1))
+
+
+class TestMedianAndQuantiles:
+    """``median`` and ``quantiles`` against ``np.median`` and ``np.quantile``, bit for bit."""
+
+    QS = [0.025, 0.5, 0.975]
+    # a small pool, so ties, -0.0 beside 0.0 and several NaNs come up often
+    entries = st.one_of(st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.5]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 60), elements=entries))
+    @example(np.array([0.0, -0.0]))
+    @example(np.array([-0.0, 0.0, 0.0]))
+    @example(np.array([np.inf, -np.inf]))
+    @example(np.array([1.0, np.nan, 2.0, -np.nan]))
+    def test_median_bitwise_equal_to_numpy(self, x):
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy meets it
+            assert same_bits(median(x), np.median(x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 50), st.integers(1, 18)),
+                  elements=entries))
+    @example(np.array([[0.5, -0.0, np.nan]]))
+    @example(np.array([[0.0], [-0.0], [-0.0], [0.0]]))
+    @example(np.array([[np.inf, 1.0], [-np.inf, np.inf], [1.0, -np.inf]]))
+    def test_quantiles_bitwise_equal_to_numpy(self, x):
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy meets it
+            assert same_bits(quantiles(x, self.QS), np.quantile(x, self.QS, axis=0))
+
+    @pytest.mark.parametrize("rows", [1, 2, 1399, 1400, 1401])
+    def test_posterior_sized_columns(self, rng, rows):
+        x = rng.dirichlet(np.ones(18), rows)
+        x[rng.random(x.shape) < 0.01] = 0.0
+        x[rng.random(x.shape) < 0.01] = -0.0
+        x[:, 3] = 0.25  # a column of ties
+        assert same_bits(quantiles(x, self.QS), np.quantile(x, self.QS, axis=0))
+        assert same_bits([median(col) for col in x.T], np.median(x, axis=0))
+        x[rng.integers(rows), 5] = np.nan
+        x[rng.integers(rows), 7] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert same_bits(quantiles(x, self.QS), np.quantile(x, self.QS, axis=0))
+        assert same_bits(median(x[:, 5]), np.median(x[:, 5]))
 
 
 class TestGammaln:

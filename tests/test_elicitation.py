@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conmult.core import SimplexPoint, ordered_from_weights, weights_from_ordered
+from conmult.core import (
+    DirichletParams,
+    SimplexPoint,
+    ordered_from_weights,
+    ordered_from_weights_array,
+    weights_from_ordered,
+)
 from conmult.elicitation import (
     ElicitationInput,
     dirichlet_from_mode,
@@ -9,7 +15,9 @@ from conmult.elicitation import (
     equispaced_mode,
     find_tau_result,
 )
-from conmult.sampling import RngStream, sample_dirichlet_array
+from conmult.sampling import RngStream, sample_dirichlet_array, sample_ordered_prior_array
+
+from conftest import same_bits
 
 
 class TestEquispacedMode:
@@ -128,6 +136,30 @@ class TestFindTau:
         _, xi = equispaced_mode(4, 0.0)
         assert res.achieved == _virtual_certainty(res.tau, xi, inp,
                                                   rng.substream(0).stream_id, 5000)
+
+    # delta = 0.01 exceeds the k = 17 spacing range [0, 2 / (17 * 18)], so 0.005 stands in there
+    @pytest.mark.parametrize("k, delta", [(1, 0.0), (1, 0.01), (3, 0.0), (3, 0.01),
+                                          (17, 0.0), (17, 0.005)])
+    def test_search_equals_one_on_the_whole_ordered_map(self, monkeypatch, k, delta):
+        # only theta_1 and theta_{k+1} are computed, with the bits of the full map, so
+        # every evaluation of the search is unchanged
+        import conmult.elicitation as elicitation
+
+        om = sample_dirichlet_array(DirichletParams(np.geomspace(0.05, 20.0, k + 1)), 4000,
+                                    RngStream(k))
+        full = ordered_from_weights_array(om)
+        assert same_bits(elicitation._end_coordinates(om), [full[:, 0], full[:, -1]])
+
+        def whole_map(tau, xi, inp, seed, n_draws):
+            th = sample_ordered_prior_array(dirichlet_from_mode(xi, tau), n_draws,
+                                            RngStream(seed))
+            return float(np.mean((th[:, -1] > inp.l) & (th[:, 0] < inp.u)))
+
+        inp = ElicitationInput(k=k, delta=delta, l=0.002, u=0.8, gamma=0.9)
+        res = find_tau_result(inp, 3000, RngStream(207))
+        monkeypatch.setattr(elicitation, "_virtual_certainty", whole_map)
+        assert find_tau_result(inp, 3000, RngStream(207)) == res
+        assert len(res.trace) > 20
 
     def test_elicit_returns_prior_params(self):
         inp = ElicitationInput(k=4, delta=0.0, l=0.02, u=0.6, gamma=0.9)

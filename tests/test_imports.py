@@ -1,4 +1,5 @@
-"""Leftovers from deletions: imports nothing uses, and exports that no longer exist."""
+"""Leftovers from deletions (imports nothing uses, exports that no longer exist), and
+module-level imports of command modules that the front end loads only on demand."""
 
 import ast
 import pathlib
@@ -34,3 +35,51 @@ def test_guard_sees_names_only_in_comments_and_strings_as_unused():
 def test_every_export_resolves():
     missing = [name for name in conmult.__all__ if not hasattr(conmult, name)]
     assert missing == []
+
+
+# the modules behind the CLI's commands; a command imports the ones it runs when it runs
+COMMAND_MODULES = {"consistency", "elicitation", "model_check", "posterior", "prior_check"}
+
+
+def module_level_imports(source):
+    """Package modules that ``source`` imports when it is imported: outside every function."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level == 1:
+                    found.update([module.split(".")[0]] if module
+                                 else [alias.name for alias in child.names])
+                elif module == "conmult":
+                    found.update(alias.name for alias in child.names)
+                elif module.startswith("conmult."):
+                    found.add(module.split(".")[1])
+            elif isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[1] for alias in child.names
+                             if alias.name.startswith("conmult."))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_cli_loads_command_modules_on_demand():
+    assert module_level_imports((SRC / "cli.py").read_text()) & COMMAND_MODULES == set()
+
+
+def test_prior_check_loads_model_check_on_demand():
+    assert "model_check" not in module_level_imports((SRC / "prior_check.py").read_text())
+
+
+def test_guard_skips_function_bodies_only():
+    source = ("from .core import a\nimport conmult.posterior\nfrom . import elicitation\n"
+              "if a:\n    from conmult.model_check import b\n"
+              "def f():\n    from .consistency import c\n"
+              "class C:\n    from conmult import prior_check\n"
+              "    def m(self):\n        import conmult.sampling\n")
+    assert module_level_imports(source) == {"core", "posterior", "elicitation", "model_check",
+                                            "prior_check"}
