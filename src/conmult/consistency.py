@@ -251,7 +251,9 @@ def _beta_level_set_prob(a, b, x0):
 
     mode = (a - 1.0) / (a + b - 2.0)
     if x0 < mode:
-        x1, x2 = x0, _bisect(log_ratio, mode, 1.0 - 1e-15)
+        # a + b - 2 can round the mode up to 1, where log_ratio is undefined;
+        # within 1e-15 of 1 the search returns the mode itself anyway
+        x1, x2 = x0, _bisect(log_ratio, mode, 1.0 - 1e-15) if mode < 1.0 - 1e-15 else mode
     elif x0 > mode:
         x1, x2 = _bisect(log_ratio, 1e-15, mode), x0
     else:

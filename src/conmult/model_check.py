@@ -283,16 +283,11 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
     """KL distance from each row of ``thetas`` to the ZM family.
 
     Table scan first, then coordinate-wise pattern search with step halving
-    from the best entry. Returns (distances, alphas, betas).
-
-    The search works on cells-by-draws arrays, so every broadcast runs along
-    contiguous rows, and caches log(alpha + i) for the beta moves. Each step
-    computes the same values as ``zm_log_probs_array`` and a per-draw sum;
-    ``_row_sums`` adds the cells in numpy's order, so the results are bitwise
-    those of the plain draws-by-cells form.
+    from the best entry (``_pattern_search``). Returns (distances, alphas,
+    betas), bitwise those of the plain draws-by-cells search that evaluates
+    every trial with ``zm_log_probs_array`` and ``np.sum``.
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    k1 = th.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
     j = np.empty(th.shape[0], dtype=np.intp)
@@ -306,51 +301,209 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
         np.subtract(neg_ent[rows, None], dists, out=dists)
         j[rows] = np.argmin(dists, axis=1)
         best[rows] = dists[np.arange(dists.shape[0]), j[rows]]
+    scan = dists = None  # free the scan buffer (dists views it) before the search
     alpha = table.params[j, 0].copy()
     beta = table.params[j, 1].copy()
     if not refine:
         return best, alpha, beta
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha,
+                                            beta, n_iters, step_alpha, step_beta)
+    return np.maximum(best, 0.0), alpha, beta
 
-    th_t = np.ascontiguousarray(th.T)
+
+# the search keeps alpha above -1, where ZM is defined
+ALPHA_FLOOR = -1.0 + 1e-9
+
+
+def _kl_exact(th_t, neg_ent, b, log_a):
+    """KL(theta || ZM) of cells-by-draws columns in the search's reference arithmetic.
+
+    ``zm_log_probs_array``'s steps, with ``log_a`` = log(alpha + i), then a
+    per-draw sum by ``_row_sums``: the bits of ``neg_ent - np.sum(theta *
+    zm_log_probs_array(alpha, b, k1), axis=1)``. At b = 0 every cell gets
+    -log(k1) whatever ``log_a`` holds, so the value does not depend on alpha.
+    """
+    # -b log(alpha + i) falls in i, so row 0 is the log-sum-exp shift
+    lp = np.multiply(-b, log_a)
+    work = np.exp(lp - lp[0])
+    lp -= lp[0] + np.log(_row_sums(work))
+    lp *= th_t
+    return neg_ent - _row_sums(lp)
+
+
+def _log_moments(th_t, log_a):
+    """M = sum_i theta_i log(alpha + i) and max_i |log(alpha + i)| per column."""
+    # log(alpha + i) increases in i, so its largest magnitude is at an end
+    return (np.einsum("ij,ij->j", th_t, log_a),
+            np.maximum(np.abs(log_a[0]), np.abs(log_a[-1])))
+
+
+def _margin_terms(neg_ent, mass, k1):
+    """Per-draw terms of the closed form's margin: base + slope * lam + per_val * |val|.
+
+    The margin bounds |closed form - reference arithmetic| at one point by
+    twice the first-order sum of both formulas' rounding errors, counted from
+    the same rounded log(alpha + i), with exp and log at 4 ulp each. lam =
+    beta max_i |log(alpha + i)| is the size of the terms that both subtract
+    before their logs; the reference's per-cell rounding scales with the
+    cross entropy, at most |val| + |neg_ent|.
+    """
+    u2 = 2.0 ** -52
+    const = 2 * k1 + 14 + (k1 + 18) * math.log(k1)
+    return (u2 * (mass * const + (k1 + 1) * np.abs(neg_ent)), u2 * (2 * k1 + 20) * mass,
+            u2 * (k1 + 2))
+
+
+def _kl_closed(b, log_a, m_sum, rate, neg_ent, mass, base, per_val, out=None):
+    """KL(theta || ZM) = neg_ent + b M + mass log(sum_i (alpha + i)^-b), and its margin.
+
+    ``rate`` is the margin's slope times max_i |log(alpha + i)| (``_margin_terms``);
+    ``out`` is scratch shaped like ``log_a``, or ``log_a`` itself. An overflow
+    or underflow in the sum gives an infinite margin, which sends the trial to
+    the reference arithmetic.
+    """
+    w = np.multiply(log_a, -b, out=out)
+    np.exp(w, out=w)
+    val = neg_ent + b * m_sum + mass * np.log(np.add.reduce(w, axis=0))
+    return val, base + b * rate + per_val * np.abs(val)
+
+
+# share of live draws above which a trial is evaluated on every column rather
+# than on a gathered copy of the live ones
+ZM_DENSE = 0.7
+
+
+def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_beta):
+    """Coordinate pattern search with step halving; returns (best, alpha, beta).
+
+    Per iteration each draw tries alpha +/- its step, then beta +/- its step,
+    and keeps a trial whose reference value (``_kl_exact``) is below ``best``;
+    a draw with no gain halves both steps. Each trial is decided on the closed
+    form ``_kl_closed``, which needs one exp per cell, and no log in a beta
+    trial: log(alpha + i), M and the margin rate are kept per draw. Where the
+    closed form lies within its margin of the current value (plus that
+    value's own margin, once it came from the closed form), the trial and the
+    current point are evaluated in the reference arithmetic instead. Three
+    trials need no evaluation: a beta = 0 point, whose reference value ``v0``
+    is the same for every alpha; a return to a moved draw's current point; and
+    a return to the point a moved draw has just left for a better one. Draws
+    whose last move was decided on the closed form get their reference value
+    at the end, so ``best`` holds the bits of the all-reference search.
+    """
+    k1, n = th_t.shape
     cells = np.arange(1, k1 + 1, dtype=float)[:, None]
-    log_ai = np.log(alpha + cells)
-    log_trial = np.empty_like(th_t)
-    lp = np.empty_like(th_t)
-    work = np.empty_like(th_t)
+    mass = np.add.reduce(th_t, axis=0)
+    base, slope, per_val = _margin_terms(neg_ent, mass, k1)
+    v0 = _kl_exact(th_t, neg_ent, 0.0, np.zeros_like(th_t))
+    log_a = np.log(alpha + cells)
+    m_sum, lmax = _log_moments(th_t, log_a)
+    rate = slope * lmax
+    err = np.zeros(n)  # bound on |best - reference value|; 0 while best is exact
+    moved = np.zeros(n, dtype=bool)
+    # two cells-by-draws scratch arrays, reused: fresh ones cost page faults
+    scratch = np.empty((2, k1 * n))
 
-    def kl_at(b, log_a):
-        # -b log(alpha + i) falls in i, so row 0 is the log-sum-exp shift
-        np.multiply(-b, log_a, out=lp)
-        np.subtract(lp, lp[0], out=work)
-        np.exp(work, out=work)
-        np.subtract(lp, lp[0] + np.log(_row_sums(work)), out=lp)
-        np.multiply(lp, th_t, out=lp)
-        return neg_ent - _row_sums(lp)
+    def buf(i, cols):
+        m = n if isinstance(cols, slice) else cols.size
+        return scratch[i, :k1 * m].reshape(k1, m)
 
-    sa = np.full(th.shape[0], step_alpha)
-    sb = np.full(th.shape[0], step_beta)
+    def take(x, cols, i):
+        # the columns of x: x itself, or a gathered copy in scratch row i
+        return x if isinstance(cols, slice) else np.take(x, cols, axis=1, out=buf(i, cols),
+                                                          mode="clip")
+
+    def trial(live, fixed, closed):
+        # values and margins of every draw: the closed form on the live
+        # columns (all columns when most are live), ``fixed`` elsewhere
+        if np.count_nonzero(live) > ZM_DENSE * n:
+            f, t = closed(slice(None))
+            return slice(None), np.where(live, f, fixed), np.where(live, t, 0.0)
+        cols = np.flatnonzero(live)
+        fixed[cols], t = closed(cols)
+        tol = np.zeros(n)
+        tol[cols] = t
+        return cols, fixed, tol
+
+    def accept(val, tol, a2, b2):
+        # gain mask; close calls settle in the reference arithmetic
+        nonlocal best, err
+        bound = tol + err
+        diff = val - best
+        gain = diff < -bound
+        close = np.flatnonzero(~(np.abs(diff) > bound) & (bound != 0))
+        if close.size:
+            val[close] = _kl_exact(th_t[:, close], neg_ent[close], b2[close],
+                                   np.log(a2[close] + cells))
+            tol[close] = 0.0
+            c = close[err[close] > 0]
+            best[c] = _kl_exact(th_t[:, c], neg_ent[c], beta[c], np.log(alpha[c] + cells))
+            err[c] = 0.0
+            gain[close] = val[close] < best[close]
+        best = np.where(gain, val, best)
+        err = np.where(gain, tol, err)
+        return gain
+
+    sa = np.full(n, step_alpha)
+    sb = np.full(n, step_beta)
     for _ in range(n_iters):
-        improved = np.zeros(th.shape[0], dtype=bool)
+        improved = np.zeros(n, dtype=bool)
+        stale = np.zeros(n, dtype=bool)  # accepted alpha at beta = 0, never evaluated
+        # a moved draw that gains on the first sign cannot gain by stepping back
+        left, start = moved, alpha
         for sign in (1, -1):
-            a2 = np.maximum(alpha + sign * sa, -1.0 + 1e-9)
-            np.log(np.add(a2, cells, out=log_trial), out=log_trial)
-            val = kl_at(beta, log_trial)
-            gain = val < best
-            np.copyto(alpha, a2, where=gain)
-            np.copyto(best, val, where=gain)
-            cols = np.flatnonzero(gain)
-            log_ai[:, cols] = log_trial[:, cols]
+            a2 = np.maximum(alpha + sign * sa, ALPHA_FLOOR)
+            live = (beta != 0) & ~(moved & (a2 == alpha)) & ~(left & (a2 == start))
+
+            def closed(cols):
+                nonlocal m_t, rate_t
+                log_t = np.log(np.add(a2[cols], cells, out=buf(0, cols)), out=buf(0, cols))
+                m_t, lmax_t = _log_moments(take(th_t, cols, 1), log_t)
+                rate_t = slope[cols] * lmax_t
+                return _kl_closed(beta[cols], log_t, m_t, rate_t, neg_ent[cols], mass[cols],
+                                  base[cols], per_val, out=log_t)
+
+            m_t = rate_t = None
+            cols, val, tol = trial(live, np.where(beta == 0, v0, np.inf), closed)
+            gain = accept(val, tol, a2, beta)
+            alpha = np.where(gain, a2, alpha)
+            g = np.flatnonzero(gain & live)
+            pos = g if isinstance(cols, slice) else np.searchsorted(cols, g)
+            m_sum[g], rate[g] = m_t[pos], rate_t[pos]
+            stale |= gain & ~live
+            left = left & gain
+            moved = moved | gain
             improved |= gain
+        # log(alpha + i) afresh once per iteration costs less than moving the
+        # accepted columns into the cache
+        np.log(np.add(alpha, cells, out=log_a), out=log_a)
+        if stale.any():
+            g = np.flatnonzero(stale)
+            m_sum[g], lmax_g = _log_moments(th_t[:, g], log_a[:, g])
+            rate[g] = slope[g] * lmax_g
+        left, start = moved, beta
         for sign in (1, -1):
             b2 = np.maximum(beta + sign * sb, 0.0)
-            val = kl_at(b2, log_ai)
-            gain = val < best
-            np.copyto(beta, b2, where=gain)
-            np.copyto(best, val, where=gain)
+            live = (b2 != 0) & ~(moved & (b2 == beta)) & ~(left & (b2 == start))
+
+            def closed(cols):
+                la = take(log_a, cols, 0)
+                return _kl_closed(b2[cols], la, m_sum[cols], rate[cols], neg_ent[cols],
+                                  mass[cols], base[cols], per_val,
+                                  out=buf(1, cols) if la is log_a else la)
+
+            _, val, tol = trial(live, np.where(b2 == 0, v0, np.inf), closed)
+            gain = accept(val, tol, alpha, b2)
+            beta = np.where(gain, b2, beta)
+            left = left & gain
+            moved = moved | gain
             improved |= gain
-        sa[~improved] *= 0.5
-        sb[~improved] *= 0.5
-    return np.maximum(best, 0.0), alpha, beta
+        halve = np.where(improved, 1.0, 0.5)
+        sa *= halve
+        sb *= halve
+    fix = np.flatnonzero(err > 0)
+    best[fix] = _kl_exact(th_t[:, fix], neg_ent[fix], beta[fix], np.log(alpha[fix] + cells))
+    return best, alpha, beta
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         )
@@ -58,7 +58,8 @@ def sample_dirichlet_array(params: DirichletParams, size: int, rng) -> np.ndarra
         while g[i].sum() == 0.0:
             g[i] = gen.standard_gamma(params.alphas)
         s[i] = g[i].sum()
-    return g / s[:, None]
+    g /= s[:, None]
+    return g
 
 
 def sample_dirichlet(params: DirichletParams, rng: RngStream) -> SimplexPoint:

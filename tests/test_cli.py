@@ -472,6 +472,7 @@ def record():
     with open({record!r}, "w") as fh:
         json.dump({{"modules": sorted(m for m in sys.modules if m.startswith("conmult")),
                    "numpy_ma": "numpy.ma" in sys.modules,
+                   "numpy_random": "numpy.random" in sys.modules,
                    "freeze_count": gc.get_freeze_count()}}, fh)
 
 sys.argv = ["conmult", *{argv!r}]
@@ -486,6 +487,8 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
                                          + [f"conmult.{m}" for m in loaded])
         assert not seen["numpy_ma"]
+        # only --version draws nothing, so only it leaves numpy.random unimported
+        assert seen["numpy_random"] == (name != "version")
         assert seen["freeze_count"] > 0
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):

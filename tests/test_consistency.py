@@ -208,6 +208,12 @@ class TestIncompleteBeta:
 
 
 class TestBetaLevelSet:
+    def test_mode_rounded_up_to_one(self):
+        # a + b - 2 rounds to 1 here, so the mode is 1.0 exactly; Beta(2, 1 + 2e-16)
+        # is Beta(2, 1) to within rounding, whose level set below 0.5 has mass 0.25
+        assert _beta_level_set_prob(2.0, 1.0000000000000002, 0.5) == 0.25
+        assert _beta_level_set_prob(2.0, 1.0000000000000002, 0.9) == pytest.approx(0.81, abs=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(1.2, 8.0), b=st.floats(1.2, 8.0), x0=st.floats(0.02, 0.98))
     def test_matches_mpmath(self, a, b, x0):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from conmult.core import (
     zm_log_probs_array,
 )
 from conmult.model_check import (
+    ALPHA_FLOOR,
     BetaGrid,
     CheckReport,
     Strided,
@@ -28,6 +30,10 @@ from conmult.model_check import (
     rb_grouped_check,
     rb_region_check,
     zm_distance_batch,
+    _kl_closed,
+    _kl_exact,
+    _log_moments,
+    _margin_terms,
 )
 from conmult.sampling import RngStream, sample_dirichlet_array
 from conmult.core import DirichletParams
@@ -353,10 +359,92 @@ class TestPatternSearchBitwise:
         for g, w in zip(got, want):
             assert same_bits(g, w)
 
+    def test_no_draws(self, fly_table):
+        for refine in (True, False):
+            assert [x.shape for x in zm_distance_batch(np.empty((0, 18)), fly_table,
+                                                       refine=refine)] == [(0,)] * 3
+
     def test_table_rows_and_uniform(self, fly_table):
         th = np.vstack([np.exp(fly_table.log_probs[::7]), np.full((1, 18), 1 / 18)])
         for g, w in zip(zm_distance_batch(th, fly_table), draws_by_cells_search(th, fly_table)):
             assert same_bits(g, w)
+
+
+@functools.lru_cache(maxsize=None)
+def table_for(k1):
+    return build_zm_table(k1 - 1, 0.02)
+
+
+def draws(gen, k1, conc, shape, size):
+    """Dirichlet draws, optionally with exact zeros or near a vertex."""
+    th = gen.dirichlet(np.full(k1, conc), size)
+    if shape == "zeros":
+        keep = gen.random(k1) < 0.6
+        keep[gen.integers(k1)] = True
+        th = th * keep
+        th[th.sum(axis=1) == 0.0, np.flatnonzero(keep)[0]] = 1.0
+        th /= th.sum(axis=1, keepdims=True)
+    elif shape == "vertex":
+        spike = np.zeros(k1)
+        spike[gen.integers(k1)] = 1.0
+        th = (1.0 - 1e-9) * spike + 1e-9 * th
+    return th
+
+
+def cells_by_draws(th):
+    """theta transposed to cells by draws, and each draw's sum of theta log theta."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
+    return np.ascontiguousarray(th.T), neg_ent
+
+
+@settings(max_examples=60, deadline=None)
+@given(k1=st.integers(2, 24), conc=st.floats(0.05, 500.0), n_iters=st.sampled_from([1, 5, 50]),
+       shape=st.sampled_from(["plain", "zeros", "vertex"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(k1=18, conc=1.0, n_iters=50, shape="plain", seed=0)
+@example(k1=18, conc=0.05, n_iters=50, shape="zeros", seed=1)
+def test_search_bitwise_equal_to_draws_by_cells_search(k1, conc, n_iters, shape, seed):
+    # the closed-form decisions, their close calls and the final reference pass
+    # must give every bit of the search that evaluates each trial in full
+    th = draws(np.random.default_rng(seed), k1, conc, shape, 40)
+    got = zm_distance_batch(th, table_for(k1), n_iters=n_iters)
+    want = draws_by_cells_search(th, table_for(k1), n_iters=n_iters)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("k1", [2, 18, 24])
+    def test_gap_below_a_quarter_of_the_margin_at_the_extremes(self, k1):
+        # the search reaches alpha down to ALPHA_FLOOR and up to the table's
+        # largest alpha plus n_iters alpha steps, and beta up to the grid's
+        # largest beta plus n_iters beta steps
+        gen = np.random.default_rng(k1)
+        th = np.vstack([draws(gen, k1, c, shape, 200) for c, shape in
+                        ((1.0, "plain"), (0.05, "zeros"), (1.0, "zeros"), (5.0, "vertex"))])
+        th_t, neg_ent = cells_by_draws(th)
+        mass = np.add.reduce(th_t, axis=0)
+        base, slope, per_val = _margin_terms(neg_ent, mass, k1)
+        cells = np.arange(1, k1 + 1, dtype=float)[:, None]
+        alpha_max = table_for(k1).params[:, 0].max() + 50 * 0.5
+        beta_max = BetaGrid().beta_max + 50 * 0.1
+        for a in (ALPHA_FLOOR, -1.0 + 1e-6, -0.5, 0.0, 3.0, alpha_max):
+            log_a = np.log(np.full(th.shape[0], a) + cells)
+            m_sum, lmax = _log_moments(th_t, log_a)
+            for b in (0.0, 1e-3, 0.7, 5.0, beta_max):
+                bb = np.full(th.shape[0], b)
+                val, tol = _kl_closed(bb, log_a, m_sum, slope * lmax, neg_ent, mass, base, per_val)
+                gap = np.abs(val - _kl_exact(th_t, neg_ent, bb, log_a))
+                assert np.all(gap < tol / 4), (a, b, float(np.max(gap / tol)))
+
+    def test_reference_value_at_beta_zero_ignores_alpha(self):
+        gen = np.random.default_rng(3)
+        th_t, neg_ent = cells_by_draws(draws(gen, 18, 0.5, "zeros", 300))
+        cells = np.arange(1, 19, dtype=float)[:, None]
+        v0 = _kl_exact(th_t, neg_ent, 0.0, np.zeros_like(th_t))
+        alpha = np.concatenate([[ALPHA_FLOOR, -0.95, 0.0, 637.9],
+                                gen.uniform(ALPHA_FLOOR, 50.0, 296)])
+        assert same_bits(_kl_exact(th_t, neg_ent, np.zeros(300), np.log(alpha + cells)), v0)
 
 
 @pytest.fixture(scope="module")
