@@ -342,12 +342,15 @@ def _log_moments(th_t, log_a):
 def _margin_terms(neg_ent, mass, k1):
     """Per-draw terms of the closed form's margin: base + slope * lam + per_val * |val|.
 
-    The margin bounds |closed form - reference arithmetic| at one point by
-    twice the first-order sum of both formulas' rounding errors, counted from
-    the same rounded log(alpha + i), with exp and log at 4 ulp each. lam =
-    beta max_i |log(alpha + i)| is the size of the terms that both subtract
-    before their logs; the reference's per-cell rounding scales with the
-    cross entropy, at most |val| + |neg_ent|.
+    The margin estimates |closed form - reference arithmetic| at one point:
+    the first-order sum of both formulas' rounding errors, counted from the
+    same rounded log(alpha + i), doubled as an allowance for the terms a
+    first-order count leaves out. It is an estimate, not a proven bound. It
+    assumes numpy's exp and log are within 4 ulp; numpy picks their SIMD
+    kernels by CPU, so the gap/margin test is the guard on each machine.
+    lam = beta max_i |log(alpha + i)| is the size of the terms that both
+    subtract before their logs; the reference's per-cell rounding scales with
+    the cross entropy, at most |val| + |neg_ent|.
     """
     u2 = 2.0 ** -52
     const = 2 * k1 + 14 + (k1 + 18) * math.log(k1)
@@ -369,13 +372,8 @@ def _kl_closed(b, log_a, m_sum, rate, neg_ent, mass, base, per_val, out=None):
     return val, base + b * rate + per_val * np.abs(val)
 
 
-# share of live draws above which a trial is evaluated on every column rather
-# than on a gathered copy of the live ones
-ZM_DENSE = 0.7
-
-
 def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_beta):
-    """Coordinate pattern search with step halving; returns (best, alpha, beta).
+    """Coordinate pattern search with step halving, in place; returns (best, alpha, beta).
 
     Per iteration each draw tries alpha +/- its step, then beta +/- its step,
     and keeps a trial whose reference value (``_kl_exact``) is below ``best``;
@@ -384,12 +382,11 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_
     trial: log(alpha + i), M and the margin rate are kept per draw. Where the
     closed form lies within its margin of the current value (plus that
     value's own margin, once it came from the closed form), the trial and the
-    current point are evaluated in the reference arithmetic instead. Three
+    current point are evaluated in the reference arithmetic instead. Two
     trials need no evaluation: a beta = 0 point, whose reference value ``v0``
-    is the same for every alpha; a return to a moved draw's current point; and
-    a return to the point a moved draw has just left for a better one. Draws
-    whose last move was decided on the closed form get their reference value
-    at the end, so ``best`` holds the bits of the all-reference search.
+    is the same for every alpha, and a return to a moved draw's current point.
+    Draws whose last move was decided on the closed form get their reference
+    value at the end, so ``best`` holds the bits of the all-reference search.
     """
     k1, n = th_t.shape
     cells = np.arange(1, k1 + 1, dtype=float)[:, None]
@@ -399,35 +396,17 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_
     log_a = np.log(alpha + cells)
     m_sum, lmax = _log_moments(th_t, log_a)
     rate = slope * lmax
-    err = np.zeros(n)  # bound on |best - reference value|; 0 while best is exact
+    work = np.empty_like(th_t)  # reused: a fresh cells-by-draws array costs page faults
+    err = np.zeros(n)  # margin of best (estimated |best - reference|); 0 while exact
     moved = np.zeros(n, dtype=bool)
-    # two cells-by-draws scratch arrays, reused: fresh ones cost page faults
-    scratch = np.empty((2, k1 * n))
-
-    def buf(i, cols):
-        m = n if isinstance(cols, slice) else cols.size
-        return scratch[i, :k1 * m].reshape(k1, m)
-
-    def take(x, cols, i):
-        # the columns of x: x itself, or a gathered copy in scratch row i
-        return x if isinstance(cols, slice) else np.take(x, cols, axis=1, out=buf(i, cols),
-                                                          mode="clip")
-
-    def trial(live, fixed, closed):
-        # values and margins of every draw: the closed form on the live
-        # columns (all columns when most are live), ``fixed`` elsewhere
-        if np.count_nonzero(live) > ZM_DENSE * n:
-            f, t = closed(slice(None))
-            return slice(None), np.where(live, f, fixed), np.where(live, t, 0.0)
-        cols = np.flatnonzero(live)
-        fixed[cols], t = closed(cols)
-        tol = np.zeros(n)
-        tol[cols] = t
-        return cols, fixed, tol
 
     def accept(val, tol, a2, b2):
-        # gain mask; close calls settle in the reference arithmetic
-        nonlocal best, err
+        # indices of the draws that gain; a beta = 0 trial takes v0, a return
+        # to a moved draw's current point cannot gain, and close calls settle
+        # in the reference arithmetic
+        zero = np.flatnonzero(b2 == 0)
+        val[np.flatnonzero(moved & (a2 == alpha) & (b2 == beta))] = np.inf
+        val[zero], tol[zero] = v0[zero], 0.0
         bound = tol + err
         diff = val - best
         gain = diff < -bound
@@ -440,64 +419,31 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_
             best[c] = _kl_exact(th_t[:, c], neg_ent[c], beta[c], np.log(alpha[c] + cells))
             err[c] = 0.0
             gain[close] = val[close] < best[close]
-        best = np.where(gain, val, best)
-        err = np.where(gain, tol, err)
-        return gain
+        g = np.flatnonzero(gain)
+        best[g], err[g] = val[g], tol[g]
+        moved[g] = improved[g] = True
+        return g
 
     sa = np.full(n, step_alpha)
     sb = np.full(n, step_beta)
     for _ in range(n_iters):
         improved = np.zeros(n, dtype=bool)
-        stale = np.zeros(n, dtype=bool)  # accepted alpha at beta = 0, never evaluated
-        # a moved draw that gains on the first sign cannot gain by stepping back
-        left, start = moved, alpha
         for sign in (1, -1):
             a2 = np.maximum(alpha + sign * sa, ALPHA_FLOOR)
-            live = (beta != 0) & ~(moved & (a2 == alpha)) & ~(left & (a2 == start))
-
-            def closed(cols):
-                nonlocal m_t, rate_t
-                log_t = np.log(np.add(a2[cols], cells, out=buf(0, cols)), out=buf(0, cols))
-                m_t, lmax_t = _log_moments(take(th_t, cols, 1), log_t)
-                rate_t = slope[cols] * lmax_t
-                return _kl_closed(beta[cols], log_t, m_t, rate_t, neg_ent[cols], mass[cols],
-                                  base[cols], per_val, out=log_t)
-
-            m_t = rate_t = None
-            cols, val, tol = trial(live, np.where(beta == 0, v0, np.inf), closed)
-            gain = accept(val, tol, a2, beta)
-            alpha = np.where(gain, a2, alpha)
-            g = np.flatnonzero(gain & live)
-            pos = g if isinstance(cols, slice) else np.searchsorted(cols, g)
-            m_sum[g], rate[g] = m_t[pos], rate_t[pos]
-            stale |= gain & ~live
-            left = left & gain
-            moved = moved | gain
-            improved |= gain
+            log_t = np.log(np.add(a2, cells, out=work), out=work)
+            m_t, lmax_t = _log_moments(th_t, log_t)
+            rate_t = slope * lmax_t
+            g = accept(*_kl_closed(beta, log_t, m_t, rate_t, neg_ent, mass, base, per_val,
+                                   out=work), a2, beta)
+            alpha[g], m_sum[g], rate[g] = a2[g], m_t[g], rate_t[g]
         # log(alpha + i) afresh once per iteration costs less than moving the
         # accepted columns into the cache
         np.log(np.add(alpha, cells, out=log_a), out=log_a)
-        if stale.any():
-            g = np.flatnonzero(stale)
-            m_sum[g], lmax_g = _log_moments(th_t[:, g], log_a[:, g])
-            rate[g] = slope[g] * lmax_g
-        left, start = moved, beta
         for sign in (1, -1):
             b2 = np.maximum(beta + sign * sb, 0.0)
-            live = (b2 != 0) & ~(moved & (b2 == beta)) & ~(left & (b2 == start))
-
-            def closed(cols):
-                la = take(log_a, cols, 0)
-                return _kl_closed(b2[cols], la, m_sum[cols], rate[cols], neg_ent[cols],
-                                  mass[cols], base[cols], per_val,
-                                  out=buf(1, cols) if la is log_a else la)
-
-            _, val, tol = trial(live, np.where(b2 == 0, v0, np.inf), closed)
-            gain = accept(val, tol, alpha, b2)
-            beta = np.where(gain, b2, beta)
-            left = left & gain
-            moved = moved | gain
-            improved |= gain
+            g = accept(*_kl_closed(b2, log_a, m_sum, rate, neg_ent, mass, base, per_val,
+                                   out=work), alpha, b2)
+            beta[g] = b2[g]
         halve = np.where(improved, 1.0, 0.5)
         sa *= halve
         sb *= halve
