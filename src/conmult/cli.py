@@ -196,7 +196,7 @@ def write_csv(out_dir, name, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_check_model(args):
-    from .model_check import (BetaGrid, build_zm_table, rb_distance_check, rb_grouped_check,
+    from .model_check import (build_zm_table, rb_distance_check, rb_grouped_check,
                               rb_region_check)
 
     t = read_counts(args.counts)
@@ -207,7 +207,9 @@ def cmd_check_model(args):
         "draws": args.draws, "seed": args.seed, "workers": args.workers,
     }
     if args.zm_delta is not None:
-        table = build_zm_table(t.k, args.zm_delta, BetaGrid())
+        if args.group is not None:
+            raise InputError("--group does not apply to the ZM distance check")
+        table = build_zm_table(t.k, args.zm_delta)
         rep = rb_distance_check(t, args.zm_delta, table, args.draws, rng,
                                 workers=args.workers)
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
@@ -280,6 +282,8 @@ def cmd_check_prior(args):
 
     t = read_counts(args.counts)
     prior, meta = read_prior(args.prior)
+    if not 0 <= args.threshold <= 1:
+        raise InputError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if not args.force:
         _require_model_pass(args)
     rng = RngStream(args.seed)

@@ -16,7 +16,6 @@ from .core import (
     MeasureZeroRegionError,
     OrderedCone,
     TrineEllipse,
-    _row_sums,
     trine_prior_mass,
     zm_log_probs_array,
 )
@@ -250,14 +249,12 @@ class ZmTable:
         return self.params.shape[0]
 
 
-def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid(),
-                   cache_dir=None) -> ZmTable:
+def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid()) -> ZmTable:
     """Build the ZM table for k+1 cells at resolution delta.
 
     One uniform entry for beta = 0, then per grid beta an alpha sweep from
     alpha_min up to the delta-redundancy bound. The table builds in about
-    4 ms (18 cells, delta = 0.02, one core), so nothing is cached;
-    ``cache_dir`` is accepted for older callers and ignored.
+    4 ms (18 cells, delta = 0.02, one core), so nothing is cached.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -284,8 +281,7 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
 
     Table scan first, then coordinate-wise pattern search with step halving
     from the best entry (``_pattern_search``). Returns (distances, alphas,
-    betas), bitwise those of the plain draws-by-cells search that evaluates
-    every trial with ``zm_log_probs_array`` and ``np.sum``.
+    betas); no refined distance exceeds the scan's.
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,9 +302,8 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
     beta = table.params[j, 1].copy()
     if not refine:
         return best, alpha, beta
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha,
-                                            beta, n_iters, step_alpha, step_beta)
+    best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha, beta,
+                                        n_iters, step_alpha, step_beta)
     return np.maximum(best, 0.0), alpha, beta
 
 
@@ -316,114 +311,38 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
 ALPHA_FLOOR = -1.0 + 1e-9
 
 
-def _kl_exact(th_t, neg_ent, b, log_a):
-    """KL(theta || ZM) of cells-by-draws columns in the search's reference arithmetic.
+def _kl_closed(b, log_a, m_sum, neg_ent, mass, out=None):
+    """KL(theta || ZM) of cells-by-draws columns from log_a = log(alpha + i) and M.
 
-    ``zm_log_probs_array``'s steps, with ``log_a`` = log(alpha + i), then a
-    per-draw sum by ``_row_sums``: the bits of ``neg_ent - np.sum(theta *
-    zm_log_probs_array(alpha, b, k1), axis=1)``. At b = 0 every cell gets
-    -log(k1) whatever ``log_a`` holds, so the value does not depend on alpha.
+    With L_i = log(alpha + i) and M = sum_i theta_i L_i, the value is
+    neg_ent + b (M - mass L_1) + mass log(sum_i exp(-b (L_i - L_1))). L_i rises
+    in i, so every exponent is <= 0 and the i = 1 term is 1: the sum lies in
+    [1, k + 1] for any alpha and b. At b = 0 the value is neg_ent + mass
+    log(k + 1) whatever ``log_a`` holds. ``out`` is scratch shaped like
+    ``log_a``, or ``log_a`` itself.
     """
-    # -b log(alpha + i) falls in i, so row 0 is the log-sum-exp shift
-    lp = np.multiply(-b, log_a)
-    work = np.exp(lp - lp[0])
-    lp -= lp[0] + np.log(_row_sums(work))
-    lp *= th_t
-    return neg_ent - _row_sums(lp)
-
-
-def _log_moments(th_t, log_a):
-    """M = sum_i theta_i log(alpha + i) and max_i |log(alpha + i)| per column."""
-    # log(alpha + i) increases in i, so its largest magnitude is at an end
-    return (np.einsum("ij,ij->j", th_t, log_a),
-            np.maximum(np.abs(log_a[0]), np.abs(log_a[-1])))
-
-
-def _margin_terms(neg_ent, mass, k1):
-    """Per-draw terms of the closed form's margin: base + slope * lam + per_val * |val|.
-
-    The margin estimates |closed form - reference arithmetic| at one point:
-    the first-order sum of both formulas' rounding errors, counted from the
-    same rounded log(alpha + i), doubled as an allowance for the terms a
-    first-order count leaves out. It is an estimate, not a proven bound. It
-    assumes numpy's exp and log are within 4 ulp; numpy picks their SIMD
-    kernels by CPU, so the gap/margin test is the guard on each machine.
-    lam = beta max_i |log(alpha + i)| is the size of the terms that both
-    subtract before their logs; the reference's per-cell rounding scales with
-    the cross entropy, at most |val| + |neg_ent|.
-    """
-    u2 = 2.0 ** -52
-    const = 2 * k1 + 14 + (k1 + 18) * math.log(k1)
-    return (u2 * (mass * const + (k1 + 1) * np.abs(neg_ent)), u2 * (2 * k1 + 20) * mass,
-            u2 * (k1 + 2))
-
-
-def _kl_closed(b, log_a, m_sum, rate, neg_ent, mass, base, per_val, out=None):
-    """KL(theta || ZM) = neg_ent + b M + mass log(sum_i (alpha + i)^-b), and its margin.
-
-    ``rate`` is the margin's slope times max_i |log(alpha + i)| (``_margin_terms``);
-    ``out`` is scratch shaped like ``log_a``, or ``log_a`` itself. An overflow
-    or underflow in the sum gives an infinite margin, which sends the trial to
-    the reference arithmetic.
-    """
-    w = np.multiply(log_a, -b, out=out)
+    l1 = log_a[0].copy()  # read before ``out`` overwrites it
+    w = np.subtract(log_a, l1, out=out)
+    w *= -b
     np.exp(w, out=w)
-    val = neg_ent + b * m_sum + mass * np.log(np.add.reduce(w, axis=0))
-    return val, base + b * rate + per_val * np.abs(val)
+    return neg_ent + b * (m_sum - mass * l1) + mass * np.log(np.add.reduce(w, axis=0))
 
 
 def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_beta):
     """Coordinate pattern search with step halving, in place; returns (best, alpha, beta).
 
     Per iteration each draw tries alpha +/- its step, then beta +/- its step,
-    and keeps a trial whose reference value (``_kl_exact``) is below ``best``;
-    a draw with no gain halves both steps. Each trial is decided on the closed
-    form ``_kl_closed``, which needs one exp per cell, and no log in a beta
-    trial: log(alpha + i), M and the margin rate are kept per draw. Where the
-    closed form lies within its margin of the current value (plus that
-    value's own margin, once it came from the closed form), the trial and the
-    current point are evaluated in the reference arithmetic instead. Two
-    trials need no evaluation: a beta = 0 point, whose reference value ``v0``
-    is the same for every alpha, and a return to a moved draw's current point.
-    Draws whose last move was decided on the closed form get their reference
-    value at the end, so ``best`` holds the bits of the all-reference search.
+    and keeps a trial whose ``_kl_closed`` value is strictly below ``best``;
+    a draw with no gain halves both steps. ``best`` starts at the table-scan
+    value, so no draw ends above its scan. A trial costs one exp per cell and
+    no log in a beta trial: log(alpha + i) and M are kept per draw.
     """
     k1, n = th_t.shape
     cells = np.arange(1, k1 + 1, dtype=float)[:, None]
     mass = np.add.reduce(th_t, axis=0)
-    base, slope, per_val = _margin_terms(neg_ent, mass, k1)
-    v0 = _kl_exact(th_t, neg_ent, 0.0, np.zeros_like(th_t))
     log_a = np.log(alpha + cells)
-    m_sum, lmax = _log_moments(th_t, log_a)
-    rate = slope * lmax
+    m_sum = np.einsum("ij,ij->j", th_t, log_a)
     work = np.empty_like(th_t)  # reused: a fresh cells-by-draws array costs page faults
-    err = np.zeros(n)  # margin of best (estimated |best - reference|); 0 while exact
-    moved = np.zeros(n, dtype=bool)
-
-    def accept(val, tol, a2, b2):
-        # indices of the draws that gain; a beta = 0 trial takes v0, a return
-        # to a moved draw's current point cannot gain, and close calls settle
-        # in the reference arithmetic
-        zero = np.flatnonzero(b2 == 0)
-        val[np.flatnonzero(moved & (a2 == alpha) & (b2 == beta))] = np.inf
-        val[zero], tol[zero] = v0[zero], 0.0
-        bound = tol + err
-        diff = val - best
-        gain = diff < -bound
-        close = np.flatnonzero(~(np.abs(diff) > bound) & (bound != 0))
-        if close.size:
-            val[close] = _kl_exact(th_t[:, close], neg_ent[close], b2[close],
-                                   np.log(a2[close] + cells))
-            tol[close] = 0.0
-            c = close[err[close] > 0]
-            best[c] = _kl_exact(th_t[:, c], neg_ent[c], beta[c], np.log(alpha[c] + cells))
-            err[c] = 0.0
-            gain[close] = val[close] < best[close]
-        g = np.flatnonzero(gain)
-        best[g], err[g] = val[g], tol[g]
-        moved[g] = improved[g] = True
-        return g
-
     sa = np.full(n, step_alpha)
     sb = np.full(n, step_beta)
     for _ in range(n_iters):
@@ -431,24 +350,23 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_
         for sign in (1, -1):
             a2 = np.maximum(alpha + sign * sa, ALPHA_FLOOR)
             log_t = np.log(np.add(a2, cells, out=work), out=work)
-            m_t, lmax_t = _log_moments(th_t, log_t)
-            rate_t = slope * lmax_t
-            g = accept(*_kl_closed(beta, log_t, m_t, rate_t, neg_ent, mass, base, per_val,
-                                   out=work), a2, beta)
-            alpha[g], m_sum[g], rate[g] = a2[g], m_t[g], rate_t[g]
+            m_t = np.einsum("ij,ij->j", th_t, log_t)
+            val = _kl_closed(beta, log_t, m_t, neg_ent, mass, out=work)
+            g = np.flatnonzero(val < best)
+            best[g], alpha[g], m_sum[g] = val[g], a2[g], m_t[g]
+            improved[g] = True
         # log(alpha + i) afresh once per iteration costs less than moving the
         # accepted columns into the cache
         np.log(np.add(alpha, cells, out=log_a), out=log_a)
         for sign in (1, -1):
             b2 = np.maximum(beta + sign * sb, 0.0)
-            g = accept(*_kl_closed(b2, log_a, m_sum, rate, neg_ent, mass, base, per_val,
-                                   out=work), alpha, b2)
-            beta[g] = b2[g]
+            val = _kl_closed(b2, log_a, m_sum, neg_ent, mass, out=work)
+            g = np.flatnonzero(val < best)
+            best[g], beta[g] = val[g], b2[g]
+            improved[g] = True
         halve = np.where(improved, 1.0, 0.5)
         sa *= halve
         sb *= halve
-    fix = np.flatnonzero(err > 0)
-    best[fix] = _kl_exact(th_t[:, fix], neg_ent[fix], beta[fix], np.log(alpha[fix] + cells))
     return best, alpha, beta
 
 

@@ -418,6 +418,8 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     """
     if n_pred < 1 or n_is < 1:
         raise ValueError(f"need n_pred >= 1 and n_is >= 1, got {n_pred} and {n_is}")
+    if prior.dim != len(t_obs):
+        raise ValueError(f"prior has {prior.dim} cells, counts have {len(t_obs)}")
     n = t_obs.n
     if predictive_counts is None:
         gen = rng.substream(0).generator()
@@ -519,6 +521,8 @@ def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
     """
     from .model_check import Strided
 
+    if prior.dim != len(t_obs):
+        raise ValueError(f"prior has {prior.dim} cells, counts have {len(t_obs)}")
     spec = Strided(m, len(t_obs))
     reduced = reduce_ordered_prior(prior, m)
     gen = rng.substream(0).generator()

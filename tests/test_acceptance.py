@@ -121,8 +121,8 @@ def test_criterion_2_grouped_ordered_check():
     ])
 
 
-def test_criterion_3_zm_distance_check(tmp_path):
-    table = build_zm_table(17, 0.02, BetaGrid(), cache_dir=str(tmp_path))
+def test_criterion_3_zm_distance_check():
+    table = build_zm_table(17, 0.02, BetaGrid())
     start = time.perf_counter()
     rep = rb_distance_check(CountVector(FLY_COUNTS), 0.02, table, 100_000,
                             RngStream(8301))

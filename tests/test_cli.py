@@ -343,6 +343,15 @@ class TestInputErrors:
                       "--force", "--npred", "20", "--nis", "0"], id="nis-0"),
         pytest.param(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
                       "--schedule", "50", "--replications", "0"], id="replications-0"),
+        # options out of range or not applicable
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--force", "--npred", "20", "--nis", "100", "--threshold", "2"],
+                     id="threshold-2"),
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--force", "--npred", "20", "--nis", "100", "--threshold", "-0.1"],
+                     id="threshold-negative"),
+        pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "0.05",
+                      "--group", "pairs", "--draws", "1000"], id="zm-with-group"),
     ])
     def test_exits_1_with_input_error(self, tmp_path, capsys, argv):
         files = {}
@@ -355,6 +364,23 @@ class TestInputErrors:
         code = main([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
         assert code == 1
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior, group, k1", [
+        ({"type": "trine", "a": 1 / 3}, None, 3),
+        ({"type": "raw_dirichlet", "alphas": [1.0, 1.0, 1.0]}, None, 3),
+        ({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 18}, None, 18),
+        ({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 18}, "stride=2", 18),
+    ], ids=["trine", "raw-dirichlet", "fly", "fly-grouped"])
+    def test_prior_cells_differ_from_counts(self, tmp_path, capsys, prior, group, k1):
+        counts = write_counts(tmp_path, np.array([10, 8, 4, 2]))
+        path = str(tmp_path / "prior.json")
+        with open(path, "w") as fh:
+            json.dump(prior, fh)
+        argv = ["check-prior", "--counts", counts, "--prior", path, "--force", "--npred", "20",
+                "--nis", "100", "--out", str(tmp_path / "out")]
+        code = main(argv + (["--group", group] if group else []))
+        assert (code, capsys.readouterr().err) == (
+            1, f"input error: prior has {k1} cells, counts have 4\n")
 
 
 class TestStartup:

@@ -31,7 +31,7 @@ PINS = {
                 [363.0, 1.0190810143940296]]),
     "pairs": (15513.12, 0.04275),
     # (post_first_bin, prior_first_bin_empty, sha256 of distance_densities.csv)
-    "zm": (0.08, True, "4e05c3f34ad65824ffe7b9eb8fba169b4fc4631c5e025c24f38be1826b10412d"),
+    "zm": (0.08, True, "81749c2670d3d3f14b8b674fa3bc8d75f11b290c17d2e7e1b1ed6e0a596f3b47"),
     # (exit code, stdout, stderr) of check-model runs
     "zm_lines": (2, "rb=None strength=None verdict=undefined\n",
                  "first prior bin empty: relative belief ratio undefined; increase --draws\n"),

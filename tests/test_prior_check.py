@@ -362,6 +362,22 @@ class TestConflictPvalue:
             per_run.append(len(calls))
         assert per_run[0] == per_run[1] <= 10
 
+    @pytest.mark.parametrize("prior", [TrinePrior(1 / 3),
+                                       RawDirichletPrior(DirichletParams(np.ones(3))),
+                                       ordered_prior(2.85)], ids=["trine", "raw", "fly"])
+    def test_prior_cells_checked_before_drawing(self, prior):
+        class NoDraws:
+            def substream(self, i):
+                raise AssertionError("drew before checking the cells")
+
+        t = CountVector(np.array([10, 8, 4, 2]))
+        msg = f"prior has {prior.dim} cells, counts have 4"
+        with pytest.raises(ValueError, match=msg):
+            conflict_pvalue(t, prior, 20, 100, NoDraws())
+        if isinstance(prior, OrderedDirichletPrior):
+            with pytest.raises(ValueError, match=msg):
+                grouped_conflict_check(t, prior, 2, 20, 100, NoDraws())
+
 
 class TestGroupedBounds:
     def test_pairs_formula(self):
