@@ -12,7 +12,6 @@ process loads only what its command needs.
 """
 
 import argparse
-import csv
 import gc
 import hashlib
 import json
@@ -181,13 +180,24 @@ def write_report(out_dir, name, config, payload):
     return write_json(out_dir, name, report)
 
 
+def format_rows(values):
+    """Rows of ``.10g`` strings for a 2-D array.
+
+    Python floats format as np.float64 does, which formats through
+    ``float.__format__``, at a fraction of the cost per value.
+    """
+    return [[f"{v:.10g}" for v in row] for row in np.asarray(values, dtype=float).tolist()]
+
+
 def write_csv(out_dir, name, header, rows):
+    """Comma-separated rows with CRLF line ends, the bytes of ``csv.writer``'s default dialect.
+
+    Every field is a number or a plain name, which that dialect never quotes.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]))
     return path
 
 
@@ -200,6 +210,10 @@ def cmd_check_model(args):
                               rb_region_check)
 
     t = read_counts(args.counts)
+    if args.zm_delta is None:
+        args.region = args.region or "ordered"
+    elif args.region is not None:
+        raise InputError("--region does not apply to the ZM distance check")
     rng = RngStream(args.seed)
     config = {
         "command": "check-model", "counts": list(map(int, t.counts)),
@@ -215,8 +229,8 @@ def cmd_check_model(args):
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
         write_csv(args.out, "distance_densities.csv",
                   ["bin_left", "prior_density", "post_density"],
-                  [(f"{b:.10g}", f"{p / args.zm_delta:.10g}", f"{q / args.zm_delta:.10g}")
-                   for b, p, q in zip(bins, rep.prior_hist, rep.post_hist)])
+                  format_rows(np.column_stack([bins, rep.prior_hist / args.zm_delta,
+                                               rep.post_hist / args.zm_delta])))
         verdict = rep.verdict()
         undefined = verdict == "undefined"
         payload = {
@@ -311,11 +325,10 @@ def cmd_check_prior(args):
     else:
         rep = conflict_pvalue(t, prior, args.npred, args.nis, rng, tau=args.tau,
                               workers=args.workers)
-    write_csv(args.out, "prior_check_points.csv",
-              ["point", "log_m", "se"],
-              [("obs", f"{rep.log_m_obs:.10g}", f"{rep.se_obs:.10g}")]
-              + [(str(j), f"{lm:.10g}", f"{se:.10g}")
-                 for j, (lm, se) in enumerate(zip(rep.log_m_pred, rep.se_pred))])
+    rows = format_rows(np.column_stack([np.r_[rep.log_m_obs, rep.log_m_pred],
+                                        np.r_[rep.se_obs, rep.se_pred]]))
+    write_csv(args.out, "prior_check_points.csv", ["point", "log_m", "se"],
+              [["obs", *rows[0]]] + [[str(j), *row] for j, row in enumerate(rows[1:])])
     payload.update({
         "pvalue": rep.pvalue, "n_predictive": rep.n_predictive, "n_is": rep.n_is,
         "tau": rep.tau, "log_m_obs": rep.log_m_obs,
@@ -356,35 +369,43 @@ def cmd_elicit(args):
 
 
 def cmd_posterior(args):
-    from .posterior import run_gibbs
+    from .posterior import check_sweeps, has_exact_draws, run_gibbs, sample_ordered_posterior
     from .prior_check import OrderedDirichletPrior
 
     t = read_counts(args.counts)
     prior, meta = read_prior(args.prior)
     if not isinstance(prior, OrderedDirichletPrior):
         raise InputError("posterior sampling needs an ordered_dirichlet prior")
-    samples, diag = run_gibbs(t, prior.omega_params, args.sweeps, args.burn_in,
-                              None, RngStream(args.seed))
+    check_sweeps(args.sweeps, args.burn_in)
+    rng = RngStream(args.seed)
+    # the exact path writes as many iid draws as the chain would keep sweeps
+    if has_exact_draws(prior.omega_params):
+        samples = sample_ordered_posterior(t, prior.omega_params, args.sweeps - args.burn_in, rng)
+        payload = {"method": "exact", "ess": float(samples.shape[0])}
+        line = f"kept {samples.shape[0]} exact draws; ess {samples.shape[0]}"
+    else:
+        samples, diag = run_gibbs(t, prior.omega_params, args.sweeps, args.burn_in, None, rng)
+        ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
+        payload = {"method": "gibbs", "ess": ess,
+                   "autocorr_time": [float(v) for v in diag.autocorr_time]}
+        line = (f"kept {samples.shape[0]} sweeps; "
+                f"max autocorrelation time {diag.autocorr_time.max():.1f}; ess {ess:.0f}")
     write_csv(args.out, "posterior_samples.csv",
-              [f"theta_{j + 1}" for j in range(samples.shape[1])],
-              [[f"{v:.10g}" for v in row] for row in samples])
+              [f"theta_{j + 1}" for j in range(samples.shape[1])], format_rows(samples))
     config = {
         "command": "posterior", "counts": list(map(int, t.counts)), "prior": meta,
         "sweeps": args.sweeps, "burn_in": args.burn_in, "seed": args.seed,
     }
     qs = quantiles(samples, [0.025, 0.5, 0.975])
-    ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
-    write_report(args.out, "posterior.json", config, {
-        "means": [float(v) for v in samples.mean(axis=0)],
-        "q025": [float(v) for v in qs[0]],
-        "median": [float(v) for v in qs[1]],
-        "q975": [float(v) for v in qs[2]],
-        "autocorr_time": [float(v) for v in diag.autocorr_time],
-        "ess": ess,
-        "kept_sweeps": int(samples.shape[0]),
-    })
-    print(f"kept {samples.shape[0]} sweeps; "
-          f"max autocorrelation time {diag.autocorr_time.max():.1f}; ess {ess:.0f}")
+    write_report(args.out, "posterior.json", config, dict(
+        payload,
+        means=[float(v) for v in samples.mean(axis=0)],
+        q025=[float(v) for v in qs[0]],
+        median=[float(v) for v in qs[1]],
+        q975=[float(v) for v in qs[2]],
+        kept_sweeps=int(samples.shape[0]),
+    ))
+    print(line)
     return EXIT_OK
 
 
@@ -398,8 +419,8 @@ def cmd_consistency(args):
                                    replications=args.replications)
     write_csv(args.out, "convergence.csv",
               ["n", "replication", "pvalue", "limit", "abs_error"],
-              [(r.n, r.replication, f"{r.pvalue:.10g}", f"{table.limit:.10g}",
-                f"{r.abs_error:.10g}") for r in table.rows])
+              [[r.n, r.replication, *row] for r, row in zip(table.rows, format_rows(
+                  [(r.pvalue, table.limit, r.abs_error) for r in table.rows]))])
     config = {
         "command": "consistency", "alphas": args.alphas,
         "theta_true": args.theta_true, "schedule": args.schedule,
@@ -441,8 +462,8 @@ def build_parser():
 
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)
-    p.add_argument("--region", default="ordered",
-                   help="trine[:a] | ordered | tetrahedron | crosshairs | pauli")
+    p.add_argument("--region",
+                   help="trine[:a] | ordered (default) | tetrahedron | crosshairs | pauli")
     p.add_argument("--group", help="pairs | triples | m=K | stride=K")
     p.add_argument("--zm-delta", type=float, dest="zm_delta",
                    help="run the Zipf-Mandelbrot distance check at this resolution")
@@ -474,7 +495,8 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_elicit)
 
-    p = sub.add_parser("posterior", help="Gibbs sampling under an ordered prior")
+    p = sub.add_parser("posterior", help="posterior draws under an ordered prior: exact iid "
+                                         "for a flat-mode (elicit --delta 0) prior, else Gibbs")
     p.add_argument("--counts", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--sweeps", type=int, default=5000)

@@ -1,4 +1,9 @@
-"""Gibbs sampler for the posterior under an ordered-probabilities prior.
+"""Posterior draws under an ordered-probabilities prior.
+
+With weights Dirichlet(1, ..., 1, alpha_K), alpha_K >= 1 (every prior
+``elicit --delta 0`` writes), the draws are exact and iid: backward sampling
+(Carter & Kohn 1994; Fruhwirth-Schnatter 1994) on the running integrals of
+``core.chain_log_integrals``. Every other prior takes the Gibbs chain below.
 
 The ordering map theta_i = sum_{j >= i} omega_j / j makes theta a mixture of
 uniform distributions on {1..j} with weights omega. Each count in cell i is
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CountVector, DirichletParams, SimplexPoint, ordered_from_weights_array,
-                   weights_from_ordered_array)
+from .core import (CountVector, DirichletParams, SimplexPoint, chain_log_integrals,
+                   ordered_from_weights_array, weights_from_ordered_array)
 from .sampling import RngStream
 
 
@@ -53,6 +58,63 @@ def _log_dirichlet(shape, gen):
     return np.log(gen.standard_gamma(shape + 1.0)) - gen.standard_exponential(shape.size) / shape
 
 
+def _counts(counts, k1):
+    if counts is None:
+        return np.zeros(k1, dtype=np.int64)
+    cnt = counts.counts if isinstance(counts, CountVector) else np.asarray(counts)
+    if len(cnt) != k1:
+        raise ValueError("counts and prior dimensions differ")
+    return cnt
+
+
+def check_sweeps(n_sweeps, burn_in):
+    """The sweep budget rule: n_sweeps >= 1 and 0 <= burn_in < n_sweeps."""
+    if n_sweeps < 1:
+        raise ValueError("n_sweeps must be >= 1")
+    if burn_in < 0 or burn_in >= n_sweeps:
+        raise ValueError("need 0 <= burn_in < n_sweeps")
+
+
+def has_exact_draws(prior: DirichletParams):
+    """True when ``sample_ordered_posterior`` takes the prior: alpha_j = 1 for j < K, alpha_K >= 1."""
+    al = prior.alphas
+    return bool(np.all(al[:-1] == 1.0) and al[-1] >= 1.0)
+
+
+def sample_ordered_posterior(t, omega_params: DirichletParams, size: int, rng: RngStream):
+    """``size`` iid posterior draws of theta, rows non-increasing and summing to 1.
+
+    ``t`` may be None for prior draws. With G_i from ``core.chain_log_integrals``,
+    z_1 inverts G_1 at U G_1(L) and z_{i+1} inverts G_{i+1} at U G_{i+1}(z_i),
+    one uniform U per cell and draw; theta = z / sum(z). Between grid points
+    log G is interpolated linearly, exact where G grows exponentially, except
+    on the interval where G leaves 0, which is linear in G.
+    """
+    if not has_exact_draws(omega_params):
+        raise ValueError("exact draws need alpha_j = 1 for j < K and alpha_K >= 1")
+    al = omega_params.alphas
+    powers = _counts(t, al.size).astype(float)
+    powers[-1] += al[-1] - 1.0
+    x, log_g = chain_log_integrals(powers)
+    gen = rng.generator()
+    z = np.empty((size, al.size))
+    log_top = np.full(size, log_g[0, -1])
+    for i, log_gi in enumerate(log_g):
+        target = log_top + np.log1p(-gen.random(size))
+        j = np.clip(np.searchsorted(log_gi, target) - 1, 0, x.size - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = log_gi[j], log_gi[j + 1]
+            frac = np.where(lo > -np.inf, (target - lo) / (hi - lo), np.exp(target - hi))
+            frac = np.fmin(np.fmax(frac, 0.0), 1.0)  # rounding edges: just outside [0, 1], or NaN
+            z[:, i] = x[j] + frac * (x[j + 1] - x[j])
+            if i + 1 < al.size:
+                lo, hi = log_g[i + 1, j], log_g[i + 1, j + 1]
+                log_top = np.where(lo > -np.inf, lo + frac * (hi - lo), hi + np.log(frac))
+    np.minimum.accumulate(z, axis=1, out=z)  # a rounding edge must not break the order
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
               init, rng: RngStream):
     """Latent-allocation Gibbs on the weights, reported in probability space.
@@ -64,15 +126,8 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     """
     al = prior.alphas
     k1 = len(prior)
-    cnt = np.zeros(k1, dtype=np.int64)
-    if counts is not None:
-        cnt = counts.counts if isinstance(counts, CountVector) else np.asarray(counts)
-        if len(cnt) != k1:
-            raise ValueError("counts and prior dimensions differ")
-    if n_sweeps < 1:
-        raise ValueError("n_sweeps must be >= 1")
-    if burn_in < 0 or burn_in >= n_sweeps:
-        raise ValueError("need 0 <= burn_in < n_sweeps")
+    cnt = _counts(counts, k1)
+    check_sweeps(n_sweeps, burn_in)
     if init is None:
         from .prior_check import OrderedDirichletPrior
 

@@ -35,7 +35,9 @@ def chain_ordered_log_predictive(t, alpha_last, n_grid=65536):
     every other weight parameter 1, J is a chain of running integrals:
     H_K(x) = x^(t_K + alpha_last - 1) e^-x, H_i(x) = x^t_i e^-x int_0^x H_{i+1},
     J = int_0^inf H_1. Each runs by the trapezoid rule on a uniform grid, in log
-    space with one rescale per step.
+    space with one rescale per step. The error falls as n_grid^-2: on the fly
+    counts with the README prior it is about 6e-4 nats at the default grid
+    (-48.740019 here, -48.740571 at 4 x 65536 points, -48.740608 extrapolated).
     """
     t = np.asarray(t, dtype=float)
     k1, n = t.size, float(t.sum())

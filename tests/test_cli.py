@@ -235,6 +235,79 @@ class TestElicitAndDownstream:
         assert code == 1
 
 
+class TestPosteriorCommand:
+    """The exact path for flat-mode priors, Gibbs for the rest, one budget rule for both."""
+
+    @pytest.fixture(scope="class")
+    def priors(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("priors"))
+        paths = {}
+        for method, delta in (("exact", "0"), ("gibbs", "0.05")):
+            d = os.path.join(out, method)
+            assert main(["elicit", "--k", "3", "--delta", delta, "--l", "0.02", "--u", "0.8",
+                         "--gamma", "0.9", "--draws", "2000", "--seed", "9", "--out", d]) == 0
+            paths[method] = os.path.join(d, "prior.json")
+        return paths
+
+    @pytest.mark.parametrize("method", ["exact", "gibbs"])
+    def test_reports_its_method(self, tmp_path, capsys, priors, method):
+        counts = write_counts(tmp_path, np.array([10, 8, 4, 2]))
+        out = str(tmp_path / "out")
+        assert main(["posterior", "--counts", counts, "--prior", priors[method],
+                     "--sweeps", "300", "--burn-in", "50", "--seed", "9", "--out", out]) == 0
+        rep = assert_finite_report(out, "posterior.json")
+        assert rep["method"] == method and rep["kept_sweeps"] == 250
+        assert ("autocorr_time" in rep) == (method == "gibbs")
+        if method == "exact":
+            assert rep["ess"] == 250
+            assert capsys.readouterr().out == "kept 250 exact draws; ess 250\n"
+        rows = open(os.path.join(out, "posterior_samples.csv")).read().splitlines()
+        assert len(rows) == 251
+
+    @pytest.mark.parametrize("method", ["exact", "gibbs"])
+    @pytest.mark.parametrize("sweeps, burn_in, message", [
+        ("0", "0", "n_sweeps must be >= 1"),
+        ("100", "100", "need 0 <= burn_in < n_sweeps"),
+        ("100", "-1", "need 0 <= burn_in < n_sweeps"),
+    ])
+    def test_budget_checked_before_sampling(self, tmp_path, capsys, priors, method, sweeps,
+                                            burn_in, message):
+        counts = write_counts(tmp_path, np.array([10, 8, 4, 2]))
+        out = str(tmp_path / "out")
+        code = main(["posterior", "--counts", counts, "--prior", priors[method],
+                     "--sweeps", sweeps, "--burn-in", burn_in, "--out", out])
+        assert (code, capsys.readouterr().err) == (1, f"input error: {message}\n")
+        assert not os.path.exists(out)
+
+
+class TestCsvRows:
+    def test_python_floats_format_as_numpy_scalars(self):
+        from conmult.cli import format_rows
+
+        values = np.array([[-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf],
+                           [np.nan, 1e308, -1.7976931348623157e308, 0.12345678901234567,
+                            1 / 3, 2.0 ** -1074 * 12345]])
+        old = [[f"{v:.10g}" for v in row] for row in values]  # np.float64 scalars
+        assert format_rows(values) == old
+        assert format_rows(values)[0][:2] == ["-0", "0"]
+        assert format_rows(values)[1][0] == "nan"
+
+    def test_write_csv_has_the_csv_module_bytes(self, tmp_path):
+        import csv
+
+        from conmult.cli import format_rows, write_csv
+
+        header = ["point", "log_m", "se"]
+        rows = [["obs", "-48.74", "0.01"], *[[str(j), *r] for j, r in enumerate(
+            format_rows([[-0.0, np.inf], [np.nan, 1e-310]]))], [3, 7, "0.5"]]
+        path = write_csv(str(tmp_path), "new.csv", header, rows)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert open(path, "rb").read() == open(tmp_path / "old.csv", "rb").read()
+
+
 def numbers(obj):
     """Every number in a JSON report, config included."""
     if isinstance(obj, dict):
@@ -352,6 +425,8 @@ class TestInputErrors:
                      id="threshold-negative"),
         pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "0.05",
                       "--group", "pairs", "--draws", "1000"], id="zm-with-group"),
+        pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "0.05",
+                      "--region", "ordered", "--draws", "1000"], id="zm-with-region"),
     ])
     def test_exits_1_with_input_error(self, tmp_path, capsys, argv):
         files = {}
@@ -499,6 +574,7 @@ def record():
         json.dump({{"modules": sorted(m for m in sys.modules if m.startswith("conmult")),
                    "numpy_ma": "numpy.ma" in sys.modules,
                    "numpy_random": "numpy.random" in sys.modules,
+                   "numpy_fft": "numpy.fft" in sys.modules,
                    "freeze_count": gc.get_freeze_count()}}, fh)
 
 sys.argv = ["conmult", *{argv!r}]
@@ -515,6 +591,8 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert not seen["numpy_ma"]
         # only --version draws nothing, so only it leaves numpy.random unimported
         assert seen["numpy_random"] == (name != "version")
+        # the flat-mode prior takes exact draws, which need no autocorrelation FFT
+        assert not seen["numpy_fft"]
         assert seen["freeze_count"] > 0
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):

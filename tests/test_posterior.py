@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from conmult.core import CountVector, DirichletParams, ordered_from_weights_array
-from conmult.posterior import autocorrelation_time, run_gibbs
+from conmult.core import CountVector, DirichletParams, chain_log_integrals, ordered_from_weights_array
+from conmult.posterior import (autocorrelation_time, has_exact_draws, run_gibbs,
+                               sample_ordered_posterior)
 from conmult.sampling import RngStream, sample_ordered_prior_array
 
 from conftest import FLY_COUNTS, chain_ordered_log_predictive
@@ -99,11 +102,12 @@ def exact_posterior_means(t, alpha_last):
     return (t + 1) / (t.sum() + 1) * np.exp(shifted - log_m)
 
 
-class TestExactMeansOracle:
-    @pytest.fixture(scope="class")
-    def means(self):
-        return exact_posterior_means(FLY_COUNTS, FLY_ALPHA_LAST)
+@pytest.fixture(scope="module")
+def means():
+    return exact_posterior_means(FLY_COUNTS, FLY_ALPHA_LAST)
 
+
+class TestExactMeansOracle:
     def test_means_sum_to_one(self, means):
         assert abs(means.sum() - 1.0) < 1e-6
         assert np.all(means[:-1] >= means[1:])
@@ -117,6 +121,132 @@ class TestExactMeansOracle:
                                   21_000, 1000, None, RngStream(seed))
         se = samples.std(axis=0) * np.sqrt(diag.autocorr_time / samples.shape[0])
         assert np.all(np.abs(samples.mean(axis=0) - means) <= 4 * se)
+
+
+def flat_mode_prior(k1, alpha_last):
+    alphas = np.ones(k1)
+    alphas[-1] = alpha_last
+    return DirichletParams(alphas)
+
+
+def rejection_oracle(counts, n_draws, gen):
+    """Means and their se under the flat cone prior: Dirichlet(t + 1) draws kept in the cone."""
+    draws = gen.dirichlet(np.asarray(counts) + 1.0, size=n_draws)
+    cone = draws[np.all(draws[:, :-1] >= draws[:, 1:], axis=1)]
+    return cone.mean(axis=0), cone.std(axis=0) / np.sqrt(len(cone)), len(cone)
+
+
+class TestExactSampler:
+    """Backward sampling on the chain integrals against independent oracles."""
+
+    def test_forward_log_mass_matches_chain_oracle(self):
+        # the oracle's stated grid error is about 6e-4 nats; the forward pass's is
+        # about 2e-4 against the same extrapolated value
+        t = FLY_COUNTS
+        k1, n, a = t.size, int(t.sum()), FLY_ALPHA_LAST
+        a0 = k1 - 1 + a
+        powers = t.astype(float)
+        powers[-1] += a - 1.0
+        _, log_g = chain_log_integrals(powers)
+        lg = math.lgamma
+        log_m = (lg(n + 1) - sum(lg(v + 1) for v in t) + lg(k1 + 1) + lg(a0) - lg(a)
+                 + (a - 1.0) * math.log(k1) + log_g[0, -1] - lg(n + a0))
+        assert abs(log_m - chain_ordered_log_predictive(t, a)) < 1e-3
+
+    def test_grid_rule(self):
+        # x = L u^3 over [0, L], L = 2(n + A) + 50, N = max(4096, 40 sqrt(L))
+        for counts, n_grid in (([5, 3, 1], 4096), ([10**6, 0, 0], 56569)):
+            x, log_g = chain_log_integrals(np.array(counts, dtype=float))
+            length = 2.0 * (sum(counts) + 3) + 50.0
+            assert log_g.shape == (3, n_grid) and x.size == n_grid
+            assert x[0] == 0.0 and x[-1] == length
+            np.testing.assert_allclose(np.cbrt(x / length), np.linspace(0, 1, n_grid),
+                                       atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fly_means_match_exact_means(self, means, seed):
+        samples = sample_ordered_posterior(CountVector(FLY_COUNTS),
+                                           flat_mode_prior(18, FLY_ALPHA_LAST), 200_000,
+                                           RngStream(seed))
+        se = samples.std(axis=0) / np.sqrt(samples.shape[0])
+        assert np.all(np.abs(samples.mean(axis=0) - means) <= 4 * se)
+
+    @pytest.mark.parametrize("counts, n_oracle", [
+        ([3, 2, 1], 400_000),
+        # about 4% of the flat-cone posterior's Dirichlet(t + 1) mass lies in the cone
+        ([241, 64, 31, 8, 7, 5, 3, 2, 2], 500_000),
+    ])
+    def test_means_match_rejection_oracle(self, rng, counts, n_oracle):
+        mean_oracle, se_oracle, _ = rejection_oracle(counts, n_oracle, rng)
+        samples = sample_ordered_posterior(CountVector(np.array(counts)),
+                                           DirichletParams(np.ones(len(counts))), 100_000,
+                                           RngStream(320))
+        se = samples.std(axis=0) / np.sqrt(samples.shape[0])
+        gap = np.abs(samples.mean(axis=0) - mean_oracle)
+        assert np.all(gap < 3.5 * np.sqrt(se_oracle**2 + se**2))
+
+    def test_marginals_match_thinned_gibbs_chain(self):
+        # thinned to twice the chain's largest autocorrelation time; 9 coordinates at
+        # 0.001 each keep the family-wise size below 1%
+        counts = CountVector(np.array([241, 64, 31, 8, 7, 5, 3, 2, 2]))
+        prior = DirichletParams(np.ones(9))
+        chain, diag = run_gibbs(counts, prior, 40_000, 1000, None, RngStream(310))
+        thinned = chain[::math.ceil(2 * diag.autocorr_time.max())]
+        exact = sample_ordered_posterior(counts, prior, 20_000, RngStream(311))
+        for j in range(9):
+            assert ks_2samp(thinned[:, j], exact[:, j]).pvalue > 0.001
+
+    def test_zero_data_draws_match_prior(self):
+        prior = flat_mode_prior(4, 3.0)
+        exact = sample_ordered_posterior(None, prior, 20_000, RngStream(312))
+        direct = sample_ordered_prior_array(prior, 20_000, RngStream(313))
+        for j in range(4):
+            assert ks_2samp(exact[:, j], direct[:, j]).pvalue > 0.0025
+
+    def test_large_n_matches_dirichlet(self):
+        # n = 10^6 in strongly decreasing cells: the cone holds all but a
+        # negligible share of Dirichlet(t + 1), which is then the posterior
+        t = np.round(1e6 * 0.3 * 0.7 ** np.arange(18)).astype(np.int64)
+        t[0] += 10**6 - t.sum()
+        samples = sample_ordered_posterior(CountVector(t), DirichletParams(np.ones(18)),
+                                           100_000, RngStream(314))
+        direct = np.random.default_rng(315).dirichlet(t + 1.0, size=100_000)
+        se = np.sqrt((samples.var(axis=0) + direct.var(axis=0)) / 100_000)
+        assert np.all(np.abs(samples.mean(axis=0) - direct.mean(axis=0)) < 4 * se)
+        # the sd ratio's se is about 0.3% at 100k draws each
+        np.testing.assert_allclose(samples.std(axis=0), direct.std(axis=0), rtol=0.015)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k1=st.integers(2, 24),
+        alpha_last=st.floats(1.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_finite_decreasing_reproducible(self, data, k1, alpha_last, seed):
+        # empty cells and totals from 1 to 10^6
+        cells = st.one_of(st.just(0), st.integers(0, 10), st.integers(0, 10**6 // k1 - 1))
+        counts = np.array(data.draw(st.lists(cells, min_size=k1, max_size=k1)))
+        counts[data.draw(st.integers(0, k1 - 1))] += 1
+        prior = flat_mode_prior(k1, alpha_last)
+        samples = sample_ordered_posterior(CountVector(counts), prior, 50, RngStream(seed))
+        assert samples.shape == (50, k1)
+        assert np.all(np.isfinite(samples))
+        assert np.all(samples[:, :-1] >= samples[:, 1:])
+        np.testing.assert_allclose(samples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        again = sample_ordered_posterior(CountVector(counts), prior, 50, RngStream(seed))
+        assert np.array_equal(samples.view(np.int64), again.view(np.int64))
+
+    def test_priors_outside_the_exact_family_are_refused(self):
+        assert has_exact_draws(flat_mode_prior(3, 1.0))
+        for alphas in ([1.0, 1.0, 0.5], [1.2, 1.0, 3.0], [0.1, 0.1, 0.1]):
+            prior = DirichletParams(np.array(alphas))
+            assert not has_exact_draws(prior)
+            with pytest.raises(ValueError, match="exact draws need"):
+                sample_ordered_posterior(None, prior, 10, RngStream(0))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sample_ordered_posterior(CountVector(np.array([1, 1])), flat_mode_prior(3, 1.0),
+                                     10, RngStream(0))
 
 
 def importance_oracle(counts, alpha, n_draws, seed):
