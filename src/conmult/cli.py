@@ -34,8 +34,6 @@ from .core import (
 )
 from .sampling import RngStream
 
-ENV_PREFIX = "CONMULT_"
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
@@ -55,14 +53,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
+def read_text(path, kind):
     try:
-        return cast(raw)
-    except ValueError as exc:
-        raise InputError(f"bad {ENV_PREFIX}{name}={raw!r}: {exc}") from exc
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def json_object(path, text, what, key=None):
+    """The JSON object in ``text``, read from ``path``, holding ``key`` if one is given.
+
+    ``what`` describes the expected object in the error message.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict) or (key is not None and key not in data):
+        raise InputError(f"{path}: expected an object with {what}")
+    return data
 
 
 def read_counts(path) -> CountVector:
@@ -71,19 +81,9 @@ def read_counts(path) -> CountVector:
     Category order is the data order and is semantically load-bearing for
     ordered models.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read counts file {path}: {exc}") from exc
+    text = read_text(path, "counts")
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-        if not isinstance(data, dict) or "counts" not in data:
-            raise InputError(f'{path}: expected an object with a "counts" array')
-        values = data["counts"]
+        values = json_object(path, text, 'a "counts" array', key="counts")["counts"]
     else:
         values = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -104,15 +104,7 @@ def read_prior(path):
     """Prior spec from JSON; returns (prior object, metadata dict)."""
     from .prior_check import OrderedDirichletPrior, RawDirichletPrior, TrinePrior
 
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read prior file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f'{path}: expected an object with a "type" field')
+    data = json_object(path, read_text(path, "prior"), 'a "type" field')
     kind = data.get("type")
     try:
         if kind == "trine":
@@ -130,11 +122,10 @@ def read_prior(path):
 
 
 def parse_region(text, n_cells):
-    if text.startswith("trine"):
-        a = 1.0 / 3.0
-        if ":" in text:
-            a = float(text.split(":", 1)[1])
-        return TrineEllipse(a=a)
+    if text == "trine":
+        return TrineEllipse(a=1.0 / 3.0)
+    if text.startswith("trine:"):
+        return TrineEllipse(a=float(text[len("trine:"):]))
     named = {
         "ordered": lambda: OrderedCone(dim=n_cells),
         "tetrahedron": tetrahedron_region,
@@ -206,8 +197,7 @@ def write_csv(out_dir, name, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_check_model(args):
-    from .model_check import (build_zm_table, rb_distance_check, rb_grouped_check,
-                              rb_region_check)
+    from .model_check import rb_distance_check, rb_grouped_check, rb_region_check
 
     t = read_counts(args.counts)
     if args.zm_delta is None:
@@ -223,9 +213,7 @@ def cmd_check_model(args):
     if args.zm_delta is not None:
         if args.group is not None:
             raise InputError("--group does not apply to the ZM distance check")
-        table = build_zm_table(t.k, args.zm_delta)
-        rep = rb_distance_check(t, args.zm_delta, table, args.draws, rng,
-                                workers=args.workers)
+        rep = rb_distance_check(t, args.zm_delta, args.draws, rng, workers=args.workers)
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
         write_csv(args.out, "distance_densities.csv",
                   ["bin_left", "prior_density", "post_density"],
@@ -281,8 +269,8 @@ def _require_model_pass(args):
         raise InputError(
             f"no model check report at {path}; run check-model first or pass --force"
         )
-    with open(path) as fh:
-        verdict = json.load(fh).get("verdict")
+    verdict = json_object(path, read_text(path, "model check report"),
+                          'a "verdict" field').get("verdict")
     if verdict != "favor":
         raise InputError(
             f"model check verdict is {verdict!r}, not 'favor'; checking the prior "
@@ -442,23 +430,17 @@ def cmd_consistency(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    parser = _Parser(
-        prog="conmult",
-        description="Bayesian checks for constrained multinomial models "
-                    "(defaults can be overridden via CONMULT_* environment variables)",
-    )
+    parser = _Parser(prog="conmult",
+                     description="Bayesian checks for constrained multinomial models")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, draws=False):
-        p.add_argument("--seed", type=int,
-                       default=_env_default("SEED", 20260810, int))
-        p.add_argument("--out", default=_env_default("OUT", "out", str))
-        p.add_argument("--workers", type=int,
-                       default=_env_default("WORKERS", 1, int))
+        p.add_argument("--seed", type=int, default=20260810)
+        p.add_argument("--out", default="out")
+        p.add_argument("--workers", type=int, default=1)
         if draws:
-            p.add_argument("--draws", type=int,
-                           default=_env_default("DRAWS", 100_000, int))
+            p.add_argument("--draws", type=int, default=100_000)
 
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)
@@ -473,8 +455,8 @@ def build_parser():
     p = sub.add_parser("check-prior", help="prior-data conflict check")
     p.add_argument("--counts", required=True)
     p.add_argument("--prior", required=True)
-    p.add_argument("--npred", type=int, default=_env_default("NPRED", 1000, int))
-    p.add_argument("--nis", type=int, default=_env_default("NIS", 10_000, int))
+    p.add_argument("--npred", type=int, default=1000)
+    p.add_argument("--nis", type=int, default=10_000)
     p.add_argument("--tau", type=float, help="fixed proposal concentration")
     p.add_argument("--group", help="stride=K grouped check of an elicited prior")
     p.add_argument("--threshold", type=float, default=0.05)
@@ -491,7 +473,7 @@ def build_parser():
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--draws", type=int, default=_env_default("DRAWS", 40_000, int))
+    p.add_argument("--draws", type=int, default=40_000)
     common(p)
     p.set_defaults(func=cmd_elicit)
 

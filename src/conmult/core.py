@@ -59,7 +59,8 @@ class CountVector:
         arr = np.array(self.counts)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("count vector needs at least 2 cells")
-        if np.any(arr < 0) or not np.all(arr == np.floor(arr)):
+        # bools, strings and objects (a null among numbers) are no counts
+        if arr.dtype.kind not in "iuf" or np.any(arr < 0) or not np.all(arr == np.floor(arr)):
             raise ValueError("counts must be nonnegative integers")
         arr = arr.astype(np.int64)
         if arr.sum() < 1:

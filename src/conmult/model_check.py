@@ -178,18 +178,11 @@ def rb_grouped_check(t: CountVector, spec, n_draws: int, rng: RngStream,
 # Zipf-Mandelbrot table and KL projection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BetaGrid:
-    """Grid specification for the ZM table."""
-
-    beta_min: float = 0.05
-    beta_max: float = 25.0
-    n_beta: int = 60
-    n_alpha: int = 24
-    alpha_min: float = -0.95
-
-    def betas(self):
-        return np.geomspace(self.beta_min, self.beta_max, self.n_beta)
+# the ZM table's grid: betas geometric on [0.05, 25], and per beta ZM_N_ALPHA
+# alphas from ZM_ALPHA_MIN up to the delta-redundancy bound
+ZM_BETAS = np.geomspace(0.05, 25.0, 60)
+ZM_N_ALPHA = 24
+ZM_ALPHA_MIN = -0.95
 
 
 def kl_uniform_to_zm(alpha, beta, k1):
@@ -240,7 +233,6 @@ ZM_SCAN_ROWS = 1024
 class ZmTable:
     """Tabulated ZM distributions used to seed the KL projection."""
 
-    k: int
     params: np.ndarray = field(repr=False)      # (E, 2) alpha, beta
     log_probs: np.ndarray = field(repr=False)   # (E, k+1)
 
@@ -249,34 +241,28 @@ class ZmTable:
         return self.params.shape[0]
 
 
-def build_zm_table(k: int, delta: float, grid: BetaGrid = BetaGrid()) -> ZmTable:
+def build_zm_table(k: int, delta: float) -> ZmTable:
     """Build the ZM table for k+1 cells at resolution delta.
 
-    One uniform entry for beta = 0, then per grid beta an alpha sweep from
-    alpha_min up to the delta-redundancy bound. The table builds in about
+    One uniform entry for beta = 0, then per ZM_BETAS beta an alpha sweep from
+    ZM_ALPHA_MIN up to the delta-redundancy bound. The table builds in about
     4 ms (18 cells, delta = 0.02, one core), so nothing is cached.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if grid.n_beta < 1 or grid.n_alpha < 1:
-        raise ValueError("empty grid")
     k1 = k + 1
     rows = [(0.0, 0.0)]
-    betas = grid.betas()
-    for beta, amax in zip(betas, alpha_upper_bounds(betas, delta, k1)):
-        if not amax > grid.alpha_min:
+    for beta, amax in zip(ZM_BETAS, alpha_upper_bounds(ZM_BETAS, delta, k1)):
+        if not amax > ZM_ALPHA_MIN:
             continue
         # geometric in 1 + alpha: the admissible range spans orders of magnitude
-        sweep = np.geomspace(1.0 + grid.alpha_min, 1.0 + amax, grid.n_alpha) - 1.0
+        sweep = np.geomspace(1.0 + ZM_ALPHA_MIN, 1.0 + amax, ZM_N_ALPHA) - 1.0
         rows.extend((float(a), float(beta)) for a in sweep)
     params = np.array(rows)
-    log_probs = zm_log_probs_array(params[:, 0], params[:, 1], k1)
-    return ZmTable(k=k, params=params, log_probs=log_probs)
+    return ZmTable(params=params, log_probs=zm_log_probs_array(params[:, 0], params[:, 1], k1))
 
 
-def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
-                      n_iters: int = 50, step_alpha: float = 0.5,
-                      step_beta: float = 0.1):
+def zm_distance_batch(thetas, table: ZmTable, refine: bool = True):
     """KL distance from each row of ``thetas`` to the ZM family.
 
     Table scan first, then coordinate-wise pattern search with step halving
@@ -302,13 +288,14 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True,
     beta = table.params[j, 1].copy()
     if not refine:
         return best, alpha, beta
-    best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha, beta,
-                                        n_iters, step_alpha, step_beta)
+    best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha, beta)
     return np.maximum(best, 0.0), alpha, beta
 
 
 # the search keeps alpha above -1, where ZM is defined
 ALPHA_FLOOR = -1.0 + 1e-9
+# the search's schedule: iterations, and the first alpha and beta steps
+SEARCH_ITERS, STEP_ALPHA, STEP_BETA = 50, 0.5, 0.1
 
 
 def _kl_closed(b, log_a, m_sum, neg_ent, mass, out=None):
@@ -328,7 +315,7 @@ def _kl_closed(b, log_a, m_sum, neg_ent, mass, out=None):
     return neg_ent + b * (m_sum - mass * l1) + mass * np.log(np.add.reduce(w, axis=0))
 
 
-def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_beta):
+def _pattern_search(th_t, neg_ent, best, alpha, beta):
     """Coordinate pattern search with step halving, in place; returns (best, alpha, beta).
 
     Per iteration each draw tries alpha +/- its step, then beta +/- its step,
@@ -343,9 +330,9 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta, n_iters, step_alpha, step_
     log_a = np.log(alpha + cells)
     m_sum = np.einsum("ij,ij->j", th_t, log_a)
     work = np.empty_like(th_t)  # reused: a fresh cells-by-draws array costs page faults
-    sa = np.full(n, step_alpha)
-    sb = np.full(n, step_beta)
-    for _ in range(n_iters):
+    sa = np.full(n, STEP_ALPHA)
+    sb = np.full(n, STEP_BETA)
+    for _ in range(SEARCH_ITERS):
         improved = np.zeros(n, dtype=bool)
         for sign in (1, -1):
             a2 = np.maximum(alpha + sign * sa, ALPHA_FLOOR)
@@ -402,19 +389,17 @@ def _distance_sample(alphas, table, n_draws, rng, workers):
     )
 
 
-def rb_distance_check(t: CountVector, delta: float, table: ZmTable,
-                      n_draws: int, rng: RngStream, workers: int = 1) -> DistanceCheckReport:
+def rb_distance_check(t: CountVector, delta: float, n_draws: int, rng: RngStream,
+                      workers: int = 1) -> DistanceCheckReport:
     """Distance-based check of the ZM hypothesis via the family KL distance.
 
     Samples the distance under the flat prior and under the Dirichlet(t+1)
-    posterior, bins both on [0, delta), [delta, 2 delta), ..., and compares
+    posterior, both projected on the ZM table for t's cells at resolution
+    delta, bins both on [0, delta), [delta, 2 delta), ..., and compares
     first-bin contents. When no prior draw lands in the first bin the ratio is
     undefined and the report is flagged; more draws may resolve it.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if len(t) != table.k + 1:
-        raise ValueError(f"table is for {table.k + 1} cells, counts have {len(t)}")
+    table = build_zm_table(t.k, delta)
     k1 = len(t)
     d_prior = _distance_sample(DirichletParams(np.ones(k1)), table,
                                n_draws, rng.substream(0), workers)

@@ -25,9 +25,7 @@ from conmult.core import (
 )
 from conmult.elicitation import ElicitationInput, find_tau_result
 from conmult.model_check import (
-    BetaGrid,
     Strided,
-    build_zm_table,
     consecutive_blocks,
     rb_distance_check,
     rb_grouped_check,
@@ -122,10 +120,8 @@ def test_criterion_2_grouped_ordered_check():
 
 
 def test_criterion_3_zm_distance_check():
-    table = build_zm_table(17, 0.02, BetaGrid())
     start = time.perf_counter()
-    rep = rb_distance_check(CountVector(FLY_COUNTS), 0.02, table, 100_000,
-                            RngStream(8301))
+    rep = rb_distance_check(CountVector(FLY_COUNTS), 0.02, 100_000, RngStream(8301))
     elapsed = time.perf_counter() - start
     below = float(rep.post_hist[0])
     rb_txt = "undefined (first prior bin empty)" if rep.prior_first_bin_empty \

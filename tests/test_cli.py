@@ -25,9 +25,9 @@ def write_counts(path, counts, fmt="json"):
 
 
 def fresh_env():
-    """The caller's environment with ``src`` on PYTHONPATH and no CONMULT_* defaults."""
+    """The caller's environment with ``src`` on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CONMULT_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
@@ -427,15 +427,29 @@ class TestInputErrors:
                       "--group", "pairs", "--draws", "1000"], id="zm-with-group"),
         pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "0.05",
                       "--region", "ordered", "--draws", "1000"], id="zm-with-region"),
+        pytest.param(["check-model", "--counts", "{trine}", "--region", "trinex",
+                      "--draws", "1000"], id="region-trinex"),
+        # counts that are not numbers, and a model report that is not an object
+        pytest.param(["check-model", "--counts", "{nulls}", "--draws", "1000"], id="null-counts"),
+        pytest.param(["check-model", "--counts", "{strings}", "--draws", "1000"],
+                     id="string-counts"),
+        pytest.param(["check-model", "--counts", "{bools}", "--draws", "1000"], id="bool-counts"),
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--model-report", "{report}", "--npred", "20", "--nis", "100"],
+                     id="list-model-report"),
     ])
     def test_exits_1_with_input_error(self, tmp_path, capsys, argv):
         files = {}
         for name, counts in (("pair", np.array([5, 3])), ("trine", TRINE_SYMMETRIC)):
             (tmp_path / name).mkdir()
             files[name] = write_counts(tmp_path / name, counts)
-        files["prior"] = str(tmp_path / "prior.json")
-        with open(files["prior"], "w") as fh:
-            json.dump({"type": "trine", "a": 1 / 3}, fh)
+        for name, obj in (("prior", {"type": "trine", "a": 1 / 3}), ("report", [1, 2]),
+                          ("nulls", {"counts": [1, None, 3]}),
+                          ("strings", {"counts": ["3", "2", "1"]}),
+                          ("bools", {"counts": [True, False, True]})):
+            files[name] = str(tmp_path / f"{name}.json")
+            with open(files[name], "w") as fh:
+                json.dump(obj, fh)
         code = main([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
         assert code == 1
         assert "input error:" in capsys.readouterr().err
@@ -640,18 +654,3 @@ class TestConsistencyCommand:
                      "--schedule", "50", "--replications", "5",
                      "--out", str(tmp_path / "out")])
         assert code == 1
-
-
-class TestEnvOverrides:
-    def test_seed_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONMULT_SEED", "12345")
-        counts = write_counts(tmp_path, TRINE_SYMMETRIC)
-        out = str(tmp_path / "out")
-        assert main(["check-model", "--counts", counts, "--region", "trine",
-                     "--draws", "2000", "--out", out]) == 0
-        assert load(out, "model_check.json")["config"]["seed"] == 12345
-
-    def test_bad_environment_value_is_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("CONMULT_SEED", "abc")
-        assert main(["--version"]) == 1
-        assert "input error: bad CONMULT_SEED" in capsys.readouterr().err

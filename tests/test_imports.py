@@ -83,3 +83,24 @@ def test_guard_skips_function_bodies_only():
               "    def m(self):\n        import conmult.sampling\n")
     assert module_level_imports(source) == {"core", "posterior", "elicitation", "model_check",
                                             "prior_check"}
+
+
+def environment_reads(source):
+    """Lines of ``source`` that read ``os.environ`` or call ``os.getenv``, however imported."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+                  or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+                  or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                      and {a.name for a in node.names} & {"environ", "getenv"}))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # flags are set on the command line alone
+    assert environment_reads(path.read_text()) == []
+
+
+def test_guard_sees_every_way_to_read_the_environment():
+    source = ("import os\nfrom os import getenv as g, environ\nos.environ.get('A')\n"
+              "os.getenv('B')\nenviron['C']\nx = os.path.join('environ')\n")
+    assert environment_reads(source) == [2, 3, 4, 5]

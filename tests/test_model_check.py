@@ -18,7 +18,9 @@ from conmult.core import (
 )
 from conmult.model_check import (
     ALPHA_FLOOR,
-    BetaGrid,
+    ZM_ALPHA_MIN,
+    ZM_BETAS,
+    ZM_N_ALPHA,
     CheckReport,
     Strided,
     alpha_upper_bounds,
@@ -161,7 +163,7 @@ class TestGroupedPriorMassLaw:
 
 @pytest.fixture(scope="module")
 def fly_table():
-    return build_zm_table(17, 0.02, BetaGrid())
+    return build_zm_table(17, 0.02)
 
 
 def scalar_alpha_upper_bound(beta, delta, k1):
@@ -187,14 +189,14 @@ def scalar_alpha_upper_bound(beta, delta, k1):
     return float(lo)
 
 
-def scalar_table(k, delta, grid):
+def scalar_table(k, delta):
     """(params, log_probs) of the ZM table built from the scalar bisection."""
     rows = [(0.0, 0.0)]
-    for beta in grid.betas():
+    for beta in ZM_BETAS:
         amax = scalar_alpha_upper_bound(float(beta), delta, k + 1)
-        if amax is None or amax <= grid.alpha_min:
+        if amax is None or amax <= ZM_ALPHA_MIN:
             continue
-        sweep = np.geomspace(1.0 + grid.alpha_min, 1.0 + amax, grid.n_alpha) - 1.0
+        sweep = np.geomspace(1.0 + ZM_ALPHA_MIN, 1.0 + amax, ZM_N_ALPHA) - 1.0
         rows.extend((float(a), float(beta)) for a in sweep)
     params = np.array(rows)
     return params, zm_log_probs_array(params[:, 0], params[:, 1], k + 1)
@@ -218,16 +220,10 @@ class TestZmTable:
         assert np.isnan(got).tolist() == [w is None for w in want]
         assert same_bits(got[~np.isnan(got)], [w for w in want if w is not None])
 
-    @pytest.mark.parametrize("k,delta,grid", [
-        (17, 0.02, BetaGrid()),
-        (3, 0.05, BetaGrid()),
-        (40, 0.01, BetaGrid()),
-        (17, 0.02, BetaGrid(beta_min=0.01, beta_max=60.0, n_beta=90, n_alpha=10,
-                            alpha_min=-0.99)),
-    ])
-    def test_table_equals_scalar_build(self, k, delta, grid):
-        table = build_zm_table(k, delta, grid)
-        params, log_probs = scalar_table(k, delta, grid)
+    @pytest.mark.parametrize("k,delta", [(17, 0.02), (3, 0.05), (40, 0.01)])
+    def test_table_equals_scalar_build(self, k, delta):
+        table = build_zm_table(k, delta)
+        params, log_probs = scalar_table(k, delta)
         assert same_bits(table.params, params)
         assert same_bits(table.log_probs, log_probs)
 
@@ -260,9 +256,7 @@ class TestZmTable:
         d, _, _ = zm_distance_batch(np.exp(fly_table.log_probs), fly_table)
         assert d.max() <= 0.02 / 2
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            build_zm_table(3, 0.05, BetaGrid(n_beta=0))
+    def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             build_zm_table(3, 0.0)
 
@@ -303,8 +297,7 @@ def test_row_sums_bitwise_equal_numpy(x):
     assert same_bits(_row_sums(x.T), np.sum(x, axis=-1))
 
 
-def draws_by_cells_search(thetas, table, refine=True, n_iters=50, step_alpha=0.5,
-                          step_beta=0.1):
+def draws_by_cells_search(thetas, table, refine=True):
     """The pattern search written on (draws, cells) arrays with ``np.sum``.
 
     Every trial is valued with ``zm_log_probs_array``, the oracle that
@@ -325,9 +318,10 @@ def draws_by_cells_search(thetas, table, refine=True, n_iters=50, step_alpha=0.5
     def kl_at(a, b):
         return neg_ent - np.sum(th * zm_log_probs_array(a, b, k1), axis=1)
 
-    sa = np.full(th.shape[0], step_alpha)
-    sb = np.full(th.shape[0], step_beta)
-    for _ in range(n_iters):
+    # 50 iterations from steps of 0.5 in alpha and 0.1 in beta
+    sa = np.full(th.shape[0], 0.5)
+    sb = np.full(th.shape[0], 0.1)
+    for _ in range(50):
         improved = np.zeros(th.shape[0], dtype=bool)
         for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             a2 = np.maximum(alpha + da * sa, -1.0 + 1e-9)
@@ -341,7 +335,7 @@ def draws_by_cells_search(thetas, table, refine=True, n_iters=50, step_alpha=0.5
     return np.maximum(best, 0.0), alpha, beta
 
 
-def assert_agrees_with_oracle(th, table, **kwargs):
+def assert_agrees_with_oracle(th, table):
     """Refined distances match ``draws_by_cells_search`` and never exceed the scan's.
 
     Only draws whose scan starts at beta > 0 are compared. From the uniform
@@ -349,8 +343,8 @@ def assert_agrees_with_oracle(th, table, **kwargs):
     beta = 0, can differ from the scan's bits in the last place and send the
     search down another path.
     """
-    got, _, _ = zm_distance_batch(th, table, **kwargs)
-    want, _, _ = draws_by_cells_search(th, table, **kwargs)
+    got, _, _ = zm_distance_batch(th, table)
+    want, _, _ = draws_by_cells_search(th, table)
     scan, _, beta = zm_distance_batch(th, table, refine=False)
     assert np.all(got <= np.maximum(scan, 0.0))
     start = beta > 0
@@ -418,21 +412,21 @@ def cells_by_draws(th):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k1=st.integers(2, 24), conc=st.floats(0.05, 500.0), n_iters=st.sampled_from([1, 5, 50]),
+@given(k1=st.integers(2, 24), conc=st.floats(0.05, 500.0),
        shape=st.sampled_from(["plain", "zeros", "vertex"]), seed=st.integers(0, 2 ** 32 - 1))
-@example(k1=18, conc=1.0, n_iters=50, shape="plain", seed=0)
-@example(k1=18, conc=0.05, n_iters=50, shape="zeros", seed=1)
-def test_search_agrees_with_draws_by_cells_search(k1, conc, n_iters, shape, seed):
+@example(k1=18, conc=1.0, shape="plain", seed=0)
+@example(k1=18, conc=0.05, shape="zeros", seed=1)
+def test_search_agrees_with_draws_by_cells_search(k1, conc, shape, seed):
     th = draws(np.random.default_rng(seed), k1, conc, shape, 40)
-    assert_agrees_with_oracle(th, table_for(k1), n_iters=n_iters)
+    assert_agrees_with_oracle(th, table_for(k1))
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("k1", [2, 18, 24])
     def test_matches_zm_log_probs_at_the_extremes(self, k1):
         # the search reaches alpha down to ALPHA_FLOOR and up to the table's
-        # largest alpha plus n_iters alpha steps, and beta up to the grid's
-        # largest beta plus n_iters beta steps; at beta = 65 and ALPHA_FLOOR
+        # largest alpha plus 50 alpha steps, and beta up to the grid's
+        # largest beta plus 50 beta steps; at beta = 65 and ALPHA_FLOOR
         # the unshifted sum of (alpha + i)^-beta overflows
         with np.errstate(over="ignore"):
             assert np.isinf(np.float64(ALPHA_FLOOR + 1.0) ** -65.0)
@@ -443,7 +437,7 @@ class TestClosedForm:
         mass = np.add.reduce(th_t, axis=0)
         cells = np.arange(1, k1 + 1, dtype=float)[:, None]
         alpha_max = table_for(k1).params[:, 0].max() + 50 * 0.5
-        beta_max = BetaGrid().beta_max + 50 * 0.1
+        beta_max = ZM_BETAS[-1] + 50 * 0.1
         for a in (ALPHA_FLOOR, -1.0 + 1e-6, -0.5, 0.0, 3.0, alpha_max):
             log_a = np.log(np.full(th.shape[0], a) + cells)
             m_sum = np.einsum("ij,ij->j", th_t, log_a)
@@ -468,45 +462,37 @@ class TestClosedForm:
         assert same_bits(val, neg_ent + mass * np.log(18.0))
 
 
-@pytest.fixture(scope="module")
-def small_table():
-    return build_zm_table(3, 0.05, BetaGrid(n_beta=40, n_alpha=16))
-
-
 class TestDistanceCheck:
-    def test_histograms_normalize(self, small_table):
+    def test_histograms_normalize(self):
         t = CountVector(np.array([40, 30, 20, 10]))
-        rep = rb_distance_check(t, 0.05, small_table, 20_000, RngStream(50))
+        rep = rb_distance_check(t, 0.05, 20_000, RngStream(50))
         assert rep.prior_hist.sum() == pytest.approx(1.0, abs=1e-9)
         assert rep.post_hist.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_zm_like_data_favors(self, small_table):
+    def test_zm_like_data_favors(self):
         # counts proportional to a family member, large n
         probs = np.exp(zm_log_probs_array(0.0, 1.0, 4))
         t = CountVector(np.round(probs * 4000).astype(int))
-        rep = rb_distance_check(t, 0.05, small_table, 30_000, RngStream(51))
+        rep = rb_distance_check(t, 0.05, 30_000, RngStream(51))
         assert not rep.prior_first_bin_empty
         assert rep.rb_zero > 1
         assert rep.verdict() == "favor"
 
-    def test_far_from_family_data_against(self, small_table):
+    def test_far_from_family_data_against(self):
         # a markedly non-monotone profile cannot be fit by any family member
         theta = np.array([0.5, 0.01, 0.02, 0.47])
         t = CountVector(np.round(theta * 2000).astype(int))
-        rep = rb_distance_check(t, 0.05, small_table, 30_000, RngStream(52))
+        rep = rb_distance_check(t, 0.05, 30_000, RngStream(52))
         assert rep.rb_zero < 1
         assert rep.verdict() == "against"
 
-    def test_strength_bins_below_rb_zero(self, small_table):
+    def test_strength_bins_below_rb_zero(self):
         probs = np.exp(zm_log_probs_array(0.5, 1.5, 4))
         t = CountVector(np.round(probs * 4000).astype(int))
-        rep = rb_distance_check(t, 0.05, small_table, 30_000, RngStream(53))
+        rep = rb_distance_check(t, 0.05, 30_000, RngStream(53))
         assert 0 <= rep.strength <= 1
 
-    def test_rejects_bad_inputs(self, small_table):
+    def test_rejects_bad_inputs(self):
         t = CountVector(np.array([40, 30, 20, 10]))
         with pytest.raises(ValueError):
-            rb_distance_check(t, 0.0, small_table, 1000, RngStream(0))
-        with pytest.raises(ValueError):
-            rb_distance_check(CountVector(np.array([1, 1])), 0.05, small_table,
-                              1000, RngStream(0))
+            rb_distance_check(t, 0.0, 1000, RngStream(0))
