@@ -318,8 +318,8 @@ def cmd_check_prior(args):
     write_csv(args.out, "prior_check_points.csv", ["point", "log_m", "se"],
               [["obs", *rows[0]]] + [[str(j), *row] for j, row in enumerate(rows[1:])])
     payload.update({
-        "pvalue": rep.pvalue, "n_predictive": rep.n_predictive, "n_is": rep.n_is,
-        "tau": rep.tau, "log_m_obs": rep.log_m_obs,
+        "pvalue": rep.pvalue, "method": rep.method, "n_predictive": rep.n_predictive,
+        "n_is": rep.n_is, "tau": rep.tau, "log_m_obs": rep.log_m_obs,
         "ess_min": rep.ess_min, "ess_median": rep.ess_median,
         "n_failed": rep.n_failed, "unreliable": rep.unreliable,
         "tau_profile": rep.tau_profile,
@@ -456,8 +456,10 @@ def build_parser():
     p.add_argument("--counts", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--npred", type=int, default=1000)
-    p.add_argument("--nis", type=int, default=10_000)
-    p.add_argument("--tau", type=float, help="fixed proposal concentration")
+    p.add_argument("--nis", type=int, default=10_000,
+                   help="importance draws per point (ordered priors; echoed for the others)")
+    p.add_argument("--tau", type=float,
+                   help="fixed proposal concentration (ordered priors; echoed for the others)")
     p.add_argument("--group", help="stride=K grouped check of an elicited prior")
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--model-report", dest="model_report",

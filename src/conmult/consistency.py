@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CountVector, DirichletParams, SimplexPoint, gammaln, median
+from .core import CountVector, DirichletParams, SimplexPoint, log_dirichlet_multinomial, median
 from .sampling import RngStream, sample_multinomial_array
 
 ENUMERATION_GUARD = 10**8
@@ -40,24 +40,6 @@ def cell_index(r, n: int) -> CellIndex:
     rr = r.probs if isinstance(r, SimplexPoint) else np.asarray(r, dtype=float)
     idx = np.floor(n * rr[:-1] + 0.5).astype(int)
     return CellIndex(n=n, indices=tuple(idx))
-
-
-def log_dirichlet_multinomial(counts, alphas) -> float:
-    """Log predictive mass of counts under a Dirichlet prior (closed form).
-
-    ``counts`` may be one vector or a 2-D array of rows, one mass per row.
-    """
-    t = np.asarray(counts, dtype=float)
-    al = np.asarray(alphas, dtype=float)
-    n = t.sum(axis=-1)
-    return (
-        gammaln(n + 1)
-        - gammaln(t + 1).sum(axis=-1)
-        + gammaln(al.sum(axis=-1))
-        - gammaln(al).sum(axis=-1)
-        + gammaln(al + t).sum(axis=-1)
-        - gammaln(al.sum(axis=-1) + n)
-    )
 
 
 def enumerate_lattice(k: int, n: int) -> np.ndarray:

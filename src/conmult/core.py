@@ -59,12 +59,16 @@ class CountVector:
         arr = np.array(self.counts)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("count vector needs at least 2 cells")
-        # bools, strings and objects (a null among numbers) are no counts
-        if arr.dtype.kind not in "iuf" or np.any(arr < 0) or not np.all(arr == np.floor(arr)):
+        # bools, strings and objects (a null among numbers) are no counts, nor is inf
+        if (arr.dtype.kind not in "iuf" or np.any(arr < 0) or not np.all(np.isfinite(arr))
+                or not np.all(arr == np.floor(arr))):
             raise ValueError("counts must be nonnegative integers")
-        arr = arr.astype(np.int64)
-        if arr.sum() < 1:
+        total = sum(int(v) for v in arr.tolist())  # exact, so an int64 overflow shows
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"total count {total} does not fit in a 64-bit integer")
+        if total < 1:
             raise ValueError("total count must be >= 1")
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
@@ -440,6 +444,24 @@ def log_dirichlet_norm(alphas):
     """Dirichlet log normaliser log Gamma(sum alpha) - sum log Gamma(alpha), along the last axis."""
     al = np.asarray(alphas, dtype=float)
     return gammaln(al.sum(axis=-1)) - gammaln(al).sum(axis=-1)
+
+
+def log_dirichlet_multinomial(counts, alphas) -> float:
+    """Log predictive mass of counts under a Dirichlet prior (closed form).
+
+    ``counts`` may be one vector or a 2-D array of rows, one mass per row.
+    """
+    t = np.asarray(counts, dtype=float)
+    al = np.asarray(alphas, dtype=float)
+    n = t.sum(axis=-1)
+    return (
+        gammaln(n + 1)
+        - gammaln(t + 1).sum(axis=-1)
+        + gammaln(al.sum(axis=-1))
+        - gammaln(al).sum(axis=-1)
+        + gammaln(al + t).sum(axis=-1)
+        - gammaln(al.sum(axis=-1) + n)
+    )
 
 
 def log_dirichlet_pdf_array(x, alphas, norm=None):

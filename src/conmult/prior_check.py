@@ -2,10 +2,12 @@
 
 The conflict p-value locates the observed counts within their prior
 predictive distribution: predictive count vectors are simulated from the
-prior, the predictive density is estimated for each by importance sampling,
-and the p-value is the fraction with density estimates at or below the
-observed one. Priors may be specified up to a normalization constant; the
-constant cancels in the comparisons.
+prior, the predictive mass of each is computed, and the p-value is the
+fraction with masses at or below the observed one. A raw Dirichlet prior has
+the masses in closed form, the trine prior by quadrature with an error
+certificate, and the ordered prior by importance sampling. Priors may be
+specified up to a normalization constant; the constant cancels in the
+comparisons.
 """
 
 import math
@@ -20,6 +22,7 @@ from .core import (
     TrineEllipse,
     _row_sums,
     gammaln,
+    log_dirichlet_multinomial,
     log_dirichlet_norm,
     log_dirichlet_pdf_array,
     logsumexp,
@@ -41,17 +44,174 @@ class ProposalSupportError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# trine predictive masses by quadrature
+# ---------------------------------------------------------------------------
+
+# (nodes per axis, box half-width in standard deviations) of each level's
+# rule; a level's certificate compares its rule with the one before
+TRINE_RULES = ((16, 6.0), (32, 8.0), (64, 10.0), (128, 12.0))
+
+# quadrature nodes per block of rows: the temporaries stay near 1 MB, which
+# keeps the trine check-prior's peak RSS below check-model's; 1 << 15 added
+# 3 MB to it and ran no faster
+QUAD_BLOCK_NODES = 1 << 13
+
+
+def _end_maps(n):
+    """An n-node Gauss-Legendre rule on (0, 1) under four maps g: tables of g(s) and log(g'(s) w).
+
+    The nodes and weights come from the eigensystem of the Jacobi matrix
+    (Golub & Welsch 1969). Row ``lo + 2 hi`` serves an interval whose low
+    (lo = 1) or high (hi = 1) end lies on the ellipse, where the density has
+    a square-root zero: there g is a sine wave, flat at that end, which makes
+    the integrand analytic in s, so the rule converges as fast as at an open
+    end, where g is the identity.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    s, h = 0.5 * (x + 1.0), 0.25 * np.pi * (x + 1.0)
+    g = np.array([s, 1.0 - np.cos(h), np.sin(h), 0.5 - 0.5 * np.cos(2.0 * h)])
+    dg = np.array([np.full(n, 2.0 / np.pi), np.sin(h), np.cos(h), np.sin(2.0 * h)])
+    return g, np.log(0.5 * np.pi * dg * vecs[0] ** 2)
+
+
+def _clipped_nodes(box_lo, box_hi, edge_lo, edge_hi, maps):
+    """Nodes of the box interval clipped to the ellipse's, with log weights; -inf where empty."""
+    g, log_w = maps
+    case = (edge_lo > box_lo) + 2 * (edge_hi < box_hi)
+    lo = np.maximum(box_lo, edge_lo)
+    width = np.maximum(np.minimum(box_hi, edge_hi) - lo, 0.0)
+    with np.errstate(divide="ignore"):
+        return lo[..., None] + width[..., None] * g[case], np.log(width)[..., None] + log_w[case]
+
+
+def _trine_mode(t, region):
+    """Maximiser of sum t log theta + log(1 - q)/2 inside the ellipse, by damped Newton steps.
+
+    The function is concave, so the steps converge from any inside start:
+    (t + 0.5)/(n + 1.5), or that point pulled toward the centre when it lies
+    outside. A row stops once its step would gain under 1e-12 or cannot go
+    uphill. Returns the first two coordinates.
+    """
+    c, C = region.center, region.matrix
+    v = (t[:, :2] + 0.5) / (t.sum(axis=1, keepdims=True) + 1.5)
+    q = region.quad_form_array(v)
+    out = q >= 0.999
+    v[out] = c + (v[out] - c) * (0.999 / np.sqrt(q[out]))[:, None]
+
+    def value(t, v):
+        th = np.column_stack([v, 1.0 - v.sum(axis=1)])
+        q = region.quad_form_array(v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (t * np.log(th)).sum(axis=1) + 0.5 * np.log1p(-q)
+        return np.where((q < 1.0) & (th > 0).all(axis=1), f, -np.inf)
+
+    live, f = np.arange(len(t)), value(t, v)
+    for _ in range(100):
+        if not live.size:
+            break
+        tl, vl = t[live], v[live]
+        v3 = 1.0 - vl.sum(axis=1)
+        cd = (vl - c) @ C
+        r = 1.0 / (1.0 - region.quad_form_array(vl))
+        grad = tl[:, :2] / vl - (tl[:, 2] / v3)[:, None] - cd * r[:, None]
+        hess = (-(tl[:, 2] / v3**2)[:, None, None] - C * r[:, None, None]
+                - cd[:, :, None] * cd[:, None, :] * (r * r)[:, None, None])
+        hess[:, [0, 1], [0, 1]] -= tl[:, :2] / vl**2
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        keep = (grad * step).sum(axis=1) > 1e-12  # the Newton decrement, squared
+        live, tl, vl, step = live[keep], tl[keep], vl[keep], step[keep]
+        for _ in range(60):  # halve each row's step until it goes uphill
+            trial = value(tl, vl + step)
+            back = ~(trial >= f[live])
+            if not back.any():
+                break
+            step[back] *= 0.5
+        up = trial >= f[live]
+        v[live[up]] += step[up]
+        f[live[up]] = trial[up]
+        live = live[up]
+    return v
+
+
+def _trine_rule(t, prior, mode, n_nodes, width):
+    """log of the integral of prior density * multinomial(t | theta) / coefficient, one rule per row.
+
+    The rule is a tensor Gauss-Legendre rule in coordinates (u, v) with
+    theta = mode + a (u, v): a whitens the multinomial covariance at the mode
+    and turns v along the ellipse's normal there, so the inner integrals cross
+    the edge. The box |u|, |v| <= width (wider where a cell's expected count
+    is small, as its tail is long) is clipped to the ellipse per row and per
+    u node, with ``_end_maps``'s sine maps at the ends on the ellipse. The
+    nodes go through in blocks of rows of at most ``QUAD_BLOCK_NODES``.
+    """
+    region, maps = prior.region, _end_maps(n_nodes)
+    n = t.sum(axis=1) + 1.5
+    th = np.column_stack([mode, 1.0 - mode.sum(axis=1)])
+    chol = np.zeros((len(t), 2, 2))  # of the covariance (diag(theta) - theta theta^t) / n
+    chol[:, 0, 0] = np.sqrt(th[:, 0] * (1.0 - th[:, 0]) / n)
+    chol[:, 1, 0] = -th[:, 0] * th[:, 1] / n / chol[:, 0, 0]
+    chol[:, 1, 1] = np.sqrt(th[:, 1] * (1.0 - th[:, 1]) / n - chol[:, 1, 0] ** 2)
+    d = mode - region.center
+    cd = d @ region.matrix  # half the gradient of q
+    e = np.einsum("rji,rj->ri", chol, cd)  # the normal in whitened coordinates
+    norm = np.hypot(e[:, 0], e[:, 1])[:, None]
+    e = np.where(norm > 0, e / np.where(norm > 0, norm, 1.0), [0.0, 1.0])  # any at the centre
+    a = chol @ np.stack([np.column_stack([-e[:, 1], e[:, 0]]), e], axis=2)
+    # q(u, v) - 1 = (u, v) m (u, v)^t + 2 b . (u, v) + q1
+    m = np.einsum("rji,jk,rkl->ril", a, region.matrix, a)
+    b = np.einsum("rji,rj->ri", a, cd)
+    q1 = (d * cd).sum(axis=1) - 1.0
+    half = width * (1.0 + 1.0 / np.sqrt(n * th.min(axis=1)))
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+    mid = (m[:, 0, 1] * b[:, 1] - m[:, 1, 1] * b[:, 0]) / det
+    rad = np.sqrt(mid * mid + (b[:, 1] ** 2 - m[:, 1, 1] * q1) / det)
+    u, log_wu = _clipped_nodes(-half, half, mid - rad, mid + rad, maps)
+    # the chord in v at each u node
+    m00, m01, m11, b0, b1 = (col[:, None] for col in (m[:, 0, 0], m[:, 0, 1], m[:, 1, 1],
+                                                      b[:, 0], b[:, 1]))
+    lin = m01 * u + b1
+    disc = np.sqrt(np.maximum(lin * lin - m11 * ((m00 * u + 2.0 * b0) * u + q1[:, None]), 0.0))
+    v_lo, v_hi = (-lin - disc) / m11, (-lin + disc) / m11
+    x0 = mode[:, 0, None] + a[:, 0, 0, None] * u
+    y0 = mode[:, 1, None] + a[:, 1, 0, None] * u
+    out = np.empty(len(t))
+    size = max(1, QUAD_BLOCK_NODES // n_nodes**2)
+    for i in range(0, len(t), size):
+        r = slice(i, i + size)
+        box = np.broadcast_to(half[r, None], v_lo[r].shape)
+        v, log_f = _clipped_nodes(-box, box, v_lo[r], v_hi[r], maps)
+        log_f += log_wu[r, :, None]
+        x = x0[r, :, None] + a[r, 0, 1, None, None] * v
+        y = y0[r, :, None] + a[r, 1, 1, None, None] * v
+        z = 1.0 - x - y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_f += prior.log_density_array(np.stack([x, y, z], axis=-1).reshape(-1, 3)
+                                             ).reshape(x.shape)
+            for cell, counts in zip((x, y, z), t[r].T):
+                log_f += counts[:, None, None] * np.log(cell)
+        np.copyto(log_f, -np.inf, where=np.isnan(log_f))  # a node off the simplex, by rounding
+        out[r] = logsumexp(log_f.reshape(len(x), -1))
+    return out + np.log(chol[:, 0, 0] * chol[:, 1, 1])
+
+
+# ---------------------------------------------------------------------------
 # prior specifications
 # ---------------------------------------------------------------------------
 #
 # Every prior provides the importance-sampling interface used below:
 # ``proposal_alphas(counts, tau)`` gives the Dirichlet proposal of each count
-# row; ``importance_terms(draws, alphas, norms)`` takes a block of points'
+# row; and ``importance_terms(draws, alphas, norms)`` takes a block of points'
 # draws (B, n, K) from their proposals, with the proposals' parameters and
 # ``log_dirichlet_norm`` values, and returns log theta cells by draws
 # (K, B, n), which the caller may overwrite, with the log prior and log
-# proposal densities (B, n); and ``tau_grid(n)`` lists the concentrations
-# worth trying.
+# proposal densities (B, n). A prior whose masses ``conflict_pvalue`` gets
+# exactly instead has ``exact_log_predictive(ts, level)``, which returns the
+# log masses of the count rows ``ts`` and an error certificate for each,
+# ``exact_levels``, the number of levels it can refine to, and
+# ``exact_method``, the name the report gives the masses; the ordered prior
+# has ``tau_grid(n)``, the concentrations its tuning pilot tries.
 
 def _log_dirichlet_by_cells(log_x, alphas, norm):
     """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, B, n).
@@ -87,9 +247,6 @@ class _SimplexPrior:
             np.log(log_th, out=log_th)
         return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas, norms)
 
-    def tau_grid(self, n):
-        return (n,)
-
 
 @dataclass(frozen=True)
 class TrinePrior(_SimplexPrior):
@@ -120,6 +277,31 @@ class TrinePrior(_SimplexPrior):
         out[ok] = 0.5 * np.log1p(-q[ok])
         return out
 
+    exact_method, exact_levels = "quadrature", len(TRINE_RULES) - 1
+
+    def exact_log_predictive(self, ts, level=0):
+        """Log predictive masses of the count rows ``ts`` by quadrature, with certificates.
+
+        Each mass is a tensor Gauss-Legendre rule (``_trine_rule``) on a box
+        around the mode of the integrand, and the prior enters only through
+        ``log_density_array``, so a prior scaled by a constant gets masses
+        shifted by its log. Level k returns rule k + 1 of ``TRINE_RULES``; its
+        certificate is the distance to rule k, plus a bound on the rounding of
+        the log-gamma and log-likelihood terms, 16 ulp of
+        (n + 1) log(n + 2) + |log m|. Equal rows are computed once, so they
+        get equal bits.
+        """
+        index = {}
+        rows = [index.setdefault(key, len(index)) for key in map(tuple, np.asarray(ts).tolist())]
+        t = np.array(list(index), dtype=float).reshape(len(index), 3)
+        mode = _trine_mode(t, self.region)
+        rules = [_trine_rule(t, self, mode, *rule) for rule in TRINE_RULES[level:level + 2]]
+        n = t.sum(axis=1)
+        log_m = rules[1] + (gammaln(n + 1) - gammaln(t + 1).sum(axis=1))
+        cert = (np.abs(rules[1] - rules[0])
+                + 16 * np.finfo(float).eps * ((n + 1) * np.log(n + 2) + np.abs(log_m)))
+        return log_m[rows], cert[rows]
+
 
 @dataclass(frozen=True)
 class RawDirichletPrior(_SimplexPrior):
@@ -144,6 +326,13 @@ class RawDirichletPrior(_SimplexPrior):
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         return log_dirichlet_pdf_array(th, self.params.alphas, self.log_norm)
+
+    exact_method, exact_levels = "closed_form", 1
+
+    def exact_log_predictive(self, ts, level=0):
+        """Closed-form log predictive masses of the count rows ``ts``; certificates 0."""
+        log_m = log_dirichlet_multinomial(ts, self.params.alphas)
+        return log_m, np.zeros_like(log_m)
 
 
 @dataclass(frozen=True)
@@ -359,12 +548,10 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
     The estimator is pilot-run on a representative count vector at each grid
     value, grid value i on substream i, as one block; zero-weight values are
     excluded. Returns (tau, profile) with the profile a tuple of (tau, ess)
-    pairs, or (tau, None) for a one-value grid, which needs no pilot run.
+    pairs.
     """
     if len(tau_grid) == 0:
         raise ValueError("tau grid must be nonempty")
-    if len(tau_grid) == 1:
-        return float(tau_grid[0]), None
     taus = [float(tau) for tau in tau_grid]
     alphas = _proposal_alphas(t_repr.counts[None], prior, np.array(taus)[:, None])
     results = _is_log_predictive(np.broadcast_to(t_repr.counts, alphas.shape), prior,
@@ -382,6 +569,15 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
 
 @dataclass(frozen=True)
 class ConflictReport:
+    """The p-value and the masses behind it.
+
+    ``method`` is "closed_form", "quadrature" or "importance_sampling". The
+    se fields are the masses' error certificates for the first two and the
+    delta-method standard errors for the last, which alone has effective
+    sample sizes (``ess_min``/``ess_median``, else None) and uses ``tau``
+    (the exact methods echo it).
+    """
+
     pvalue: float
     n_predictive: int
     n_is: int
@@ -394,6 +590,7 @@ class ConflictReport:
     ess_median: float
     n_failed: int
     unreliable: bool
+    method: str
     tau_profile: tuple = None
 
 
@@ -403,21 +600,27 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     """Prior predictive p-value of the observed counts.
 
     Draws ``n_pred`` predictive count vectors (or uses ``predictive_counts``),
-    estimates each log predictive mass with its own proposal, and returns the
-    fraction at or below the observed estimate. Estimation failures count as
-    minus infinity and flag the report as unreliable above 1% of points.
-    Without ``tau``, it is tuned over ``prior.tau_grid`` on the first
-    predictive point.
+    computes each log predictive mass, and returns the fraction at or below
+    the observed one. A prior with ``exact_log_predictive`` gives the masses
+    with error certificates (see ``_exact_masses``); it draws no stream but
+    the predictive counts' substream 0 and ignores ``n_is`` and ``tau``,
+    which the report echoes (tau as n when not given).
 
-    The proposals of all points are built at once. Each point then draws on
-    its own substream (the observed counts on 2, predictive point j on 3 + j),
-    and the importance weights are evaluated for a block of points at a time
-    (see ``_is_log_predictive``), with ``workers`` threads sharing the blocks.
+    Otherwise each mass is estimated by importance sampling with its own
+    proposal. Estimation failures count as minus infinity and flag the report
+    as unreliable above 1% of points. Without ``tau``, it is tuned over
+    ``prior.tau_grid`` on the first predictive point. The proposals of all
+    points are built at once. Each point then draws on its own substream (the
+    observed counts on 2, predictive point j on 3 + j), and the importance
+    weights are evaluated for a block of points at a time (see
+    ``_is_log_predictive``), with ``workers`` threads sharing the blocks.
     Every estimate has the bits of a point-by-point evaluation, so results do
     not depend on the block size or on ``workers``.
     """
     if n_pred < 1 or n_is < 1:
         raise ValueError(f"need n_pred >= 1 and n_is >= 1, got {n_pred} and {n_is}")
+    if tau is not None and tau <= 0:
+        raise ValueError("tau must be > 0")
     if prior.dim != len(t_obs):
         raise ValueError(f"prior has {prior.dim} cells, counts have {len(t_obs)}")
     n = t_obs.n
@@ -428,35 +631,59 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
         t_pred = np.asarray(predictive_counts)
         if t_pred.shape[0] != n_pred:
             raise ValueError("predictive_counts length must equal n_pred")
-    tau_profile = None
-    if tau is None:
-        tau, tau_profile = tune_tau(CountVector(t_pred[0]), prior, prior.tau_grid(n),
-                                    rng.substream(1), min(n_is, 4000))
     ts = np.vstack([t_obs.counts, t_pred])
-    streams = [rng.substream(2)] + [rng.substream(3 + j) for j in range(n_pred)]
-    results = _is_log_predictive(ts, prior, _proposal_alphas(ts, prior, tau), n_is,
-                                 streams, workers)
-    lm_obs, se_obs, _ = results[0]
-    lm = np.array([r[0] for r in results[1:]])
-    se = np.array([r[1] for r in results[1:]])
-    ess = np.array([r[2] for r in results])
-    n_failed = int(np.sum(~np.isfinite(lm))) + (0 if np.isfinite(lm_obs) else 1)
-    pvalue = float(np.mean(lm <= lm_obs))
+    tau_profile = None
+    if hasattr(prior, "exact_log_predictive"):
+        lm, se, unresolved = _exact_masses(ts, prior)
+        method = prior.exact_method
+        ess_min = ess_median = None
+        tau = float(n) if tau is None else tau
+    else:
+        if tau is None:
+            tau, tau_profile = tune_tau(CountVector(t_pred[0]), prior, prior.tau_grid(n),
+                                        rng.substream(1), min(n_is, 4000))
+        streams = [rng.substream(2)] + [rng.substream(3 + j) for j in range(n_pred)]
+        results = _is_log_predictive(ts, prior, _proposal_alphas(ts, prior, tau), n_is,
+                                     streams, workers)
+        lm, se, ess = (np.array(col) for col in zip(*results))
+        method, unresolved = "importance_sampling", False
+        ess_min, ess_median = float(ess.min()), float(median(ess))
+    n_failed = int(np.sum(~np.isfinite(lm)))
     return ConflictReport(
-        pvalue=pvalue,
+        pvalue=float(np.mean(lm[1:] <= lm[0])),
         n_predictive=n_pred,
         n_is=n_is,
         tau=float(tau),
-        log_m_obs=float(lm_obs),
-        se_obs=float(se_obs),
-        log_m_pred=lm,
-        se_pred=se,
-        ess_min=float(ess.min()),
-        ess_median=float(median(ess)),
+        log_m_obs=float(lm[0]),
+        se_obs=float(se[0]),
+        log_m_pred=lm[1:],
+        se_pred=se[1:],
+        ess_min=ess_min,
+        ess_median=ess_median,
         n_failed=n_failed,
-        unreliable=n_failed > 0.01 * (n_pred + 1),
+        unreliable=unresolved or n_failed > 0.01 * (n_pred + 1),
+        method=method,
         tau_profile=tau_profile,
     )
+
+
+def _exact_masses(ts, prior):
+    """Log masses of the count rows ``ts`` (observed first), certificates, and whether a rank is open.
+
+    Every row whose interval log m +- certificate meets the observed one is
+    refined, with the observed row, up to ``prior.exact_levels``. A row equal
+    to the observed counts gets the observed mass bit for bit, so it ranks as
+    a tie, and so does a row whose mass equals it with both certificates 0;
+    any other row that still meets the observed interval leaves its rank open.
+    """
+    lm, cert = prior.exact_log_predictive(ts)
+    tie = np.all(ts == ts[0], axis=1)
+    for level in range(1, prior.exact_levels + 1):
+        near = np.abs(lm - lm[0]) <= cert + cert[0]
+        open_ = near & ~tie & (cert + cert[0] > 0)
+        if level == prior.exact_levels or not open_.any():
+            return lm, cert, bool(open_.any())
+        lm[near], cert[near] = prior.exact_log_predictive(ts[near], level)
 
 
 # ---------------------------------------------------------------------------

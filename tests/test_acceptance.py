@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conmult.consistency import convergence_experiment, log_dirichlet_multinomial
+from conmult.consistency import convergence_experiment
 from conmult.core import (
     CountVector,
     DirichletParams,
     SimplexPoint,
     TrineEllipse,
+    log_dirichlet_multinomial,
     ordered_from_weights,
     weights_from_ordered,
 )

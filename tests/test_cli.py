@@ -414,6 +414,9 @@ class TestInputErrors:
                       "--force", "--npred", "0", "--nis", "500"], id="npred-0"),
         pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
                       "--force", "--npred", "20", "--nis", "0"], id="nis-0"),
+        # an exact-mass prior ignores --tau but still refuses a nonpositive one
+        pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
+                      "--force", "--npred", "20", "--nis", "100", "--tau", "0"], id="tau-0"),
         pytest.param(["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
                       "--schedule", "50", "--replications", "0"], id="replications-0"),
         # options out of range or not applicable
@@ -434,6 +437,11 @@ class TestInputErrors:
         pytest.param(["check-model", "--counts", "{strings}", "--draws", "1000"],
                      id="string-counts"),
         pytest.param(["check-model", "--counts", "{bools}", "--draws", "1000"], id="bool-counts"),
+        # totals beyond int64, as integers and as a float, and an infinite count
+        pytest.param(["check-model", "--counts", "{huge}", "--draws", "1000"], id="huge-counts"),
+        pytest.param(["check-model", "--counts", "{huge_float}", "--draws", "1000"],
+                     id="huge-float-counts"),
+        pytest.param(["check-model", "--counts", "{inf}", "--draws", "1000"], id="inf-counts"),
         pytest.param(["check-prior", "--counts", "{trine}", "--prior", "{prior}",
                       "--model-report", "{report}", "--npred", "20", "--nis", "100"],
                      id="list-model-report"),
@@ -446,7 +454,10 @@ class TestInputErrors:
         for name, obj in (("prior", {"type": "trine", "a": 1 / 3}), ("report", [1, 2]),
                           ("nulls", {"counts": [1, None, 3]}),
                           ("strings", {"counts": ["3", "2", "1"]}),
-                          ("bools", {"counts": [True, False, True]})):
+                          ("bools", {"counts": [True, False, True]}),
+                          ("huge", {"counts": [2**62, 2**62, 5]}),
+                          ("huge_float", {"counts": [1e19, 5, 5]}),
+                          ("inf", {"counts": [float("inf"), 1, 1]})):
             files[name] = str(tmp_path / f"{name}.json")
             with open(files[name], "w") as fh:
                 json.dump(obj, fh)

@@ -21,9 +21,8 @@ from conmult.consistency import (
     lattice_masses,
     lattice_pvalue,
     limiting_pvalue,
-    log_dirichlet_multinomial,
 )
-from conmult.core import CountVector, DirichletParams, SimplexPoint
+from conmult.core import CountVector, DirichletParams, SimplexPoint, log_dirichlet_multinomial
 from conmult.prior_check import RawDirichletPrior, TrinePrior, conflict_pvalue
 from conmult.sampling import RngStream, sample_multinomial_array
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestSimplexTypes:
             CountVector(np.array([1, -1]))
         with pytest.raises(ValueError):
             CountVector(np.array([0, 0]))
+
+    @pytest.mark.parametrize("counts", [[2**62, 2**62, 5], [1e19, 5, 5]], ids=["int", "float"])
+    def test_counts_reject_a_total_beyond_int64(self, counts):
+        # the int sum would wrap negative and the float cast is invalid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="does not fit in a 64-bit integer"):
+                CountVector(np.array(counts))
 
     def test_zm_params_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from conftest import FLY_COUNTS, TRINE_SYMMETRIC
 
 # (pvalue, log_m_obs, tau, tau_profile) for check-prior, (rb, post_prob) for check-model
 PINS = {
-    "trine": (0.73, -17.843042014371946, 7076.0, None),
+    # trine masses are quadratures; tau is echoed, not used
+    "trine": (0.73, -17.842807156680465, 7076.0, None),
     "fly": (0.16666666666666666, -51.23152593438465, 7.820597924815739,
             [[3.63, 17.585878548804335], [7.820597924815739, 19.61897215043788],
              [16.848967466014386, 2.127327831302551], [36.29999999999999, 1.403901896492942],

@@ -2,7 +2,11 @@
 module-level imports of command modules that the front end loads only on demand."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -104,3 +108,23 @@ def test_guard_sees_every_way_to_read_the_environment():
     source = ("import os\nfrom os import getenv as g, environ\nos.environ.get('A')\n"
               "os.getenv('B')\nenviron['C']\nx = os.path.join('environ')\n")
     assert environment_reads(source) == [2, 3, 4, 5]
+
+
+def test_ordered_check_prior_loads_no_quadrature_or_consistency(tmp_path):
+    """The trine quadrature builds its nodes with numpy.linalg, so an ordered check loads neither."""
+    counts, prior = tmp_path / "counts.json", tmp_path / "prior.json"
+    counts.write_text(json.dumps({"counts": [30, 20, 12, 8, 5]}))
+    prior.write_text(json.dumps({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 4 + [3.0]}))
+    script = f"""
+import sys
+from conmult.cli import main
+assert main(["check-prior", "--counts", {str(counts)!r}, "--prior", {str(prior)!r}, "--force",
+             "--npred", "20", "--nis", "200", "--out", {str(tmp_path / "out")!r}]) == 0
+print(sorted(m for m in ("numpy.polynomial", "conmult.consistency") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent),
+                                                                    os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -4,18 +4,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, optimize
 from scipy.special import logsumexp
 
 from conmult.core import (
     CountVector,
     DirichletParams,
+    TrineEllipse,
     gammaln,
+    log_dirichlet_multinomial,
     log_dirichlet_pdf_array,
     log_multinomial_pmf_array,
     ordered_from_weights_array,
     weights_from_ordered_array,
 )
-from conmult.consistency import log_dirichlet_multinomial
 from conmult.model_check import Strided
 from conmult.prior_check import (
     OrderedDirichletPrior,
@@ -35,8 +37,9 @@ from conmult.prior_check import (
 )
 from conmult.sampling import RngStream, sample_dirichlet_array
 
-from conftest import (FLY_COUNTS, FLY_COUNTS_PERMUTED, FLY_ELICITATION,
-                      chain_ordered_log_predictive, same_bits)
+from conftest import (FLY_COUNTS, FLY_COUNTS_PERMUTED, FLY_ELICITATION, TRINE_ASYMMETRIC,
+                      TRINE_ASYMMETRIC_A, TRINE_SYMMETRIC, chain_ordered_log_predictive,
+                      same_bits)
 
 
 def ordered_prior(tau, k1=18):
@@ -264,16 +267,167 @@ class TestTuneTau:
         best = max(profile, key=lambda p: p[1])[0]
         assert tau == best
 
-    def test_singleton_grid(self):
-        prior = RawDirichletPrior(DirichletParams(np.ones(3)))
-        t = CountVector(np.array([5, 3, 2]))
-        # a one-value grid needs no pilot run and has no profile
-        assert tune_tau(t, prior, [7.5], RngStream(93)) == (7.5, None)
-
     def test_empty_grid_rejected(self):
         prior = RawDirichletPrior(DirichletParams(np.ones(3)))
         with pytest.raises(ValueError):
             tune_tau(CountVector(np.array([5, 3, 2])), prior, [], RngStream(94))
+
+
+def scipy_trine_log_mass(t, a):
+    """log of the trine predictive mass of ``t`` by nested ``scipy.integrate.quad``, and its error.
+
+    The integrand is multinomial(t | theta) * sqrt(1 - q(theta)) over the
+    ellipse (which lies inside the simplex). Along each chord 1 - q is
+    C11 (y - lo)(hi - y), so its square root goes into QUADPACK's algebraic
+    end weights, and the peak, found by Nelder-Mead, splits every range.
+    Returns (log m, the relative error quad reports, summed over the pieces).
+    """
+    t = np.asarray(t, dtype=float)
+    region = TrineEllipse(a)
+    C, c = region.matrix, region.center
+    det = C[0, 0] * C[1, 1] - C[0, 1] ** 2
+    x_rad = math.sqrt(C[1, 1] / det)
+
+    def log_lik(x, y):
+        z = 1.0 - x - y
+        if min(x, y, z) <= 0:
+            return -math.inf
+        return t[0] * math.log(x) + t[1] * math.log(y) + t[2] * math.log(z)
+
+    def chord(x):
+        dx = x - c[0]
+        half = math.sqrt(max(C[1, 1] - det * dx * dx, 0.0))
+        return c[1] + (-C[0, 1] * dx - half) / C[1, 1], c[1] + (-C[0, 1] * dx + half) / C[1, 1]
+
+    def neg(v):
+        q = region.quad_form_array(np.asarray(v))
+        return -log_lik(*v) - 0.5 * math.log1p(-q) if q < 1 else math.inf
+
+    px, py = optimize.minimize(neg, c, method="Nelder-Mead",
+                               options=dict(xatol=1e-13, fatol=1e-13, maxiter=4000)).x
+    top = log_lik(px, py)
+    sd = math.sqrt(max(px * (1 - px), py * (1 - py)) / t.sum())
+    errors = []
+
+    def quad(f, lo, hi, **kw):
+        value, err = integrate.quad(f, lo, hi, epsabs=0, epsrel=1e-12, limit=500, **kw)
+        errors.append(err / value if value > 0 else 0.0)
+        return value
+
+    def inner(x):
+        lo, hi = chord(x)
+        cuts = sorted(min(max(v, lo), hi) for v in (py - 12 * sd, py + 12 * sd))
+        g = lambda y: math.exp(log_lik(x, y) - top)  # noqa: E731
+        total = 0.0
+        if cuts[0] > lo:
+            total += quad(lambda y: g(y) * math.sqrt(hi - y), lo, cuts[0],
+                          weight="alg", wvar=(0.5, 0))
+        if cuts[1] > cuts[0]:
+            total += quad(lambda y: g(y) * math.sqrt(max((y - lo) * (hi - y), 0.0)),
+                          cuts[0], cuts[1])
+        if hi > cuts[1]:
+            total += quad(lambda y: g(y) * math.sqrt(y - lo), cuts[1], hi,
+                          weight="alg", wvar=(0, 0.5))
+        return math.sqrt(C[1, 1]) * total
+
+    edges = sorted({c[0] - x_rad, c[0] + x_rad,
+                    *(min(max(v, c[0] - x_rad), c[0] + x_rad)
+                      for v in (px - 12 * sd, px, px + 12 * sd))})
+    errors_outer = []
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        value, err = integrate.quad(inner, lo, hi, epsabs=0, epsrel=1e-12, limit=500)
+        total += value
+        errors_outer.append(err)
+    coef = math.lgamma(t.sum() + 1) - sum(math.lgamma(v + 1) for v in t)
+    return coef + top + math.log(total), sum(errors_outer) / total + max(errors)
+
+
+def benchmark_rows(seed, n_pred=400):
+    """The observed symmetric counts and the predictive rows conflict_pvalue draws at ``seed``."""
+    prior = TrinePrior(1 / 3)
+    gen = RngStream(seed).substream(0).generator()
+    t_pred = gen.multinomial(int(TRINE_SYMMETRIC.sum()), prior.sample_array(n_pred, gen))
+    return np.vstack([TRINE_SYMMETRIC, t_pred])
+
+
+def edge_row():
+    """The seed-101 benchmark row with the largest q(t/n): its +-8 sd box crosses the edge."""
+    rows = benchmark_rows(101)
+    q = TrineEllipse(1 / 3).quad_form_array(rows[:, :2] / rows.sum(axis=1, keepdims=True))
+    return rows[np.argmax(q)]
+
+
+class TestTrineQuadrature:
+    """Exact trine masses against scipy's adaptive quadrature, and their certificates."""
+
+    @pytest.mark.parametrize("t, a", [
+        pytest.param(tuple(TRINE_SYMMETRIC), 1 / 3, id="symmetric"),
+        pytest.param(tuple(TRINE_ASYMMETRIC), TRINE_ASYMMETRIC_A, id="asymmetric"),
+        pytest.param(None, 1 / 3, id="edge-row"),
+        pytest.param((40, 2, 1), 1 / 3, id="outside"),  # t/n lies outside the ellipse
+        pytest.param((40, 2, 1), TRINE_ASYMMETRIC_A, id="outside-thin"),
+    ])
+    def test_matches_scipy_within_certificate(self, t, a):
+        t = edge_row() if t is None else np.array(t)
+        ref, ref_err = scipy_trine_log_mass(t, a)
+        for level in range(TrinePrior.exact_levels):
+            [log_m], [cert] = TrinePrior(a).exact_log_predictive(t[None], level)
+            assert np.isfinite(log_m)
+            assert abs(log_m - ref) <= cert + 2 * ref_err
+        assert cert < 1e-9
+
+    def test_edge_row_crosses_the_edge(self):
+        t = edge_row()
+        theta = (t + 0.5) / (t.sum() + 1.5)
+        sd = np.sqrt(theta * (1 - theta) / (t.sum() + 1.5))
+        corners = theta[:2] + 8 * sd[:2] * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        inside = TrineEllipse(1 / 3).contains_array(corners)
+        assert inside.any() and not inside.all()
+
+    def test_observed_mass(self):
+        [log_m], _ = TrinePrior(1 / 3).exact_log_predictive(TRINE_SYMMETRIC[None])
+        assert log_m == pytest.approx(-17.842807, abs=1e-6)
+
+    def test_equal_rows_get_equal_bits_in_any_block(self):
+        rows = benchmark_rows(102)
+        for j in (7, 150, 399):  # each in another block of the 32-node rule
+            rows[j] = TRINE_SYMMETRIC
+        for level in range(TrinePrior.exact_levels):
+            log_m, cert = TrinePrior(1 / 3).exact_log_predictive(rows, level)
+            assert same_bits(log_m[[7, 150, 399]], [log_m[0]] * 3)
+            assert same_bits(cert[[7, 150, 399]], [cert[0]] * 3)
+        rep = conflict_pvalue(CountVector(TRINE_SYMMETRIC), TrinePrior(1 / 3), 400, 100,
+                              RngStream(5), predictive_counts=rows[1:])
+        assert same_bits(rep.log_m_pred[[6, 149, 398]], [rep.log_m_obs] * 3)
+        assert rep.pvalue == np.mean(rep.log_m_pred <= rep.log_m_obs)
+
+    def test_importance_estimates_agree_at_interior_rows(self):
+        rows = benchmark_rows(103)
+        q = TrineEllipse(1 / 3).quad_form_array(rows[:, :2] / rows.sum(axis=1, keepdims=True))
+        interior = rows[np.argsort(q)[:3]]
+        prior = TrinePrior(1 / 3)
+        exact, _ = prior.exact_log_predictive(interior)
+        for i, t in enumerate(interior):
+            tv = CountVector(t)
+            log_m, se = estimate_log_prior_predictive(tv, prior, proposal_for(tv, prior, tv.n),
+                                                      20_000, RngStream(700 + i))
+            assert abs(log_m - exact[i]) <= 4 * se
+
+    def test_benchmark_pvalues(self):
+        # the trine-session check-prior answers, seeds 101-104 at npred 400
+        got = [conflict_pvalue(CountVector(TRINE_SYMMETRIC), TrinePrior(1 / 3), 400, 2000,
+                               RngStream(seed)) for seed in (101, 102, 103, 104)]
+        assert [rep.pvalue for rep in got] == [0.6925, 0.7, 0.7, 0.69]
+        assert all(rep.method == "quadrature" and not rep.unreliable for rep in got)
+
+    def test_unresolved_rank_is_flagged(self):
+        # the symmetric prior gives a permutation of the observed counts the same mass,
+        # which no certificate can separate from it
+        t = CountVector(np.array([40, 25, 25]))
+        rep = conflict_pvalue(t, TrinePrior(1 / 3), 3, 100, RngStream(6),
+                              predictive_counts=np.array([[25, 40, 25], [40, 25, 25], [30, 30, 30]]))
+        assert rep.unreliable and rep.n_failed == 0
 
 
 class TestConflictPvalue:
@@ -308,9 +462,15 @@ class TestConflictPvalue:
         assert 0 <= rep.pvalue <= 1
         assert rep.n_predictive == 100
         assert rep.log_m_pred.shape == (100,)
-        assert rep.ess_min > 0
+        # closed-form masses: no sampler, so no effective sample sizes
+        assert rep.method == "closed_form"
+        assert rep.ess_min is None and rep.ess_median is None
         assert not rep.unreliable
-        assert rep.tau == t.n  # probability-space default
+        assert rep.tau == t.n  # echoed, as n when not given
+        rep = conflict_pvalue(CountVector(FLY_COUNTS[:6]), ordered_prior(2.85, k1=6), 30, 500,
+                              RngStream(98))
+        assert rep.method == "importance_sampling"
+        assert rep.ess_min > 0
 
     def test_ordered_prior_tunes_tau_by_default(self):
         t = CountVector(FLY_COUNTS)
@@ -516,17 +676,13 @@ def point_conflict_pvalue(t_obs, prior, n_pred, n_is, rng, tau=None):
     t_pred = gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen))
     profile = None
     if tau is None:
-        grid = prior.tau_grid(t_obs.n)
-        if len(grid) == 1:
-            tau = float(grid[0])
-        else:
-            pilot = rng.substream(1)
-            profile = tuple(
-                (float(g), point_log_predictive(t_pred[0], prior,
-                                                point_proposal(t_pred[0], prior, float(g)),
-                                                min(n_is, 4000), pilot.substream(i))[2])
-                for i, g in enumerate(grid))
-            tau = max((p for p in profile if p[1] > 0), key=lambda p: p[1])[0]
+        pilot = rng.substream(1)
+        profile = tuple(
+            (float(g), point_log_predictive(t_pred[0], prior,
+                                            point_proposal(t_pred[0], prior, float(g)),
+                                            min(n_is, 4000), pilot.substream(i))[2])
+            for i, g in enumerate(prior.tau_grid(t_obs.n)))
+        tau = max((p for p in profile if p[1] > 0), key=lambda p: p[1])[0]
     obs = point_log_predictive(t_obs.counts, prior, point_proposal(t_obs.counts, prior, tau),
                                n_is, rng.substream(2))
     pred = [point_log_predictive(t, prior, point_proposal(t, prior, tau), n_is,
@@ -552,13 +708,6 @@ class TestBatchedEstimatorBitwise:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case, t_obs, prior, n_pred, n_is, tau", [
-        # 32768 // (300 * 3) = 36 points per block: 51 points fill one and a part
-        ("trine", (341, 191, 175), TrinePrior(1 / 3), 50, 300, None),
-        ("trine-one-point", (341, 191, 175), TrinePrior(1 / 3), 1, 300, None),
-        # a concentrated proposal far outside the ellipse: all-zero weights
-        ("trine-miss", (40, 2, 1), TrinePrior(1 / 3), 60, 300, 4000.0),
-        ("raw", (20, 12, 8, 3), RawDirichletPrior(DirichletParams(np.array([3.0, 2.0, 1.5, 0.7]))),
-         41, 250, None),
         # 18 cells: 6 points per block, tau tuned over the 7-value grid as one block
         ("ordered-fly", tuple(FLY_COUNTS), ordered_prior(2.85), 20, 300, None),
         ("ordered-one-point", tuple(FLY_COUNTS_PERMUTED), ordered_prior(2.85), 1, 300, None),
@@ -570,8 +719,32 @@ class TestBatchedEstimatorBitwise:
         rep = conflict_pvalue(t, prior, n_pred, n_is, RngStream(31, 4), tau=tau, workers=workers)
         assert_report_matches_points(rep, point_conflict_pvalue(t, prior, n_pred, n_is,
                                                                 RngStream(31, 4), tau=tau))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case, t_obs, prior, n_pred, n_is, tau", [
+        # 32768 // (300 * 3) = 36 points per block: 51 points fill one and a part
+        ("trine", (341, 191, 175), TrinePrior(1 / 3), 50, 300, 707.0),
+        ("trine-one-point", (341, 191, 175), TrinePrior(1 / 3), 1, 300, 707.0),
+        # a concentrated proposal far outside the ellipse: all-zero weights
+        ("trine-miss", (40, 2, 1), TrinePrior(1 / 3), 60, 300, 4000.0),
+        ("raw", (20, 12, 8, 3), RawDirichletPrior(DirichletParams(np.array([3.0, 2.0, 1.5, 0.7]))),
+         41, 250, 43.0),
+    ])
+    def test_simplex_priors_on_conflict_streams(self, case, t_obs, prior, n_pred, n_is, tau,
+                                                workers):
+        # conflict_pvalue takes exact masses for these priors; the estimator that
+        # estimate_log_prior_predictive runs for them keeps its bits on the streams
+        # and proposals the importance-sampled check would give each point
+        gen = RngStream(31, 4).substream(0).generator()
+        ts = np.vstack([t_obs, gen.multinomial(sum(t_obs), prior.sample_array(n_pred, gen))])
+        alphas = np.array([point_proposal(t, prior, tau) for t in ts])
+        streams = [RngStream(31, 4).substream(2)] + [RngStream(31, 4).substream(3 + j)
+                                                     for j in range(n_pred)]
+        got = _is_log_predictive(ts, prior, alphas, n_is, streams, workers)
+        assert same_bits(got, [point_log_predictive(t, prior, a, n_is, s)
+                               for t, a, s in zip(ts, alphas, streams)])
         if case == "trine-miss":
-            assert rep.n_failed > 0
+            assert any(log_m == -np.inf for log_m, _, _ in got)
 
     @pytest.mark.parametrize("prior", [
         TrinePrior(1 / 3),
