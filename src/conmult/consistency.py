@@ -10,12 +10,13 @@ limit over a schedule of sample sizes.
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .core import CountVector, DirichletParams, SimplexPoint, log_dirichlet_multinomial, median
-from .sampling import RngStream, sample_multinomial_array
+from .core import (CountVector, DirichletParams, SimplexPoint, log_dirichlet_multinomial,
+                   log_dirichlet_pdf_array, median)
+from .sampling import RngStream, sample_dirichlet_array, sample_multinomial_array
 
 ENUMERATION_GUARD = 10**8
 LOG_TIE_TOL = 1e-9
@@ -248,18 +249,20 @@ def _beta_level_set_prob(a, b, x0):
 def limiting_pvalue(prior, theta_true: SimplexPoint, n_draws: int, rng: RngStream) -> float:
     """Prior probability that the prior density does not exceed its value at theta_true.
 
-    Exact for two-cell Dirichlet (Beta) priors; Monte Carlo otherwise.
+    ``prior`` is Dirichlet parameters, or any prior with ``sample_array`` and
+    ``log_density_array``. Exact for two-cell Dirichlet (Beta) priors; Monte
+    Carlo otherwise.
     """
-    from .prior_check import RawDirichletPrior
-
     if isinstance(prior, DirichletParams):
-        prior = RawDirichletPrior(prior)
-    if isinstance(prior, RawDirichletPrior) and prior.dim == 2:
-        a, b = prior.params.alphas
-        return _beta_level_set_prob(float(a), float(b), float(theta_true.probs[0]))
-    th = prior.sample_array(n_draws, rng.generator())
-    dens = prior.log_density_array(th)
-    ref = float(prior.log_density_array(theta_true.probs[None, :])[0])
+        al = prior.alphas
+        if len(al) == 2:
+            return _beta_level_set_prob(float(al[0]), float(al[1]), float(theta_true.probs[0]))
+        sample = partial(sample_dirichlet_array, prior)
+        log_density = partial(log_dirichlet_pdf_array, alphas=al)
+    else:
+        sample, log_density = prior.sample_array, prior.log_density_array
+    dens = log_density(sample(n_draws, rng.generator()))
+    ref = float(log_density(theta_true.probs[None, :])[0])
     return float(np.mean(dens <= ref + 1e-12))
 
 

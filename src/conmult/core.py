@@ -514,35 +514,6 @@ def chain_log_integrals(powers):
     return x, log_g
 
 
-def _row_sums(x):
-    """Sum an (n, ...) array over its n rows, bit for bit ``np.sum`` along a contiguous cell axis.
-
-    numpy adds a contiguous run of n < 8 values in order; up to 128 values in
-    8 interleaved lanes, combined pairwise, then the tail; longer runs as two
-    halves split at a multiple of 8; and it starts from a zero accumulator,
-    which turns a -0.0 sum into 0.0. This replays that order with whole rows,
-    so each entry gets numpy's rounding: a cells-by-draws array sums as its
-    draws-by-cells transpose would.
-    """
-    n = x.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(x[:half]) + _row_sums(x[half:])
-    if n < 8:
-        total, tail = x[0] + 0.0, x[1:]
-    else:
-        m = n - n % 8
-        lanes = x[:8] if m == 8 else x[:8] + x[8:16]
-        for i in range(16, m, 8):
-            lanes += x[i:i + 8]
-        total = 0.0 + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                       + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        tail = x[m:]
-    for row in tail:
-        total += row
-    return total
-
-
 def median(x):
     """``np.median`` of a 1-D float array, without the ``numpy.ma`` import it makes.
 

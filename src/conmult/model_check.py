@@ -248,8 +248,8 @@ def build_zm_table(k: int, delta: float) -> ZmTable:
     ZM_ALPHA_MIN up to the delta-redundancy bound. The table builds in about
     4 ms (18 cells, delta = 0.02, one core), so nothing is cached.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     k1 = k + 1
     rows = [(0.0, 0.0)]
     for beta, amax in zip(ZM_BETAS, alpha_upper_bounds(ZM_BETAS, delta, k1)):
@@ -361,6 +361,11 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta):
 # distance check
 # ---------------------------------------------------------------------------
 
+# most histogram bins the distance check may make, one CSV row each; distances
+# lie in [0, log K], so this bounds log K / delta
+ZM_MAX_BINS = 100_000
+
+
 @dataclass(frozen=True)
 class DistanceCheckReport:
     rb_zero: float
@@ -397,10 +402,15 @@ def rb_distance_check(t: CountVector, delta: float, n_draws: int, rng: RngStream
     posterior, both projected on the ZM table for t's cells at resolution
     delta, bins both on [0, delta), [delta, 2 delta), ..., and compares
     first-bin contents. When no prior draw lands in the first bin the ratio is
-    undefined and the report is flagged; more draws may resolve it.
+    undefined and the report is flagged; more draws may resolve it. Every
+    distance is at most log K, the uniform entry's, so a delta that would need
+    more than ``ZM_MAX_BINS`` bins is refused before any draw.
     """
     table = build_zm_table(t.k, delta)
     k1 = len(t)
+    if math.log(k1) > ZM_MAX_BINS * delta:
+        raise ValueError(f"delta {delta:g} would need up to log({k1})/delta = "
+                         f"{math.log(k1) / delta:.0f} distance bins, more than {ZM_MAX_BINS}")
     d_prior = _distance_sample(DirichletParams(np.ones(k1)), table,
                                n_draws, rng.substream(0), workers)
     d_post = _distance_sample(DirichletParams(t.counts + 1.0), table,

@@ -20,7 +20,6 @@ from .core import (
     CountVector,
     DirichletParams,
     TrineEllipse,
-    _row_sums,
     gammaln,
     log_dirichlet_multinomial,
     log_dirichlet_norm,
@@ -202,30 +201,24 @@ def _trine_rule(t, prior, mode, n_nodes, width):
 #
 # Every prior provides the importance-sampling interface used below:
 # ``proposal_alphas(counts, tau)`` gives the Dirichlet proposal of each count
-# row; and ``importance_terms(draws, alphas, norms)`` takes a block of points'
-# draws (B, n, K) from their proposals, with the proposals' parameters and
-# ``log_dirichlet_norm`` values, and returns log theta cells by draws
-# (K, B, n), which the caller may overwrite, with the log prior and log
-# proposal densities (B, n). A prior whose masses ``conflict_pvalue`` gets
-# exactly instead has ``exact_log_predictive(ts, level)``, which returns the
-# log masses of the count rows ``ts`` and an error certificate for each,
+# row; and ``importance_terms(draws, alphas, norm)`` takes one point's draws
+# (n, K) from its proposal, with the proposal's parameters and
+# ``log_dirichlet_norm`` value, and returns log theta cells by draws (K, n),
+# which the caller may overwrite, with the log prior and log proposal
+# densities (n,). A prior whose masses ``conflict_pvalue`` gets exactly
+# instead has ``exact_log_predictive(ts, level)``, which returns the log
+# masses of the count rows ``ts`` and an error certificate for each,
 # ``exact_levels``, the number of levels it can refine to, and
 # ``exact_method``, the name the report gives the masses; the ordered prior
 # has ``tau_grid(n)``, the concentrations its tuning pilot tries.
 
 def _log_dirichlet_by_cells(log_x, alphas, norm):
-    """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, B, n).
-
-    Point b's draws are scored under ``alphas[b]``, with normaliser
-    ``norm[b]`` (or under one shared 1-D ``alphas`` and scalar ``norm``); each
-    value is bitwise ``log_dirichlet_pdf_array`` of that point's
-    draws-by-cells array.
-    """
-    al = np.atleast_2d(alphas).T[:, :, None]
+    """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, n), cells added in order."""
+    al = alphas[:, None]
     with np.errstate(invalid="ignore"):
         terms = (al - 1.0) * log_x
     np.copyto(terms, 0.0, where=al == 1.0)  # no 0 * log 0
-    return np.reshape(norm, (-1, 1)) + _row_sums(terms)
+    return norm + np.add.reduce(terms, axis=0)
 
 
 class _SimplexPrior:
@@ -237,15 +230,14 @@ class _SimplexPrior:
     def proposal_alphas(self, counts, tau):
         return 1.0 + tau * (counts / counts.sum(axis=-1, keepdims=True))
 
-    def importance_terms(self, draws, alphas, norms):
+    def importance_terms(self, draws, alphas, norm):
         """Draws are probabilities; the prior density comes from ``log_density_array``."""
-        b, n, k1 = draws.shape
-        log_prior = self.log_density_array(draws.reshape(-1, k1)).reshape(b, n)
-        log_th = np.ascontiguousarray(draws.transpose(2, 0, 1))
-        del draws  # lowers the block's peak memory by one array
+        log_prior = self.log_density_array(draws)
+        log_th = np.ascontiguousarray(draws.T)
+        del draws  # lowers the peak memory by one array
         with np.errstate(divide="ignore"):
             np.log(log_th, out=log_th)
-        return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas, norms)
+        return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas, norm)
 
 
 @dataclass(frozen=True)
@@ -330,8 +322,18 @@ class RawDirichletPrior(_SimplexPrior):
     exact_method, exact_levels = "closed_form", 1
 
     def exact_log_predictive(self, ts, level=0):
-        """Closed-form log predictive masses of the count rows ``ts``; certificates 0."""
-        log_m = log_dirichlet_multinomial(ts, self.params.alphas)
+        """Closed-form log predictive masses of the count rows ``ts``; certificates 0.
+
+        Each row's counts are sorted within every class of equal alphas, which
+        leaves its mass unchanged and gives rows that permute counts among
+        equal alphas equal bits, so they rank as ties.
+        """
+        al = self.params.alphas
+        t = np.array(ts, dtype=float)
+        for a in set(al.tolist()):  # np.unique would import numpy.ma
+            cls = al == a
+            t[..., cls] = np.sort(t[..., cls], axis=-1)
+        log_m = log_dirichlet_multinomial(t, al)
         return log_m, np.zeros_like(log_m)
 
 
@@ -395,22 +397,22 @@ class OrderedDirichletPrior:
         xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
         return 1.0 + tau * (xi / xi.sum(axis=-1, keepdims=True))
 
-    def importance_terms(self, draws, alphas, norms):
+    def importance_terms(self, draws, alphas, norm):
         """Draws are weights, where the linear-map Jacobians cancel in the ratio.
 
         One log of the weights serves both densities. theta_i = sum_{j >= i}
         omega_j / j accumulates from the last cell, the order of the cumsum in
         ``ordered_from_weights_array``.
         """
-        om = np.ascontiguousarray(draws.transpose(2, 0, 1))
-        del draws  # lowers the block's peak memory by one array
-        th = om / np.arange(1, om.shape[0] + 1, dtype=float)[:, None, None]
+        om = np.ascontiguousarray(draws.T)
+        del draws  # lowers the peak memory by one array
+        th = om / np.arange(1, om.shape[0] + 1, dtype=float)[:, None]
         for i in range(om.shape[0] - 2, -1, -1):
             th[i] += th[i + 1]
         with np.errstate(divide="ignore"):
             log_om, log_th = np.log(om, out=om), np.log(th, out=th)
         return (log_th, _log_dirichlet_by_cells(log_om, self.omega_params.alphas, self.log_norm),
-                _log_dirichlet_by_cells(log_om, alphas, norms))
+                _log_dirichlet_by_cells(log_om, alphas, norm))
 
     def tau_grid(self, n):
         return np.geomspace(n / 100.0, n, 7)
@@ -466,58 +468,45 @@ def _proposal_alphas(counts, prior, tau):
     return prior.proposal_alphas(np.asarray(counts), tau)
 
 
-# temporaries of one block of importance-sampled points stay near this many
-# float64 entries (256 KB); larger blocks ran slower and raised the peak RSS
-IS_BLOCK_ENTRIES = 1 << 15
-
-
 def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
     """Importance estimates of the log predictive masses of the count rows ``ts``.
 
     Row j draws ``n_is`` points from Dirichlet(alphas[j]) on its own stream
     ``streams[j]`` (an RngStream or a Generator), so its estimate is the same
-    whichever block and worker compute it. The weights of a block of rows are
-    evaluated together in a cells-by-draws layout; the cell sums go through
-    ``_row_sums`` and the log-sum-exps through the row-wise ``logsumexp``, so
-    every value is bitwise the single-row computation. The log-gamma terms,
+    whichever worker computes it. The weights of a row are evaluated in a
+    cells-by-draws layout, with the cells added in order. The log-gamma terms,
     every row's multinomial coefficient and proposal normaliser, are computed
-    once, before the blocks. Returns one (log_m, se_log, ess) per row,
+    once, before the rows. Returns one (log_m, se_log, ess) per row,
     (-inf, nan, 0.0) where all weights are zero.
     """
     ts = np.asarray(ts, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
-    size = max(1, IS_BLOCK_ENTRIES // (n_is * ts.shape[1]))
     coefs = gammaln(ts.sum(axis=-1) + 1) - gammaln(ts + 1).sum(axis=-1)
     norms = log_dirichlet_norm(alphas)
 
-    def block(start):
-        rows = slice(start, start + size)
-        t, al = ts[rows], alphas[rows]
+    def point(j):
         # the draws go in unnamed, so importance_terms can free them early
         log_th, log_prior, log_q = prior.importance_terms(
-            np.stack([sample_dirichlet_array(DirichletParams(a), n_is, s)
-                      for a, s in zip(al, streams[rows])]), al, norms[rows])
-        tc = t.T[:, :, None]
+            sample_dirichlet_array(DirichletParams(alphas[j]), n_is, streams[j]),
+            alphas[j], norms[j])
+        t = ts[j, :, None]
         with np.errstate(invalid="ignore"):
-            terms = np.multiply(tc, log_th, out=log_th)
-        np.copyto(terms, 0.0, where=tc == 0)
+            terms = np.multiply(t, log_th, out=log_th)
+        np.copyto(terms, 0.0, where=t == 0)
         # a coordinate that a proposal alpha < 1 underflows to 0 gives inf - inf:
         # such a draw counts as a zero weight
         with np.errstate(invalid="ignore"):
-            log_w = coefs[rows, None] + _row_sums(terms) + log_prior - log_q
+            log_w = coefs[j] + np.add.reduce(terms, axis=0) + log_prior - log_q
         np.copyto(log_w, -np.inf, where=np.isnan(log_w))
-        return zip(logsumexp(log_w), logsumexp(2.0 * log_w))
+        lse = logsumexp(log_w)
+        if not np.isfinite(lse):
+            return -np.inf, np.nan, 0.0
+        lse2 = logsumexp(2.0 * log_w)
+        ess = float(np.exp(2.0 * lse - lse2))
+        rel_var = max(n_is * math.exp(lse2 - 2.0 * lse) - 1.0, 0.0) / n_is
+        return float(lse - math.log(n_is)), math.sqrt(rel_var), ess
 
-    out = []
-    for part in parallel_map(block, range(0, ts.shape[0], size), workers):
-        for lse, lse2 in part:
-            if not np.isfinite(lse):
-                out.append((-np.inf, np.nan, 0.0))
-                continue
-            ess = float(np.exp(2.0 * lse - lse2))
-            rel_var = max(n_is * math.exp(lse2 - 2.0 * lse) - 1.0, 0.0) / n_is
-            out.append((float(lse - math.log(n_is)), math.sqrt(rel_var), ess))
-    return out
+    return parallel_map(point, range(ts.shape[0]), workers)
 
 
 def estimate_log_prior_predictive(t: CountVector, prior, proposal: DirichletParams,
@@ -546,9 +535,8 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
     """Pick the proposal concentration maximizing effective sample size.
 
     The estimator is pilot-run on a representative count vector at each grid
-    value, grid value i on substream i, as one block; zero-weight values are
-    excluded. Returns (tau, profile) with the profile a tuple of (tau, ess)
-    pairs.
+    value, grid value i on substream i; zero-weight values are excluded.
+    Returns (tau, profile) with the profile a tuple of (tau, ess) pairs.
     """
     if len(tau_grid) == 0:
         raise ValueError("tau grid must be nonempty")
@@ -611,11 +599,10 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     as unreliable above 1% of points. Without ``tau``, it is tuned over
     ``prior.tau_grid`` on the first predictive point. The proposals of all
     points are built at once. Each point then draws on its own substream (the
-    observed counts on 2, predictive point j on 3 + j), and the importance
-    weights are evaluated for a block of points at a time (see
-    ``_is_log_predictive``), with ``workers`` threads sharing the blocks.
-    Every estimate has the bits of a point-by-point evaluation, so results do
-    not depend on the block size or on ``workers``.
+    observed counts on 2, predictive point j on 3 + j), and its importance
+    weights are evaluated on their own (see ``_is_log_predictive``), with
+    ``workers`` threads sharing the points, so results do not depend on
+    ``workers``.
     """
     if n_pred < 1 or n_is < 1:
         raise ValueError(f"need n_pred >= 1 and n_is >= 1, got {n_pred} and {n_is}")

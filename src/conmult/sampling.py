@@ -13,7 +13,6 @@ from .core import (
     DirichletParams,
     SimplexPoint,
     TrineEllipse,
-    _row_sums,
     ordered_from_weights_array,
 )
 
@@ -45,14 +44,10 @@ class RngStream:
 
 
 def sample_dirichlet_array(params: DirichletParams, size: int, rng) -> np.ndarray:
-    """(size, k+1) Dirichlet draws via normalized gammas.
-
-    The row sums come from ``_row_sums`` over the cells, the bits of
-    ``g.sum(axis=1)`` at a fraction of its cost for a few cells.
-    """
+    """(size, k+1) Dirichlet draws via normalized gammas."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     g = gen.standard_gamma(params.alphas, size=(size, len(params)))
-    s = _row_sums(g.T)
+    s = g.sum(axis=1)
     # a whole row underflowing to zero has vanishing probability for alpha >= ~0.01
     for i in np.flatnonzero(s == 0.0):
         while g[i].sum() == 0.0:

@@ -432,6 +432,11 @@ class TestInputErrors:
                       "--region", "ordered", "--draws", "1000"], id="zm-with-region"),
         pytest.param(["check-model", "--counts", "{trine}", "--region", "trinex",
                       "--draws", "1000"], id="region-trinex"),
+        # log(3) / 1.09e-5 is just past the 100 000 distance bins allowed
+        pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "1.09e-5",
+                      "--draws", "1000"], id="zm-delta-past-bin-cap"),
+        pytest.param(["check-model", "--counts", "{trine}", "--zm-delta", "inf",
+                      "--draws", "1000"], id="zm-delta-inf"),
         # counts that are not numbers, and a model report that is not an object
         pytest.param(["check-model", "--counts", "{nulls}", "--draws", "1000"], id="null-counts"),
         pytest.param(["check-model", "--counts", "{strings}", "--draws", "1000"],
@@ -564,8 +569,7 @@ assert not scipy_modules, scipy_modules
         "posterior": (["posterior", "--counts", "{fly}", "--prior", "{fly_prior}",
                        "--sweeps", "200", "--burn-in", "50"], ["posterior", "prior_check"]),
         "consistency": (["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
-                         "--schedule", "50", "--replications", "5"],
-                        ["consistency", "prior_check"]),
+                         "--schedule", "50", "--replications", "5"], ["consistency"]),
     }
 
     @pytest.mark.parametrize("name", COMMANDS)

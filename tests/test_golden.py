@@ -20,16 +20,16 @@ from conftest import FLY_COUNTS, TRINE_SYMMETRIC
 PINS = {
     # trine masses are quadratures; tau is echoed, not used
     "trine": (0.73, -17.842807156680465, 7076.0, None),
-    "fly": (0.16666666666666666, -51.23152593438465, 7.820597924815739,
-            [[3.63, 17.585878548804335], [7.820597924815739, 19.61897215043788],
-             [16.848967466014386, 2.127327831302551], [36.29999999999999, 1.403901896492942],
+    "fly": (0.16666666666666666, -51.231525934384656, 7.820597924815739,
+            [[3.63, 17.585878548804086], [7.820597924815739, 19.618972150438438],
+             [16.848967466014386, 2.127327831302551], [36.29999999999999, 1.4039018964931216],
              [78.20597924815739, 1.0746886312303496], [168.48967466014378, 1.1468649669563242],
              [363.0, 1.3333821400773689]]),
-    "stride": (0.31666666666666665, -27.713160934523327, 7.820597924815739,
-               [[3.63, 37.78883674530857], [7.820597924815739, 41.48071409334363],
-                [16.848967466014386, 4.226603449029911], [36.29999999999999, 1.017848724907675],
+    "stride": (0.31666666666666665, -27.713160934523337, 7.820597924815739,
+               [[3.63, 37.788836745309105], [7.820597924815739, 41.48071409334333],
+                [16.848967466014386, 4.226603449029971], [36.29999999999999, 1.0178487249076822],
                 [78.20597924815739, 1.0083448398863706], [168.48967466014378, 1.1602540630275722],
-                [363.0, 1.0190810143940296]]),
+                [363.0, 1.0190810143940587]]),
     "pairs": (15513.12, 0.04275),
     # (post_first_bin, prior_first_bin_empty, sha256 of distance_densities.csv)
     "zm": (0.08, True, "81749c2670d3d3f14b8b674fa3bc8d75f11b290c17d2e7e1b1ed6e0a596f3b47"),

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from conmult.core import (
     CountVector,
     MeasureZeroRegionError,
     OrderedCone,
     TrineEllipse,
-    _row_sums,
     crosshairs_region,
     tetrahedron_region,
     zm_log_probs_array,
@@ -20,6 +18,7 @@ from conmult.model_check import (
     ALPHA_FLOOR,
     ZM_ALPHA_MIN,
     ZM_BETAS,
+    ZM_MAX_BINS,
     ZM_N_ALPHA,
     CheckReport,
     Strided,
@@ -283,20 +282,6 @@ class TestKlToZm:
             zm_distance_batch(np.array([[0.5, 0.5]]), fly_table)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 300).flatmap(lambda n: arrays(
-    np.float64, (3, n),
-    elements=st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from([0.0, -0.0]))))
-@example(np.full((2, 9), -0.0))
-@example(np.arange(3 * 136, dtype=float).reshape(3, 136) * 1e-3)
-@example(np.linspace(-1.0, 1.0, 3 * 300).reshape(3, 300) ** 3)
-def test_row_sums_bitwise_equal_numpy(x):
-    # numpy sums n < 8 in order, up to 128 in 8 lanes plus a tail, and
-    # splits longer rows at n/2 rounded down to a multiple of 8
-    assert same_bits(_row_sums(np.ascontiguousarray(x.T)), np.sum(x, axis=-1))
-    assert same_bits(_row_sums(x.T), np.sum(x, axis=-1))
-
-
 def draws_by_cells_search(thetas, table, refine=True):
     """The pattern search written on (draws, cells) arrays with ``np.sum``.
 
@@ -496,3 +481,18 @@ class TestDistanceCheck:
         t = CountVector(np.array([40, 30, 20, 10]))
         with pytest.raises(ValueError):
             rb_distance_check(t, 0.0, 1000, RngStream(0))
+
+    def test_refuses_a_delta_past_the_bin_cap_before_drawing(self):
+        class NoDraws:
+            def substream(self, i):
+                raise AssertionError("drew")
+
+        t = CountVector(FLY_COUNTS)
+        edge = math.log(18) / ZM_MAX_BINS
+        with pytest.raises(ValueError, match="distance bins"):
+            rb_distance_check(t, edge * (1 - 1e-9), 1000, NoDraws())
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                rb_distance_check(t, delta, 1000, NoDraws())
+        with pytest.raises(AssertionError, match="drew"):
+            rb_distance_check(t, edge * (1 + 1e-9), 1000, NoDraws())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -13,8 +14,7 @@ from conmult.core import (
     TrineEllipse,
     gammaln,
     log_dirichlet_multinomial,
-    log_dirichlet_pdf_array,
-    log_multinomial_pmf_array,
+    log_dirichlet_norm,
     ordered_from_weights_array,
     weights_from_ordered_array,
 )
@@ -472,6 +472,23 @@ class TestConflictPvalue:
         assert rep.method == "importance_sampling"
         assert rep.ess_min > 0
 
+    def test_counts_permuted_among_equal_alphas_rank_as_ties(self):
+        prior = RawDirichletPrior(DirichletParams(np.array([2.0, 2.0, 2.0])))
+        log_m, cert = prior.exact_log_predictive(np.array([[30, 20, 10], [10, 20, 30]]))
+        assert same_bits(log_m[0], log_m[1]) and not cert.any()
+        np.testing.assert_allclose(log_m[0], -7.05051667107621, rtol=1e-14)
+        # only cells of equal alpha exchange counts
+        mixed = RawDirichletPrior(DirichletParams(np.array([2.0, 5.0, 2.0, 5.0])))
+        rows = np.array([[30, 7, 10, 1], [10, 1, 30, 7], [10, 7, 30, 1]])
+        log_m, _ = mixed.exact_log_predictive(rows)
+        assert same_bits(log_m[0], log_m[1]) and same_bits(log_m[0], log_m[2])
+        np.testing.assert_allclose(log_m, log_dirichlet_multinomial(rows, mixed.params.alphas),
+                                   rtol=1e-14)
+        perms = np.array(list(itertools.permutations([30, 20, 10])))
+        rep = conflict_pvalue(CountVector(np.array([30, 20, 10])), prior, len(perms), 100,
+                              RngStream(0), predictive_counts=perms)
+        assert rep.pvalue == 1.0 and not rep.unreliable
+
     def test_ordered_prior_tunes_tau_by_default(self):
         t = CountVector(FLY_COUNTS)
         rep = conflict_pvalue(t, ordered_prior(2.85), 60, 2000, RngStream(99))
@@ -501,8 +518,8 @@ class TestConflictPvalue:
         (lambda: ordered_prior(2.85, k1=6), (9, 6, 4, 2, 1, 1), 20.0),
     ])
     def test_gammaln_calls_do_not_grow_with_n_pred(self, monkeypatch, make_prior, t_obs, tau):
-        # at n_is = 2000 a block holds 5 three-cell or 2 six-cell points, so the
-        # larger n_pred runs 13 to 31 blocks where the smaller runs 1
+        # each log-gamma term is computed for all points in one call, so 61
+        # points call gammaln as often as 3
         import conmult.core
         import conmult.prior_check
 
@@ -611,7 +628,7 @@ class TestPredictiveRateAndGroupedCheck:
 
 
 # ---------------------------------------------------------------------------
-# the batched estimator against the point-by-point one
+# the estimator against a draws-by-cells estimate of each point
 # ---------------------------------------------------------------------------
 
 def scalar_project_to_cone(x, anchor):
@@ -645,21 +662,35 @@ def point_proposal(t, prior, tau):
     return 1.0 + tau * freqs
 
 
+def cell_sums(terms):
+    """Sum a draws-by-cells array over its cells, one cell after another."""
+    return functools.reduce(np.add, terms.T)
+
+
 def point_log_predictive(t, prior, alphas, n_is, rng):
     """One point's importance estimate on draws-by-cells arrays, with scipy's logsumexp.
 
-    ``_is_log_predictive`` evaluates blocks of points in a cells-by-draws
-    layout and must return the same bits.
+    ``_is_log_predictive`` evaluates each point in a cells-by-draws layout and
+    must return the same bits, so every sum over cells adds them in order.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     draws = sample_dirichlet_array(DirichletParams(alphas), n_is, gen)
+    t = np.asarray(t, dtype=float)
+
+    def log_dirichlet(al):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(al != 1.0, (al - 1.0) * np.log(draws), 0.0)
+        return log_dirichlet_norm(al) + cell_sums(terms)
+
     if isinstance(prior, OrderedDirichletPrior):
         th = ordered_from_weights_array(draws)
-        log_prior = log_dirichlet_pdf_array(draws, prior.omega_params.alphas)
+        log_prior = log_dirichlet(prior.omega_params.alphas)
     else:
         th, log_prior = draws, prior.log_density_array(draws)
-    log_q = log_dirichlet_pdf_array(draws, alphas)
-    log_w = log_multinomial_pmf_array(np.asarray(t, dtype=float), th) + log_prior - log_q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(t > 0, t * np.log(th), 0.0)
+    coef = gammaln(t.sum() + 1) - gammaln(t + 1).sum()
+    log_w = coef + cell_sums(terms) + log_prior - log_dirichlet(alphas)
     log_w[np.isnan(log_w)] = -np.inf  # a zero coordinate's inf - inf is a zero weight
     lse = logsumexp(log_w)
     if not np.isfinite(lse):
@@ -704,11 +735,12 @@ def assert_report_matches_points(rep, want):
 
 
 class TestBatchedEstimatorBitwise:
-    """Blocks of points give every point the bits it gets when estimated on its own."""
+    """The estimator gives every point the bits of a draws-by-cells estimate on its own."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case, t_obs, prior, n_pred, n_is, tau", [
-        # 18 cells: 6 points per block, tau tuned over the 7-value grid as one block
+        # 18 cells, whose sums a cell at a time differ from numpy's pairwise row
+        # sums; tau tuned over the 7-value grid
         ("ordered-fly", tuple(FLY_COUNTS), ordered_prior(2.85), 20, 300, None),
         ("ordered-one-point", tuple(FLY_COUNTS_PERMUTED), ordered_prior(2.85), 1, 300, None),
         ("ordered-small-alpha", (9, 6, 4, 1, 0),
@@ -722,7 +754,7 @@ class TestBatchedEstimatorBitwise:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case, t_obs, prior, n_pred, n_is, tau", [
-        # 32768 // (300 * 3) = 36 points per block: 51 points fill one and a part
+        # three and four cells, which numpy's row sums also add in order
         ("trine", (341, 191, 175), TrinePrior(1 / 3), 50, 300, 707.0),
         ("trine-one-point", (341, 191, 175), TrinePrior(1 / 3), 1, 300, 707.0),
         # a concentrated proposal far outside the ellipse: all-zero weights
