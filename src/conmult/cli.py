@@ -248,8 +248,7 @@ def cmd_check_model(args):
             "mode": "region",
             "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
             "rb": None if undefined else rep.rb, "strength": rep.strength,
-            "mc_se": rep.mc_se, "n_draws": rep.n_draws,
-            "prior_prob_analytic": rep.prior_prob_analytic, "verdict": verdict,
+            "mc_se": rep.mc_se, "n_draws": rep.n_draws, "verdict": verdict,
         }
         note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
                 f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
@@ -302,7 +301,7 @@ def cmd_check_prior(args):
         if not args.group.startswith("stride="):
             raise InputError("grouped prior checks use the strided layout (stride=K)")
         rep = grouped_conflict_check(t, prior, spec.n_groups, args.npred, args.nis, rng,
-                                     tau=args.tau)
+                                     tau=args.tau, workers=args.workers)
         payload["group_m"] = spec.n_groups
         payload["in_region_rate"] = predictive_in_region_rate(
             prior, spec, t.n, 10_000, rng.substream(99)
@@ -507,7 +506,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as exc:
-        # includes core.MeasureZeroRegionError, which points at the distance check
+        # includes core.MeasureZeroRegionError: a region with no flat-prior content
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -275,7 +275,9 @@ class QuadBall:
     """Sum-of-squares ball with optional linear equality constraints.
 
     Membership: sum_i theta_i^2 <= bound, and for each (indices, value) pair
-    sum of the indexed coordinates equals value within EQUALITY_TOL.
+    sum of the indexed coordinates equals value within EQUALITY_TOL. Without
+    equalities the ball lies inside the simplex, bound <= 1/(dim - 1); each
+    equality names some cells but not every cell.
     """
 
     dim: int
@@ -283,12 +285,14 @@ class QuadBall:
     equalities: tuple = ()
 
     def __post_init__(self):
-        if self.bound <= 0:
-            raise ValueError("bound must be > 0")
+        if self.dim < 2 or self.bound <= 0:
+            raise ValueError(f"need dim >= 2 and bound > 0, got {self.dim} and {self.bound}")
         eqs = tuple((tuple(int(i) for i in idx), float(v)) for idx, v in self.equalities)
         for idx, _ in eqs:
-            if any(i < 0 or i >= self.dim for i in idx):
-                raise ValueError("equality index out of range")
+            if any(i < 0 or i >= self.dim for i in idx) or len(set(idx)) in (0, self.dim):
+                raise ValueError("an equality must name cells in range, some but not all")
+        if not eqs and self.bound > 1.0 / (self.dim - 1):
+            raise ValueError(f"bound {self.bound:g} > 1/{self.dim - 1} leaves the simplex")
         object.__setattr__(self, "equalities", eqs)
 
     def contains_array(self, theta):

@@ -15,6 +15,7 @@ from .core import (
     DirichletParams,
     MeasureZeroRegionError,
     OrderedCone,
+    QuadBall,
     TrineEllipse,
     trine_prior_mass,
     zm_log_probs_array,
@@ -95,7 +96,6 @@ class CheckReport:
     strength: float
     mc_se: float
     n_draws: int
-    prior_prob_analytic: bool = True
 
     def verdict(self) -> str:
         """Return "favor", "against", or "undefined" after zero hits in a too-small region.
@@ -110,46 +110,44 @@ class CheckReport:
 
 
 def analytic_prior_prob(region):
-    """Flat-prior mass of a region when a closed form exists, else None."""
+    """Flat-prior content of a region, in closed form for every region type.
+
+    On the simplex sum_i theta_i^2 = |theta - c|^2 + 1/K about the centroid c, so
+    a ``QuadBall`` is the d-ball of squared radius bound - 1/K, d = K - 1, over the
+    simplex's d-volume sqrt(K) / d!, or has content 0 with equalities (hyperplanes).
+    """
     if isinstance(region, TrineEllipse):
         return trine_prior_mass(region.a)
     if isinstance(region, OrderedCone):
         return 1.0 / math.factorial(region.dim)
-    return None
-
-
-def _region_fraction(region, alphas: DirichletParams, n_draws, rng, workers):
-    def chunk(stream, m):
-        th = sample_dirichlet_array(alphas, m, stream)
-        return int(region.contains_array(th).sum())
-
-    hits = chunked_monte_carlo(chunk, n_draws, rng, workers=workers)
-    return sum(hits) / n_draws
+    if isinstance(region, QuadBall):
+        d, r2 = region.dim - 1, max(region.bound - 1.0 / region.dim, 0.0)
+        return 0.0 if region.equalities else ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
+                                             * math.factorial(d) / math.sqrt(region.dim))
+    raise TypeError(f"no flat-prior content for a {type(region).__name__}")
 
 
 def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
                     workers: int = 1) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
-    Posterior content is the fraction of Dirichlet(t+1) draws inside the
-    region; prior content is analytic where available, otherwise estimated
-    under Dirichlet(1, ..., 1). Strength is reported as the posterior content.
+    Posterior content is the fraction of Dirichlet(t+1) draws inside the region,
+    on substream 0; prior content is ``analytic_prior_prob``, and a region with
+    none is refused before any draw. Strength is reported as the posterior content.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
     prior = analytic_prior_prob(region)
-    analytic = prior is not None
-    if not analytic:
-        prior = _region_fraction(
-            region, DirichletParams(np.ones(region.dim)), n_draws, rng.substream(1), workers
-        )
     if prior == 0.0:
         raise MeasureZeroRegionError(
-            "region has zero prior mass under the flat prior (equality constraints); "
-            "use rb_distance_check instead"
-        )
+            "region has no flat-prior content, so its relative belief ratio is undefined")
     post_alphas = DirichletParams(t.counts + 1.0)
-    post = _region_fraction(region, post_alphas, n_draws, rng.substream(0), workers)
+
+    def chunk(stream, m):
+        th = sample_dirichlet_array(post_alphas, m, stream)
+        return int(region.contains_array(th).sum())
+
+    post = sum(chunked_monte_carlo(chunk, n_draws, rng.substream(0), workers=workers)) / n_draws
     se = math.sqrt(post * (1.0 - post) / n_draws)
     return CheckReport(
         prior_prob=prior,
@@ -158,7 +156,6 @@ def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
         strength=post,
         mc_se=se,
         n_draws=n_draws,
-        prior_prob_analytic=analytic,
     )
 
 

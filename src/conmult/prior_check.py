@@ -725,7 +725,7 @@ def reduce_ordered_prior(prior: OrderedDirichletPrior, m: int) -> OrderedDirichl
 
 def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
                            m: int, n_pred: int, n_is: int, rng: RngStream,
-                           tau: float = None) -> ConflictReport:
+                           tau: float = None, workers: int = 1) -> ConflictReport:
     """Conflict check of an elicited ordered prior on the strided m-group reduction.
 
     Predictive count vectors are drawn from the full prior and grouped (the
@@ -743,4 +743,4 @@ def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
     t_pred = spec.group_array(gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen)))
     t_red = CountVector(spec.group_array(t_obs.counts))
     return conflict_pvalue(t_red, reduced, n_pred, n_is, rng.substream(1),
-                           tau=tau, predictive_counts=t_pred)
+                           tau=tau, predictive_counts=t_pred, workers=workers)

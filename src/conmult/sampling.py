@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CountVector,
     DirichletParams,
     SimplexPoint,
     TrineEllipse,
@@ -69,8 +70,6 @@ def sample_multinomial_array(n: int, theta, size: int, rng) -> np.ndarray:
 
 def sample_multinomial(n: int, theta: SimplexPoint, rng: RngStream):
     """One multinomial count vector of total n."""
-    from .core import CountVector
-
     if n < 1:
         raise ValueError("n must be >= 1")
     return CountVector(sample_multinomial_array(n, theta.probs, 1, rng)[0])

@@ -116,11 +116,24 @@ class TestCheckModel:
         # the ZM table is rebuilt per run, never cached in the output directory
         assert not any(f.startswith("zm_table") for f in os.listdir(out))
 
-    def test_measure_zero_region_is_input_error(self, tmp_path):
+    def test_measure_zero_region_is_input_error(self, tmp_path, capsys):
+        for region, cells in (("crosshairs", 4), ("pauli", 6)):
+            counts = write_counts(tmp_path, np.full(cells, 25))
+            code = main(["check-model", "--counts", counts, "--region", region,
+                         "--draws", "2000", "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert "no flat-prior content" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "model_check.json")
+
+    def test_tetrahedron_prior_content_is_exact(self, tmp_path, capsys):
         counts = write_counts(tmp_path, np.array([25, 25, 25, 25]))
-        code = main(["check-model", "--counts", counts, "--region", "crosshairs",
-                     "--draws", "2000", "--out", str(tmp_path / "out")])
-        assert code == 1
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--region", "tetrahedron",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out == "prior=0.3023 post=1 rb=3.30797 verdict=favor\n"
+        rep = load(out, "model_check.json")
+        assert rep["prior_prob"] == pytest.approx(np.pi / (6 * np.sqrt(3)), rel=1e-14)
+        assert "prior_prob_analytic" not in rep
 
 
 class TestCheckPrior:
@@ -173,6 +186,33 @@ class TestCheckPrior:
         p.write_text("[1, 2]")
         with pytest.raises(InputError, match="expected an object"):
             read_prior(str(p))
+
+    def test_grouped_check_honours_workers(self, tmp_path, monkeypatch):
+        import conmult.prior_check as prior_check
+
+        seen = []
+        real = prior_check.parallel_map
+
+        def spy(fn, items, workers):
+            seen.append(workers)
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(prior_check, "parallel_map", spy)
+        counts = write_counts(tmp_path, np.array([30, 25, 20, 12, 8, 5]))
+        prior = str(tmp_path / "prior.json")
+        with open(prior, "w") as fh:
+            json.dump({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 5 + [3.0]}, fh)
+        reports = []
+        for workers in (1, 2):
+            seen.clear()
+            out = str(tmp_path / f"out{workers}")
+            assert main(["check-prior", "--counts", counts, "--prior", prior, "--force",
+                         "--group", "stride=3", "--npred", "25", "--nis", "300",
+                         "--seed", "9", "--workers", str(workers), "--out", out]) in (0, 3)
+            assert max(seen) == workers
+            reports.append([open(os.path.join(out, name), "rb").read()
+                            for name in ("prior_check.json", "prior_check_points.csv")])
+        assert reports[0] == reports[1]
 
     def test_grouped_check_needs_ordered_prior(self, tmp_path):
         counts = write_counts(tmp_path, FLY_COUNTS)

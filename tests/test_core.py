@@ -296,6 +296,17 @@ class TestRegions:
             QuadBall(dim=3, bound=0.0)
         with pytest.raises(ValueError):
             QuadBall(dim=3, bound=0.5, equalities=(((0, 5), 0.5),))
+        # only regions whose flat-prior content has a closed form
+        with pytest.raises(ValueError, match="dim"):
+            QuadBall(dim=1, bound=0.5)
+        with pytest.raises(ValueError, match="leaves the simplex"):
+            QuadBall(dim=4, bound=1.0 / 3.0 + 1e-12)
+        for cells in ((), (0, 1, 2, 3)):
+            with pytest.raises(ValueError, match="some but not all"):
+                QuadBall(dim=4, bound=0.5, equalities=((cells, 0.5),))
+        # the inscribed ball itself, and a larger ball cut by an equality, are fine
+        QuadBall(dim=4, bound=1.0 / 3.0)
+        QuadBall(dim=4, bound=0.5, equalities=(((0, 1), 0.5),))
 
 
 class TestMultinomialPmf:

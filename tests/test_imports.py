@@ -45,6 +45,22 @@ def test_every_export_resolves():
 COMMAND_MODULES = {"consistency", "elicitation", "model_check", "posterior", "prior_check"}
 
 
+def package_modules(node):
+    """Package modules that one import statement names; none for any other node."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 1:
+            return {module.split(".")[0]} if module else {alias.name for alias in node.names}
+        if module == "conmult":
+            return {alias.name for alias in node.names}
+        if module.startswith("conmult."):
+            return {module.split(".")[1]}
+    elif isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("conmult.")}
+    return set()
+
+
 def module_level_imports(source):
     """Package modules that ``source`` imports when it is imported: outside every function."""
     found = set()
@@ -53,22 +69,32 @@ def module_level_imports(source):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            if isinstance(child, ast.ImportFrom):
-                module = child.module or ""
-                if child.level == 1:
-                    found.update([module.split(".")[0]] if module
-                                 else [alias.name for alias in child.names])
-                elif module == "conmult":
-                    found.update(alias.name for alias in child.names)
-                elif module.startswith("conmult."):
-                    found.add(module.split(".")[1])
-            elif isinstance(child, ast.Import):
-                found.update(alias.name.split(".")[1] for alias in child.names
-                             if alias.name.startswith("conmult."))
+            found.update(package_modules(child))
             visit(child)
 
     visit(ast.parse(source))
     return found
+
+
+def function_reimports(source):
+    """(function, module) for each package module a function imports that its file
+    already imports at module level."""
+    top = module_level_imports(source)
+    return sorted({(fn.name, module) for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) for module in package_modules(node) & top})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_reimports_a_module_level_import(path):
+    assert function_reimports(path.read_text()) == []
+
+
+def test_reimport_guard_sees_only_modules_imported_at_module_level():
+    source = ("from .core import a\nimport conmult.sampling\n"
+              "def f():\n    from .core import b\n    from .posterior import c\n"
+              "    def g():\n        from conmult import sampling\n")
+    assert function_reimports(source) == [("f", "core"), ("f", "sampling"), ("g", "sampling")]
 
 
 def test_cli_loads_command_modules_on_demand():

@@ -9,9 +9,12 @@ from conmult.core import (
     CountVector,
     MeasureZeroRegionError,
     OrderedCone,
+    QuadBall,
     TrineEllipse,
     crosshairs_region,
+    pauli_region,
     tetrahedron_region,
+    trine_prior_mass,
     zm_log_probs_array,
 )
 from conmult.model_check import (
@@ -23,6 +26,7 @@ from conmult.model_check import (
     CheckReport,
     Strided,
     alpha_upper_bounds,
+    analytic_prior_prob,
     build_zm_table,
     consecutive_blocks,
     group_counts,
@@ -33,6 +37,7 @@ from conmult.model_check import (
     zm_distance_batch,
     _kl_closed,
 )
+from conmult import model_check
 from conmult.sampling import RngStream, sample_dirichlet_array
 from conmult.core import DirichletParams
 
@@ -98,19 +103,43 @@ class TestRegionCheck:
         rep = rb_region_check(CountVector(np.arange(18, 0, -1)), OrderedCone(18),
                               2_000, RngStream(44))
         assert rep.prior_prob == pytest.approx(1.5619e-16, rel=1e-4)
-        assert rep.prior_prob_analytic
 
     def test_measure_zero_region_redirects(self):
         t = CountVector(np.array([25, 25, 25, 25]))
-        with pytest.raises(MeasureZeroRegionError, match="rb_distance_check"):
+        with pytest.raises(MeasureZeroRegionError, match="no flat-prior content"):
             rb_region_check(t, crosshairs_region(), 5_000, RngStream(45))
 
-    def test_quadball_mc_prior(self):
+    @pytest.mark.parametrize("region", [crosshairs_region, pauli_region])
+    def test_measure_zero_region_draws_nothing(self, region, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a measure-zero region drew samples")
+
+        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
+        region = region()
+        with pytest.raises(MeasureZeroRegionError):
+            rb_region_check(CountVector(np.full(region.dim, 25)), region, 5_000, RngStream(45))
+
+    def test_tetrahedron_prior_content_exact(self, rng):
+        # the tetrahedron region is the simplex's inscribed ball, radius^2 = 1/12
+        exact = math.pi / (6 * math.sqrt(3))
+        assert analytic_prior_prob(tetrahedron_region()) == pytest.approx(exact, rel=1e-14)
+        inside = tetrahedron_region().contains_array(rng.dirichlet(np.ones(4), 1_000_000))
+        assert abs(inside.mean() - exact) < 4 * math.sqrt(exact * (1 - exact) / inside.size)
         t = CountVector(np.array([25, 25, 25, 25]))
         rep = rb_region_check(t, tetrahedron_region(), 50_000, RngStream(46))
-        assert not rep.prior_prob_analytic
-        assert 0 < rep.prior_prob < 1
-        assert rep.rb > 1  # uniform-ish counts sit well inside the ball
+        assert rep.prior_prob == analytic_prior_prob(tetrahedron_region())
+        assert rep.post_prob == 1.0  # uniform-ish counts sit well inside the ball
+        assert rep.rb == pytest.approx(3.30797, abs=5e-6)
+
+    def test_inscribed_disk_is_the_symmetric_trine(self):
+        # sum theta^2 <= 1/2 on three cells is the trine ellipse at overlap 1/3
+        assert analytic_prior_prob(QuadBall(dim=3, bound=0.5)) == pytest.approx(
+            trine_prior_mass(1 / 3), rel=1e-14)
+        assert trine_prior_mass(1 / 3) == pytest.approx(math.pi / (3 * math.sqrt(3)), rel=1e-14)
+
+    def test_analytic_prior_prob_refuses_other_regions(self):
+        with pytest.raises(TypeError, match="no flat-prior content"):
+            analytic_prior_prob(object())
 
     def test_workers_do_not_change_report(self):
         t = CountVector(TRINE_SYMMETRIC)
