@@ -245,14 +245,19 @@ def cmd_check_model(args):
         verdict = rep.verdict()
         undefined = verdict == "undefined"
         payload = {
-            "mode": "region",
+            "mode": "region", "method": rep.method,
             "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
             "rb": None if undefined else rep.rb, "strength": rep.strength,
             "mc_se": rep.mc_se, "n_draws": rep.n_draws, "verdict": verdict,
         }
-        note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
-                f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
-                "ratio undefined; increase --draws or group the cells")
+        if rep.method == "exact":
+            note = (f"the posterior content {rep.post_prob:.3g} lies within its quadrature "
+                    f"certificate {rep.mc_se:.3g} of the prior content {rep.prior_prob:.3g}: "
+                    "relative belief ratio undefined; group the cells")
+        else:
+            note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
+                    f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
+                    "ratio undefined; increase --draws")
         rb = "None" if undefined else f"{rep.rb:.6g}"
         line = f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} rb={rb} verdict={verdict}"
     write_report(args.out, "model_check.json", config, payload)
@@ -348,7 +353,7 @@ def cmd_elicit(args):
     }
     path = write_json(args.out, "prior.json", spec)
     write_report(args.out, "elicit.json", config, {
-        "tau": res.tau, "achieved": res.achieved, "mc_se": res.mc_se,
+        "tau": res.tau, "achieved": res.achieved, "mc_se": res.mc_se, "method": res.method,
         "prior_file": "prior.json",
     })
     print(f"tau={res.tau:.4g} achieved={res.achieved:.4f} -> {path}")
@@ -439,7 +444,8 @@ def build_parser():
         p.add_argument("--out", default="out")
         p.add_argument("--workers", type=int, default=1)
         if draws:
-            p.add_argument("--draws", type=int, default=100_000)
+            p.add_argument("--draws", type=int, default=100_000,
+                           help="Monte Carlo draws (only echoed by the exact ordered region)")
 
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)
@@ -474,7 +480,8 @@ def build_parser():
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--draws", type=int, default=40_000)
+    p.add_argument("--draws", type=int, default=40_000,
+                   help="prior draws per search step (only echoed by the exact --delta 0)")
     common(p)
     p.set_defaults(func=cmd_elicit)
 

@@ -481,7 +481,19 @@ def log_dirichlet_pdf_array(x, alphas, norm=None):
     return norm + terms.sum(axis=-1)
 
 
-def chain_log_integrals(powers):
+def gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on (0, 1): ascending nodes and weights summing to 1.
+
+    The nodes and weights come from the eigensystem of the Jacobi matrix
+    (Golub & Welsch 1969).
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), vecs[0] ** 2
+
+
+def chain_log_integrals(powers, level=0):
     """Running integrals of the ordered chain on one grid; returns (x, log_g).
 
     With H_K(x) = x^p_K e^-x, H_i(x) = x^p_i e^-x G_{i+1}(x) for i < K and
@@ -494,12 +506,13 @@ def chain_log_integrals(powers):
 
     The grid is x = L u^3 for N equispaced u in [0, 1], with L = 2 sum(p + 1)
     + 50, about twice the Gamma(n + A) total sum(z), plus 50, and
-    N = max(4096, 40 sqrt(L)). Each G_i runs by the trapezoid rule, in log
-    space with one rescale per cell. Its error falls as L / N^2.
+    N = max(4096, 40 sqrt(L)), doubled ``level`` times. Each G_i runs by the
+    trapezoid rule, in log space with one rescale per cell. Its error falls as
+    L / N^2, so level 1 certifies level 0.
     """
     p = np.asarray(powers, dtype=float)
     length = 2.0 * float((p + 1.0).sum()) + 50.0
-    n_grid = max(4096, int(40.0 * math.sqrt(length)))
+    n_grid = max(4096, int(40.0 * math.sqrt(length))) << level
     x = length * np.linspace(0.0, 1.0, n_grid) ** 3
     dx = np.diff(x)
     log_g = np.empty((p.size, n_grid))

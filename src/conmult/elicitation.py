@@ -5,11 +5,12 @@ interval (l, u) that should contain all cell probabilities with virtual
 certainty gamma, and the search returns the least concentration achieving it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DirichletParams, SimplexPoint
+from .core import DirichletParams, SimplexPoint, gauss_legendre
 from .sampling import RngStream, sample_dirichlet_array
 
 
@@ -60,8 +61,9 @@ def dirichlet_from_mode(xi: SimplexPoint, tau: float) -> DirichletParams:
 class TauSearchResult:
     tau: float
     achieved: float
-    mc_se: float
+    mc_se: float  # the achieved value's Monte Carlo se, or its quadrature certificate
     trace: tuple  # (tau, achieved) pairs in evaluation order
+    method: str = "monte_carlo"  # or "exact", for delta = 0
 
 
 def _end_coordinates(om):
@@ -85,13 +87,87 @@ def _virtual_certainty(tau, xi, inp, seed, n_draws):
     return float(np.mean((last > inp.l) & (first < inp.u)))
 
 
+def _spacing_cdf(s, k1):
+    """P(S < s) at each entry of ``s``, for S = sum_{j<K} phi_j / j with phi uniform on K - 1 cells.
+
+    S has the normalised B-spline density with knots 1/(K-1), ..., 1/2, 1
+    (Curry & Schoenberg 1966), evaluated by the de Boor-Cox recursion. On a
+    knot interval it is a polynomial of degree K - 3, which a Gauss-Legendre
+    rule of K // 2 nodes integrates exactly. With K = 2, S = 1.
+    """
+    knots = 1.0 / np.arange(k1 - 1, 0, -1.0)
+    cdf = (s >= 1.0).astype(float)
+    inside = np.flatnonzero((s > knots[0]) & (s < 1.0))
+    if not inside.size:
+        return cdf
+
+    def density(pts):
+        pts = pts[..., None]
+        m = np.where((knots[:-1] <= pts) & (pts < knots[1:]), 1.0 / np.diff(knots), 0.0)
+        for order in range(2, k1 - 1):
+            lo, hi = knots[:-order], knots[order:]
+            m = order / ((order - 1) * (hi - lo)) * ((pts - lo) * m[..., :-1] + (hi - pts) * m[..., 1:])
+        return m[..., 0]
+
+    x, wx = gauss_legendre(k1 // 2)
+    lo, width = knots[:-1], np.diff(knots)
+    below = np.r_[0.0, np.cumsum(density(lo[:, None] + width[:, None] * x) @ wx * width)]
+    j = np.searchsorted(knots, s[inside], side="right") - 1
+    part = s[inside] - lo[j]
+    cdf[inside] = below[j] + density(lo[j, None] + part[:, None] * x) @ wx * part
+    return cdf
+
+
+# Gauss-Legendre nodes per piece of the delta = 0 virtual-certainty integral;
+# the rule with twice as many nodes is the one used, and this one certifies it
+VC_NODES = 16
+
+
+def _certainty_table(inp, n_nodes):
+    """Nodes and tau-free weights of the exact delta = 0 virtual certainty; see ``_exact_certainty``.
+
+    The pieces meet where (u - w/K)/(1 - w) crosses a knot of S, and at
+    2^-i and 1 - 2^-i for i <= 40, so w^tau (1 - w)^(K-2) is smooth on each
+    piece, for any tau, up to the last one at either end. Returns log w,
+    log(1 - w) and the rule's weight times F_S, at the nodes where F_S > 0.
+    """
+    k1, a = inp.k + 1, (inp.k + 1) * inp.l
+    j = np.arange(1.0, k1)
+    ends = 2.0 ** -np.arange(1.0, 41.0)
+    breaks = np.sort(np.r_[a, 1.0, (1.0 / j - inp.u) / (1.0 / j - 1.0 / k1), ends, 1.0 - ends])
+    breaks = breaks[(breaks >= a) & (breaks <= 1.0)]  # a repeated break adds zero weights
+    x, wx = gauss_legendre(n_nodes)
+    lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+    w = (lo + width * x).ravel()
+    weight = (width * wx).ravel() * _spacing_cdf((inp.u - w / k1) / (1.0 - w), k1)
+    keep = weight > 0.0
+    return np.log(w[keep]), np.log1p(-w[keep]), weight[keep]
+
+
+def _exact_certainty(tau, table, k1):
+    """P(theta_{k+1} > l and theta_1 < u) under weights Dirichlet(1, ..., 1, 1 + tau), by quadrature.
+
+    theta_K = w / K and theta_1 = w / K + (1 - w) S, where w = omega_K ~
+    Beta(1 + tau, K - 1) is independent of S = sum_{j<K} phi_j / j, with phi
+    uniform on the simplex. So the probability is the integral over w > K l
+    of the Beta density times F_S((u - w/K)/(1 - w)): one weighted sum over
+    ``_certainty_table``'s nodes. The Beta function is a product, not a ratio
+    of Gamma functions, so a large tau loses no digits to cancellation.
+    """
+    log_w, log_1mw, weight = table
+    log_beta = math.lgamma(k1 - 1.0) - np.log(1.0 + tau + np.arange(k1 - 1.0)).sum()
+    return float(weight @ np.exp(tau * log_w + (k1 - 2) * log_1mw - log_beta))
+
+
 def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauSearchResult:
     """Smallest concentration giving the (l, u) event probability at least gamma.
 
-    Geometric bracket expansion from tau = 1 followed by bisection; every
-    evaluation reuses the same seed (common random numbers), so the probability
-    found at the returned upper bracket end is its achieved value, within one
-    Monte Carlo standard error above gamma.
+    Geometric bracket expansion from tau = 1 followed by 20 bisections. With
+    delta = 0 the probability is exact (``_exact_certainty``), ``n_draws`` and
+    ``rng`` are unused, and ``mc_se`` is the distance to the coarser rule.
+    Otherwise every evaluation reuses the same seed (common random numbers),
+    so the probability found at the returned upper bracket end is its achieved
+    value, within one Monte Carlo standard error above gamma.
     """
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
@@ -105,11 +181,18 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
             f"need l < {ts[-1]:.6g} and {ts[0]:.6g} < u, got (l, u) = ({inp.l}, {inp.u}); "
             "no concentration can achieve gamma"
         )
-    seed = rng.substream(0).stream_id
+    exact = inp.delta == 0.0
+    if exact:
+        coarse, fine = (_certainty_table(inp, n) for n in (VC_NODES, 2 * VC_NODES))
+    else:
+        seed = rng.substream(0).stream_id
     trace = []
 
     def evaluate(tau):
-        p = _virtual_certainty(tau, xi_sp, inp, seed, n_draws)
+        if exact:
+            p = _exact_certainty(tau, fine, inp.k + 1)
+        else:
+            p = _virtual_certainty(tau, xi_sp, inp, seed, n_draws)
         trace.append((tau, p))
         return p
 
@@ -127,6 +210,9 @@ def find_tau_result(inp: ElicitationInput, n_draws: int, rng: RngStream) -> TauS
             hi, p_hi = mid, p_mid
         else:
             lo = mid
+    if exact:
+        return TauSearchResult(tau=float(hi), achieved=p_hi, trace=tuple(trace), method="exact",
+                               mc_se=abs(p_hi - _exact_certainty(hi, coarse, inp.k + 1)))
     se = np.sqrt(max(p_hi * (1 - p_hi), 1e-12) / n_draws)
     return TauSearchResult(tau=float(hi), achieved=p_hi, mc_se=float(se),
                            trace=tuple(trace))

@@ -17,6 +17,8 @@ from .core import (
     OrderedCone,
     QuadBall,
     TrineEllipse,
+    chain_log_integrals,
+    gammaln,
     trine_prior_mass,
     zm_log_probs_array,
 )
@@ -94,17 +96,22 @@ class CheckReport:
     post_prob: float
     rb: float
     strength: float
-    mc_se: float
+    mc_se: float  # post_prob's binomial se, or its quadrature certificate when exact
     n_draws: int
+    method: str = "monte_carlo"  # or "exact"
 
     def verdict(self) -> str:
-        """Return "favor", "against", or "undefined" after zero hits in a too-small region.
+        """Return "favor", "against", or "undefined" when the error bar leaves the side of 1 open.
 
         With no posterior draw in the region its posterior content is only
         bounded by the rule-of-three 3 / n_draws; when the prior content is at
-        or below that bound, the ratio may lie on either side of 1.
+        or below that bound, the ratio may lie on either side of 1. An exact
+        content is undefined when its certificate reaches the prior content.
         """
-        if self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
+        if self.method == "exact":
+            if abs(self.post_prob - self.prior_prob) <= self.mc_se:
+                return "undefined"
+        elif self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
             return "undefined"
         return "favor" if self.rb > 1 else "against"
 
@@ -115,11 +122,13 @@ def analytic_prior_prob(region):
     On the simplex sum_i theta_i^2 = |theta - c|^2 + 1/K about the centroid c, so
     a ``QuadBall`` is the d-ball of squared radius bound - 1/K, d = K - 1, over the
     simplex's d-volume sqrt(K) / d!, or has content 0 with equalities (hyperplanes).
+    The ordered cone's 1/K! is one correctly rounded integer division, a
+    subnormal or 0 from 171 cells on.
     """
     if isinstance(region, TrineEllipse):
         return trine_prior_mass(region.a)
     if isinstance(region, OrderedCone):
-        return 1.0 / math.factorial(region.dim)
+        return 1 / math.factorial(region.dim)
     if isinstance(region, QuadBall):
         d, r2 = region.dim - 1, max(region.bound - 1.0 / region.dim, 0.0)
         return 0.0 if region.equalities else ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
@@ -127,16 +136,48 @@ def analytic_prior_prob(region):
     raise TypeError(f"no flat-prior content for a {type(region).__name__}")
 
 
+def ordered_cone_log_content(counts):
+    """log P(theta_1 >= ... >= theta_K) under Dirichlet(t + 1), t = ``counts``, with a certificate.
+
+    With X_i ~ Gamma(t_i + 1) independent, theta = X / sum(X), so the content is
+    P(X_1 >= ... >= X_K) = G_1(L) / prod t_i!, G_1 from ``chain_log_integrals(t)``.
+    The grid error falls as 1/N^2, so the default grid and the doubled one
+    extrapolate (Richardson) to the value returned, and the extrapolation's
+    step, the doubled grid's estimated error, is the certificate. On the fly
+    data's groupings and on 1/K! the extrapolated value is 1e3 to 1e4 times
+    closer than that; at 171 cells, 40 to 60 times.
+    """
+    powers = np.asarray(counts, dtype=float)
+    log_norm = float(gammaln(powers + 1.0).sum())
+    coarse, fine = (chain_log_integrals(powers, level)[1][0, -1] - log_norm for level in (0, 1))
+    step = (fine - coarse) / 3.0
+    return float(fine + step), float(abs(step))
+
+
 def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
                     workers: int = 1) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
-    Posterior content is the fraction of Dirichlet(t+1) draws inside the region,
-    on substream 0; prior content is ``analytic_prior_prob``, and a region with
-    none is refused before any draw. Strength is reported as the posterior content.
+    The ordered cone's posterior content is exact (``ordered_cone_log_content``),
+    its ratio is taken in log space, and ``n_draws`` is only echoed. Elsewhere
+    the posterior content is the fraction of Dirichlet(t+1) draws inside the
+    region, on substream 0. Prior content is ``analytic_prior_prob``, and a
+    region with none is refused before any draw. Strength is reported as the
+    posterior content.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
+    if n_draws < 1:
+        raise ValueError(f"need at least one draw, got {n_draws}")
+    if isinstance(region, OrderedCone):
+        log_post, log_cert = ordered_cone_log_content(t.counts)
+        log_rb = log_post + math.lgamma(region.dim + 1)
+        if not log_rb < math.log(np.finfo(float).max):
+            raise FloatingPointError(f"relative belief ratio exp({log_rb:.6g}) overflows a float")
+        post = math.exp(log_post)
+        return CheckReport(prior_prob=analytic_prior_prob(region), post_prob=post,
+                           rb=math.exp(log_rb), strength=post, mc_se=post * math.expm1(log_cert),
+                           n_draws=n_draws, method="exact")
     prior = analytic_prior_prob(region)
     if prior == 0.0:
         raise MeasureZeroRegionError(
@@ -165,7 +206,7 @@ def rb_grouped_check(t: CountVector, spec, n_draws: int, rng: RngStream,
 
     The grouped counts are treated as a fresh multinomial on m cells with the
     flat reference prior, so the posterior is Dirichlet(grouped counts + 1)
-    and the prior content of the ordered cone is 1/m!.
+    and the prior content of the ordered cone is 1/m!. Both contents are exact.
     """
     grouped = group_counts(t, spec)
     return rb_region_check(grouped, OrderedCone(dim=len(grouped)), n_draws, rng, workers)

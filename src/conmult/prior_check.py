@@ -21,6 +21,7 @@ from .core import (
     DirichletParams,
     TrineEllipse,
     gammaln,
+    gauss_legendre,
     log_dirichlet_multinomial,
     log_dirichlet_norm,
     log_dirichlet_pdf_array,
@@ -59,20 +60,16 @@ QUAD_BLOCK_NODES = 1 << 13
 def _end_maps(n):
     """An n-node Gauss-Legendre rule on (0, 1) under four maps g: tables of g(s) and log(g'(s) w).
 
-    The nodes and weights come from the eigensystem of the Jacobi matrix
-    (Golub & Welsch 1969). Row ``lo + 2 hi`` serves an interval whose low
-    (lo = 1) or high (hi = 1) end lies on the ellipse, where the density has
-    a square-root zero: there g is a sine wave, flat at that end, which makes
-    the integrand analytic in s, so the rule converges as fast as at an open
-    end, where g is the identity.
+    Row ``lo + 2 hi`` serves an interval whose low (lo = 1) or high (hi = 1)
+    end lies on the ellipse, where the density has a square-root zero: there
+    g is a sine wave, flat at that end, which makes the integrand analytic in
+    s, so the rule converges as fast as at an open end, where g is the identity.
     """
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    s, h = 0.5 * (x + 1.0), 0.25 * np.pi * (x + 1.0)
+    s, w = gauss_legendre(n)
+    h = 0.5 * np.pi * s
     g = np.array([s, 1.0 - np.cos(h), np.sin(h), 0.5 - 0.5 * np.cos(2.0 * h)])
     dg = np.array([np.full(n, 2.0 / np.pi), np.sin(h), np.cos(h), np.sin(2.0 * h)])
-    return g, np.log(0.5 * np.pi * dg * vecs[0] ** 2)
+    return g, np.log(0.5 * np.pi * dg * w)
 
 
 def _clipped_nodes(box_lo, box_hi, edge_lo, edge_hi, maps):
@@ -214,11 +211,8 @@ def _trine_rule(t, prior, mode, n_nodes, width):
 
 def _log_dirichlet_by_cells(log_x, alphas, norm):
     """Dirichlet log densities of cells-by-draws logs ``log_x`` (K, n), cells added in order."""
-    al = alphas[:, None]
-    with np.errstate(invalid="ignore"):
-        terms = (al - 1.0) * log_x
-    np.copyto(terms, 0.0, where=al == 1.0)  # no 0 * log 0
-    return norm + np.add.reduce(terms, axis=0)
+    live = alphas != 1.0  # a cell with alpha 1 adds an exact zero, which changes no bit
+    return norm + np.add.reduce((alphas[live, None] - 1.0) * log_x[live], axis=0)
 
 
 class _SimplexPrior:

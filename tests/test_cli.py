@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,18 +82,21 @@ class TestCheckModel:
         assert code == 3
         assert load(out, "model_check.json")["verdict"] == "against"
 
-    def test_zero_hits_in_ungrouped_cone_are_undefined(self, tmp_path, capsys):
+    def test_ungrouped_cone_content_is_exact(self, tmp_path, capsys):
         # the 18-cell cone has prior content 1/18!, which no feasible number of
-        # draws can hit: zero posterior hits say nothing either way
+        # draws can hit; its exact posterior content decides, and --draws is echoed
         counts = write_counts(tmp_path, FLY_COUNTS)
         out = str(tmp_path / "out")
         code = main(["check-model", "--counts", counts, "--region", "ordered",
                      "--draws", "5000", "--seed", "7", "--out", out])
-        assert code == 2
+        assert code == 0
         rep = load(out, "model_check.json")
-        assert (rep["verdict"], rep["rb"], rep["post_prob"]) == ("undefined", None, 0.0)
-        assert rep["prior_prob"] == pytest.approx(1.5619e-16, rel=1e-4)
-        assert "relative belief ratio undefined" in capsys.readouterr().err
+        assert (rep["verdict"], rep["method"], rep["n_draws"]) == ("favor", "exact", 5000)
+        assert rep["prior_prob"] == 1 / math.factorial(18)
+        assert rep["post_prob"] == pytest.approx(2.90549e-7, rel=1e-5)
+        assert rep["rb"] == pytest.approx(1.8602e9, rel=1e-4)
+        assert 0 < rep["mc_se"] < 1e-4 * rep["post_prob"]
+        assert capsys.readouterr().err == ""
 
     def test_grouped_ordered(self, tmp_path):
         counts = write_counts(tmp_path, FLY_COUNTS)
@@ -395,7 +399,9 @@ class TestEdgeInputs:
         assert main(["elicit", "--k", "1", "--l", "0.1", "--u", "0.95",
                      "--draws", "5000", "--seed", "1", "--out", out]) == 0
         rep = assert_finite_report(out, "elicit.json")
-        assert rep["achieved"] >= 0.99
+        assert rep["achieved"] >= 0.99 and rep["method"] == "exact"
+        # S = 1 with two cells: P(tau) = 1 - max(2 l, 2 (1 - u))^(1 + tau) = 1 - 0.2^(1 + tau)
+        assert rep["achieved"] == pytest.approx(1.0 - 0.2 ** (1.0 + rep["tau"]), abs=1e-12)
         assert len(load(out, "prior.json")["omega_alphas"]) == 2
         assert main(["check-prior", "--counts", counts, "--prior", prior, "--force",
                      "--npred", "100", "--nis", "500", "--seed", "1", "--out", out]) == 0
@@ -429,6 +435,31 @@ class TestEdgeInputs:
         assert rep["verdict"] == "favor"
         assert rep["prior_prob"] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert abs(rep["post_prob"] - 0.75) <= 4 * rep["mc_se"]
+
+
+    def test_many_cell_cone_reports(self, tmp_path):
+        # 1/171! is subnormal and 1/200! underflows to 0; the ratio comes from logs
+        for cells in (171, 200):
+            counts = write_counts(tmp_path, np.arange(cells, 0, -1))
+            out = str(tmp_path / f"out{cells}")
+            assert main(["check-model", "--counts", counts, "--region", "ordered",
+                         "--draws", "1000", "--out", out]) == 0
+            rep = assert_finite_report(out, "model_check.json")
+            assert rep["prior_prob"] == 1 / math.factorial(cells)
+            assert rep["verdict"] == "favor" and rep["rb"] > 1e100
+
+    @pytest.mark.parametrize("cells", [171, 200])
+    def test_many_cell_cone_without_evidence_is_undefined(self, tmp_path, capsys, cells):
+        # equal counts give the cone its prior content, RB 1 exactly, which the
+        # chain's certificate cannot tell from either side at this many cells
+        counts = write_counts(tmp_path, np.ones(cells, dtype=int))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--draws", "1000", "--out", out]) == 2
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["rb"]) == ("undefined", None)
+        err = capsys.readouterr().err
+        assert "quadrature certificate" in err and "relative belief ratio undefined" in err
 
 
 class TestInputErrors:
@@ -658,8 +689,9 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
                                          + [f"conmult.{m}" for m in loaded])
         assert not seen["numpy_ma"]
-        # only --version draws nothing, so only it leaves numpy.random unimported
-        assert seen["numpy_random"] == (name != "version")
+        # --version, the exact cone contents and the exact delta = 0 elicitation draw
+        # nothing, so only they leave numpy.random unimported
+        assert seen["numpy_random"] == (name not in ("version", "model-pairs", "elicit"))
         # the flat-mode prior takes exact draws, which need no autocorrelation FFT
         assert not seen["numpy_fft"]
         assert seen["freeze_count"] > 0

@@ -16,6 +16,7 @@ from conmult.core import (
     ZmParams,
     crosshairs_region,
     gammaln,
+    gauss_legendre,
     kl_divergence,
     log_multinomial_pmf,
     logsumexp,
@@ -496,3 +497,18 @@ class TestTrineQuadForm:
         batch = region.quad_form_array(theta)
         assert same_bits([region.quad_form_array(row) for row in theta], batch)
         assert same_bits(region.quad_form_array(theta[:2]), batch[:2])
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 9, 16, 32, 64])
+    def test_exact_on_polynomials_of_degree_below_2n(self, n):
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1 and np.all(w > 0)
+        for degree in range(2 * n):
+            assert (w * x**degree).sum() == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+
+    def test_symmetric_about_one_half(self):
+        x, w = gauss_legendre(16)
+        np.testing.assert_allclose(x + x[::-1], 1.0, atol=1e-15)
+        np.testing.assert_allclose(w, w[::-1], atol=1e-15)

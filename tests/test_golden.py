@@ -30,20 +30,18 @@ PINS = {
                 [16.848967466014386, 4.226603449029971], [36.29999999999999, 1.0178487249076822],
                 [78.20597924815739, 1.0083448398863706], [168.48967466014378, 1.1602540630275722],
                 [363.0, 1.0190810143940587]]),
-    "pairs": (15513.12, 0.04275),
+    # exact cone contents: the draws are only echoed
+    "pairs": (14668.092614328367, 0.040421331058003766),
     # (post_first_bin, prior_first_bin_empty, sha256 of distance_densities.csv)
     "zm": (0.08, True, "81749c2670d3d3f14b8b674fa3bc8d75f11b290c17d2e7e1b1ed6e0a596f3b47"),
     # (exit code, stdout, stderr) of check-model runs
     "zm_lines": (2, "rb=None strength=None verdict=undefined\n",
                  "first prior bin empty: relative belief ratio undefined; increase --draws\n"),
-    "ordered": (2, "prior=1.56192e-16 post=0 rb=None verdict=undefined\n",
-                "no posterior draw in the region, whose prior content 1.56e-16 is at or below "
-                "the 3/draws bound 0.00015: relative belief ratio undefined; increase --draws "
-                "or group the cells\n"),
+    "ordered": (0, "prior=1.56192e-16 post=2.90549e-07 rb=1.8602e+09 verdict=favor\n", ""),
     "trine_region": (0, "prior=0.6046 post=1 rb=1.65399 verdict=favor\n", ""),
-    # (tau, achieved, sha256 of prior.json)
-    "elicit": (2.7491283416748047, 0.99,
-               "f212a686df0584f26e803588ee2eea9befdb29a500ae91b18ace8c56d6092a1b"),
+    # (tau, achieved, sha256 of prior.json); delta = 0 is exact, so the seed does not enter
+    "elicit": (2.82684326171875, 0.9900000315630036,
+               "ed531c30af3e1705e63799c8e7be04f180b05d90bde4560c9838b35bceb89d02"),
 }
 
 
@@ -128,7 +126,7 @@ def test_check_model_zm(tmp_path, inputs, capsys):
 
 
 def test_check_model_ungrouped_ordered(tmp_path, inputs, capsys):
-    # the 18-cell cone's prior content 1/18! is below 3/draws: zero hits are undefined
+    # the 18-cell cone's exact posterior content, though no feasible number of draws hits it
     out = str(tmp_path / "ordered")
     code = main(["check-model", "--counts", inputs["fly_counts"], "--region", "ordered",
                  "--draws", "20000", "--seed", "14", "--out", out])
@@ -136,7 +134,7 @@ def test_check_model_ungrouped_ordered(tmp_path, inputs, capsys):
     assert (code, lines.out, lines.err) == PINS["ordered"]
     with open(os.path.join(out, "model_check.json")) as fh:
         rep = json.load(fh)
-    assert (rep["verdict"], rep["rb"]) == ("undefined", None)
+    assert (rep["verdict"], rep["method"], rep["n_draws"]) == ("favor", "exact", 20000)
 
 
 def test_check_model_trine_region(tmp_path, inputs, capsys):

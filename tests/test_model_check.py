@@ -11,7 +11,9 @@ from conmult.core import (
     OrderedCone,
     QuadBall,
     TrineEllipse,
+    chain_log_integrals,
     crosshairs_region,
+    gammaln,
     pauli_region,
     tetrahedron_region,
     trine_prior_mass,
@@ -31,6 +33,7 @@ from conmult.model_check import (
     consecutive_blocks,
     group_counts,
     kl_uniform_to_zm,
+    ordered_cone_log_content,
     rb_distance_check,
     rb_grouped_check,
     rb_region_check,
@@ -148,9 +151,12 @@ class TestRegionCheck:
         assert a == b
 
     def test_zero_hits_in_a_tiny_region_are_undefined(self):
-        # fly counts in the 18-cell cone: prior content 1/18! is far below 3 / n_draws
-        rep = rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 2_000, RngStream(48))
-        assert rep.post_prob == 0.0
+        # fly counts against a ball of squared radius 1e-3 about the centroid of the
+        # 17-simplex: its prior content, about 1e-12, is far below 3 / n_draws
+        region = QuadBall(dim=18, bound=1 / 18 + 1e-3)
+        rep = rb_region_check(CountVector(FLY_COUNTS), region, 2_000, RngStream(48))
+        assert analytic_prior_prob(region) < 1e-10
+        assert (rep.post_prob, rep.method) == (0.0, "monte_carlo")
         assert rep.verdict() == "undefined"
 
     @pytest.mark.parametrize("prior_prob, n_draws, verdict", [
@@ -161,6 +167,76 @@ class TestRegionCheck:
     def test_zero_hit_verdict_against_rule_of_three(self, prior_prob, n_draws, verdict):
         rep = CheckReport(prior_prob=prior_prob, post_prob=0.0, rb=0.0, strength=0.0,
                           mc_se=0.0, n_draws=n_draws)
+        assert rep.verdict() == verdict
+
+
+class TestExactConeContent:
+    """The ordered cone's contents from the chain integrals, against independent oracles."""
+
+    @pytest.mark.parametrize("cells", [2, 3, 5, 9, 18])
+    def test_flat_content_is_one_over_k_factorial(self, cells):
+        log_content, cert = ordered_cone_log_content(np.zeros(cells))
+        assert abs(log_content + math.lgamma(cells + 1)) <= cert
+        assert cert < 1e-4
+
+    @pytest.mark.parametrize("m, seed", [(9, 61), (6, 62)])
+    def test_grouped_contents_match_dirichlet_monte_carlo(self, m, seed):
+        # a million Dirichlet(grouped t + 1) draws, sampled here with numpy's own sampler
+        grouped = group_counts(CountVector(FLY_COUNTS), consecutive_blocks(18, m))
+        draws = np.random.default_rng(seed).dirichlet(grouped.counts + 1.0, 1_000_000)
+        hit = OrderedCone(m).contains_array(draws).mean()
+        exact = math.exp(ordered_cone_log_content(grouped.counts)[0])
+        assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
+
+    @pytest.mark.parametrize("counts", [
+        consecutive_blocks(18, 9).group_array(FLY_COUNTS),
+        consecutive_blocks(18, 6).group_array(FLY_COUNTS),
+        FLY_COUNTS,
+        np.array([7, 3]),
+        np.zeros(18, dtype=int),
+    ])
+    def test_certificate_bounds_the_error(self, counts):
+        # reference: Richardson on grids of 8 and 16 times the default, N >= 32768
+        value, cert = ordered_cone_log_content(counts)
+        powers = np.asarray(counts, dtype=float)
+        fine, finer = (chain_log_integrals(powers, level)[1][0, -1] for level in (3, 4))
+        ref = finer + (finer - fine) / 3.0 - float(gammaln(powers + 1.0).sum())
+        assert abs(value - ref) <= cert
+
+    def test_fly_contents_and_ratios(self):
+        # pairs and triples meet criterion 2; the ungrouped cone is decided too
+        t = CountVector(FLY_COUNTS)
+        for spec, post, rb in ((consecutive_blocks(18, 9), 0.0404213, 14668.1),
+                               (consecutive_blocks(18, 6), 0.397446, 286.161),
+                               (Strided(18, 18), 2.90549e-7, 1.86020e9)):
+            rep = rb_grouped_check(t, spec, 1000, RngStream(1))
+            assert rep.method == "exact" and rep.n_draws == 1000
+            assert rep.post_prob == pytest.approx(post, rel=1e-5)
+            assert rep.rb == pytest.approx(rb, rel=1e-5)
+            assert rep.mc_se < 1e-4 * rep.post_prob and rep.verdict() == "favor"
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the exact cone check drew samples")
+
+        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
+        rep = rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 10, RngStream(1))
+        assert rep.verdict() == "favor"
+
+    def test_still_refuses_no_draws(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 0, RngStream(1))
+
+    @pytest.mark.parametrize("post, cert, verdict", [
+        (0.5 + 1e-9, 1e-9, "undefined"),  # the certificate reaches the prior content
+        (0.5 + 2e-9, 1e-9, "favor"),
+        (0.5 - 2e-9, 1e-9, "against"),
+        (0.0, 0.0, "undefined"),  # both contents underflowed
+    ])
+    def test_exact_verdict_against_the_certificate(self, post, cert, verdict):
+        prior = 0.0 if post == 0.0 else 0.5
+        rep = CheckReport(prior_prob=prior, post_prob=post, rb=post / 0.5, strength=post,
+                          mc_se=cert, n_draws=1, method="exact")
         assert rep.verdict() == verdict
 
 

@@ -10,7 +10,7 @@ from conmult.posterior import (autocorrelation_time, has_exact_draws, run_gibbs,
                                sample_ordered_posterior)
 from conmult.sampling import RngStream, sample_ordered_prior_array
 
-from conftest import FLY_COUNTS, chain_ordered_log_predictive
+from conftest import FLY_COUNTS, chain_ordered_log_predictive, same_bits
 
 
 class TestRunGibbs:
@@ -162,6 +162,10 @@ class TestExactSampler:
             assert x[0] == 0.0 and x[-1] == length
             np.testing.assert_allclose(np.cbrt(x / length), np.linspace(0, 1, n_grid),
                                        atol=1e-14)
+            # each level doubles the grid; the default level's values keep their bits
+            x2, log_g2 = chain_log_integrals(np.array(counts, dtype=float), level=1)
+            assert x2.size == 2 * n_grid and x2[-1] == length and log_g2.shape == (3, 2 * n_grid)
+            assert same_bits(chain_log_integrals(np.array(counts, dtype=float), level=0)[1], log_g)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fly_means_match_exact_means(self, means, seed):

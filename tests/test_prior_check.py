@@ -734,6 +734,47 @@ def assert_report_matches_points(rep, want):
     assert rep.n_failed == sum(not np.isfinite(r[0]) for r in pred + [obs])
 
 
+class TestGaussLegendreMaps:
+    def test_end_maps_keep_their_bits(self):
+        # the trine rule's tables, built as before the rule moved to core.gauss_legendre
+        from conmult.prior_check import _end_maps
+
+        for n in (16, 32, 64, 128):
+            k = np.arange(1.0, n)
+            off = k / np.sqrt(4.0 * k * k - 1.0)
+            x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            s, h = 0.5 * (x + 1.0), 0.25 * np.pi * (x + 1.0)
+            g = np.array([s, 1.0 - np.cos(h), np.sin(h), 0.5 - 0.5 * np.cos(2.0 * h)])
+            dg = np.array([np.full(n, 2.0 / np.pi), np.sin(h), np.cos(h), np.sin(2.0 * h)])
+            got = _end_maps(n)
+            assert same_bits(got[0], g)
+            assert same_bits(got[1], np.log(0.5 * np.pi * dg * vecs[0] ** 2))
+
+
+class TestLogDirichletByCells:
+    @pytest.mark.parametrize("alphas", [
+        [1.0] * 17 + [3.85],  # the fly prior: one live cell
+        [0.5, 1.0, 2.0, 1.0, 0.8],
+        [1.0, 1.0, 1.0],  # no live cell
+    ])
+    def test_skipping_unit_alphas_keeps_the_bits(self, alphas):
+        # the cell-ordered sum over every cell, unit cells contributing exact zeros
+        from conmult.prior_check import _log_dirichlet_by_cells
+
+        al = np.array(alphas)
+        gen = np.random.default_rng(7)
+        log_x = np.log(gen.dirichlet(np.full(al.size, 2.0), 500).T)
+        log_x[0, 0] = -np.inf  # an empty cell
+        log_x[:, 1] = -np.inf  # a vertex
+        log_x[0, 1] = 0.0
+        norm = float(log_dirichlet_norm(al))
+        with np.errstate(invalid="ignore"):  # the vertex meets alpha < 1 and > 1: inf - inf
+            terms = (al[:, None] - 1.0) * log_x
+            np.copyto(terms, 0.0, where=al[:, None] == 1.0)
+            assert same_bits(_log_dirichlet_by_cells(log_x, al, norm),
+                             norm + np.add.reduce(terms, axis=0))
+
+
 class TestBatchedEstimatorBitwise:
     """The estimator gives every point the bits of a draws-by-cells estimate on its own."""
 
