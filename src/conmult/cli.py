@@ -100,25 +100,36 @@ def read_counts(path) -> CountVector:
         raise InputError(f"{path}: {exc}") from exc
 
 
+# each prior type's parameter field in a prior file
+PRIOR_FIELDS = {"trine": "a", "raw_dirichlet": "alphas", "ordered_dirichlet": "omega_alphas"}
+
+
+def read_prior_params(path):
+    """Prior spec from JSON, checked but not built; returns (type, parameters, metadata dict).
+
+    The parameters are the trine's ``a`` or the Dirichlet parameters. This
+    needs no ``prior_check``, which ``posterior`` does not load.
+    """
+    data = json_object(path, read_text(path, "prior"), 'a "type" field')
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in PRIOR_FIELDS:
+        raise InputError(f"{path}: unknown prior type {kind!r}")
+    try:
+        value = data[PRIOR_FIELDS[kind]]
+        params = float(value) if kind == "trine" else DirichletParams(np.asarray(value, dtype=float))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    return kind, params, data
+
+
 def read_prior(path):
     """Prior spec from JSON; returns (prior object, metadata dict)."""
     from .prior_check import OrderedDirichletPrior, RawDirichletPrior, TrinePrior
 
-    data = json_object(path, read_text(path, "prior"), 'a "type" field')
-    kind = data.get("type")
-    try:
-        if kind == "trine":
-            return TrinePrior(a=float(data["a"])), data
-        if kind == "raw_dirichlet":
-            return RawDirichletPrior(DirichletParams(np.asarray(data["alphas"], dtype=float))), data
-        if kind == "ordered_dirichlet":
-            return (
-                OrderedDirichletPrior(DirichletParams(np.asarray(data["omega_alphas"], dtype=float))),
-                data,
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    raise InputError(f"{path}: unknown prior type {kind!r}")
+    kind, params, data = read_prior_params(path)
+    build = {"trine": TrinePrior, "raw_dirichlet": RawDirichletPrior,
+             "ordered_dirichlet": OrderedDirichletPrior}[kind]
+    return build(params), data
 
 
 def parse_region(text, n_cells):
@@ -362,21 +373,20 @@ def cmd_elicit(args):
 
 def cmd_posterior(args):
     from .posterior import check_sweeps, has_exact_draws, run_gibbs, sample_ordered_posterior
-    from .prior_check import OrderedDirichletPrior
 
     t = read_counts(args.counts)
-    prior, meta = read_prior(args.prior)
-    if not isinstance(prior, OrderedDirichletPrior):
+    kind, omega, meta = read_prior_params(args.prior)
+    if kind != "ordered_dirichlet":
         raise InputError("posterior sampling needs an ordered_dirichlet prior")
     check_sweeps(args.sweeps, args.burn_in)
     rng = RngStream(args.seed)
     # the exact path writes as many iid draws as the chain would keep sweeps
-    if has_exact_draws(prior.omega_params):
-        samples = sample_ordered_posterior(t, prior.omega_params, args.sweeps - args.burn_in, rng)
+    if has_exact_draws(omega):
+        samples = sample_ordered_posterior(t, omega, args.sweeps - args.burn_in, rng)
         payload = {"method": "exact", "ess": float(samples.shape[0])}
         line = f"kept {samples.shape[0]} exact draws; ess {samples.shape[0]}"
     else:
-        samples, diag = run_gibbs(t, prior.omega_params, args.sweeps, args.burn_in, None, rng)
+        samples, diag = run_gibbs(t, omega, args.sweeps, args.burn_in, None, rng)
         ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
         payload = {"method": "gibbs", "ess": ess,
                    "autocorr_time": [float(v) for v in diag.autocorr_time]}

@@ -506,13 +506,15 @@ def chain_log_integrals(powers, level=0):
 
     The grid is x = L u^3 for N equispaced u in [0, 1], with L = 2 sum(p + 1)
     + 50, about twice the Gamma(n + A) total sum(z), plus 50, and
-    N = max(4096, 40 sqrt(L)), doubled ``level`` times. Each G_i runs by the
-    trapezoid rule, in log space with one rescale per cell. Its error falls as
-    L / N^2, so level 1 certifies level 0.
+    N = max(4096, 40 sqrt(L), 53 K^1.5), doubled ``level`` times. Each G_i runs
+    by the trapezoid rule, in log space with one rescale per cell. Its error
+    falls as L / N^2, so level 1 certifies level 0, and grows as K^3 / N^2: the
+    K term holds log G_1 within 2e-3 nats of -log K! at t = 0 up to 200 cells,
+    and leaves N at 4096 up to 18 cells.
     """
     p = np.asarray(powers, dtype=float)
     length = 2.0 * float((p + 1.0).sum()) + 50.0
-    n_grid = max(4096, int(40.0 * math.sqrt(length))) << level
+    n_grid = max(4096, int(40.0 * math.sqrt(length)), int(53.0 * p.size ** 1.5)) << level
     x = length * np.linspace(0.0, 1.0, n_grid) ** 3
     dx = np.diff(x)
     log_g = np.empty((p.size, n_grid))

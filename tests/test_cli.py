@@ -323,6 +323,36 @@ class TestPosteriorCommand:
         assert (code, capsys.readouterr().err) == (1, f"input error: {message}\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"type": "trine", "a": 0.3}', "posterior sampling needs an ordered_dirichlet prior"),
+        ('{"type": "raw_dirichlet", "alphas": [1, 2, 3, 4]}',
+         "posterior sampling needs an ordered_dirichlet prior"),
+        ('{"type": "trine"}', "{path}: 'a'"),
+        ('{"type": "ordered_dirichlet"}', "{path}: 'omega_alphas'"),
+        ('{"type": "ordered_dirichlet", "omega_alphas": [1, 0, 1, 1]}',
+         "{path}: Dirichlet parameters must be finite and > 0"),
+        ('{"type": "ordered_dirichlet", "omega_alphas": "abc"}',
+         "{path}: could not convert string to float: 'abc'"),
+        ('{"type": "gamma"}', "{path}: unknown prior type 'gamma'"),
+        ('{"type": ["trine"]}', "{path}: unknown prior type ['trine']"),
+        ('{"alphas": [1, 1]}', "{path}: unknown prior type None"),
+        ("[1, 2]", '{path}: expected an object with a "type" field'),
+        ("{", "{path}: invalid JSON at line 1"),
+    ])
+    def test_prior_file_errors(self, tmp_path, capsys, text, message):
+        # posterior reads the prior file without prior_check, with check-prior's messages
+        counts = write_counts(tmp_path, np.array([10, 8, 4, 2]))
+        path = tmp_path / "prior.json"
+        path.write_text(text)
+        for argv in (["posterior", "--sweeps", "300", "--burn-in", "50"],
+                     ["check-prior", "--npred", "20", "--nis", "100", "--force"]):
+            if message.startswith("posterior") and argv[0] == "check-prior":
+                continue
+            code = main(argv + ["--counts", counts, "--prior", str(path),
+                                "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert (code, err) == (1, f"input error: {message.format(path=path)}\n")
+
 
 class TestCsvRows:
     def test_python_floats_format_as_numpy_scalars(self):
@@ -638,7 +668,7 @@ assert not scipy_modules, scipy_modules
         "elicit": (["elicit", "--k", "3", "--l", "0.02", "--u", "0.8", "--gamma", "0.9",
                     "--draws", "2000"], ["elicitation"]),
         "posterior": (["posterior", "--counts", "{fly}", "--prior", "{fly_prior}",
-                       "--sweeps", "200", "--burn-in", "50"], ["posterior", "prior_check"]),
+                       "--sweeps", "200", "--burn-in", "50"], ["posterior"]),
         "consistency": (["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
                          "--schedule", "50", "--replications", "5"], ["consistency"]),
     }

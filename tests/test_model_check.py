@@ -21,6 +21,11 @@ from conmult.core import (
 )
 from conmult.model_check import (
     ALPHA_FLOOR,
+    SEARCH_ITERS,
+    SEARCH_TOL,
+    STEP_ALPHA,
+    STEP_BETA,
+    ZM_SCAN_ROWS,
     ZM_ALPHA_MIN,
     ZM_BETAS,
     ZM_MAX_BINS,
@@ -39,6 +44,7 @@ from conmult.model_check import (
     rb_region_check,
     zm_distance_batch,
     _kl_closed,
+    _pattern_search,
 )
 from conmult import model_check
 from conmult.sampling import RngStream, sample_dirichlet_array
@@ -445,7 +451,9 @@ def oracle_draws(k1, prior):
     """600 flat or posterior-like draws: fewer than ZM_SCAN_ROWS, so the scan is one block."""
     gen = np.random.default_rng(9000 + k1)
     a = np.ones(k1) if prior == "flat" else gen.integers(0, 60, k1) + 1.0
-    return gen.dirichlet(a, 600)
+    th = gen.dirichlet(a, 600)
+    assert th.shape[0] < ZM_SCAN_ROWS  # else the scan's blocks could move its last bits
+    return th
 
 
 class TestPatternSearchOracle:
@@ -471,6 +479,111 @@ class TestPatternSearchOracle:
     def test_table_rows_and_uniform(self, fly_table):
         th = np.vstack([np.exp(fly_table.log_probs[::7]), np.full((1, 18), 1 / 18)])
         assert_agrees_with_oracle(th, fly_table)
+
+
+def fifty_iteration_search(th_t, neg_ent, best, alpha, beta):
+    """The search as it was before draws could leave it: every iteration on every draw.
+
+    A copy of that loop, which also records for each draw the first iteration
+    after which its steps met the stopping rule (-1 if none did) and its
+    (best, alpha, beta) then. Returns the final (best, alpha, beta), the
+    iterations and the recorded values.
+    """
+    k1, n = th_t.shape
+    cells = np.arange(1, k1 + 1, dtype=float)[:, None]
+    mass = np.add.reduce(th_t, axis=0)
+    log_a = np.log(alpha + cells)
+    m_sum = np.einsum("ij,ij->j", th_t, log_a)
+    work = np.empty_like(th_t)
+    sa = np.full(n, STEP_ALPHA)
+    sb = np.full(n, STEP_BETA)
+    first = np.full(n, -1)
+    at_first = [np.empty(n) for _ in range(3)]
+    for it in range(SEARCH_ITERS):
+        improved = np.zeros(n, dtype=bool)
+        for sign in (1, -1):
+            a2 = np.maximum(alpha + sign * sa, ALPHA_FLOOR)
+            log_t = np.log(np.add(a2, cells, out=work), out=work)
+            m_t = np.einsum("ij,ij->j", th_t, log_t)
+            val = _kl_closed(beta, log_t, m_t, neg_ent, mass, out=work)
+            g = np.flatnonzero(val < best)
+            best[g], alpha[g], m_sum[g] = val[g], a2[g], m_t[g]
+            improved[g] = True
+        np.log(np.add(alpha, cells, out=log_a), out=log_a)
+        for sign in (1, -1):
+            b2 = np.maximum(beta + sign * sb, 0.0)
+            val = _kl_closed(b2, log_a, m_sum, neg_ent, mass, out=work)
+            g = np.flatnonzero(val < best)
+            best[g], beta[g] = val[g], b2[g]
+            improved[g] = True
+        halve = np.where(improved, 1.0, 0.5)
+        sa *= halve
+        sb *= halve
+        met = ((first < 0) & (sa <= SEARCH_TOL * (1.0 + np.abs(alpha)))
+               & (sb <= SEARCH_TOL * (1.0 + beta)))
+        first[met] = it
+        for rec, v in zip(at_first, (best, alpha, beta)):
+            rec[met] = v[met]
+    return (best, alpha, beta), first, at_first
+
+
+def search_inputs(th, table):
+    """Cells-by-draws theta, neg_ent and the table scan's (best, alpha, beta)."""
+    th_t, neg_ent = cells_by_draws(th)
+    return th_t, neg_ent, zm_distance_batch(th, table, refine=False)
+
+
+class TestStoppingRule:
+    """Draws leave the search once their steps are at most SEARCH_TOL relative to alpha and beta."""
+
+    @pytest.fixture(scope="class")
+    def flat(self, fly_table):
+        th = sample_dirichlet_array(DirichletParams(np.ones(18)), 3000, RngStream(301))
+        return th, search_inputs(th, fly_table)
+
+    @pytest.mark.parametrize("prior", ["flat", "posterior"])
+    def test_draws_stop_where_the_rule_first_holds(self, fly_table, flat, prior):
+        if prior == "flat":
+            th, (th_t, neg_ent, scan) = flat
+        else:
+            th = sample_dirichlet_array(DirichletParams(FLY_COUNTS + 1.0), 3000, RngStream(302))
+            th_t, neg_ent, scan = search_inputs(th, fly_table)
+        want, first, at_first = fifty_iteration_search(th_t, neg_ent, *(v.copy() for v in scan))
+        left = first >= 0
+        if prior == "flat":
+            # more than 1/8 leave, so the live draws are gathered at least once
+            assert 1 / 8 < left.mean() < 1
+        else:
+            # posterior draws still gain at most iterations, and none of these leaves
+            assert not left.any()
+        got = _pattern_search(th_t, neg_ent, *(v.copy() for v in scan))
+        for g, w, rec in zip(got, want, at_first):
+            assert same_bits(g[~left], w[~left])
+            assert same_bits(g[left], rec[left])
+        assert np.all(got[0] <= scan[0])
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("pick", ["half", "every-third", "random", "two", "five", "300"])
+    def test_any_column_subset_keeps_its_bits(self, flat, pick):
+        # a lone column goes through numpy's one-column reduction loops, so
+        # subsets have at least two; the search never gathers fewer either
+        th, (th_t, neg_ent, scan) = flat
+        n = th.shape[0]
+        gen = np.random.default_rng(7)
+        cols = {"half": np.arange(n // 2), "every-third": np.arange(0, n, 3),
+                "random": np.flatnonzero(gen.random(n) < 0.4), "two": np.array([4, 1717]),
+                "five": np.sort(gen.choice(n, 5, replace=False)),
+                "300": np.sort(gen.choice(n, 300, replace=False))}[pick]
+        whole = _pattern_search(th_t, neg_ent, *(v.copy() for v in scan))
+        part = _pattern_search(np.ascontiguousarray(th_t[:, cols]), neg_ent[cols],
+                               *(v[cols].copy() for v in scan))
+        assert all(same_bits(w[cols], p) for w, p in zip(whole, part))
+
+    def test_writes_in_place(self, flat):
+        _, (th_t, neg_ent, scan) = flat
+        start = [v.copy() for v in scan]
+        got = _pattern_search(th_t, neg_ent, *start)
+        assert all(g is s for g, s in zip(got, start))
 
 
 @functools.lru_cache(maxsize=None)

@@ -154,7 +154,7 @@ class TestExactSampler:
         assert abs(log_m - chain_ordered_log_predictive(t, a)) < 1e-3
 
     def test_grid_rule(self):
-        # x = L u^3 over [0, L], L = 2(n + A) + 50, N = max(4096, 40 sqrt(L))
+        # x = L u^3 over [0, L], L = 2(n + A) + 50, N = max(4096, 40 sqrt(L), 53 K^1.5)
         for counts, n_grid in (([5, 3, 1], 4096), ([10**6, 0, 0], 56569)):
             x, log_g = chain_log_integrals(np.array(counts, dtype=float))
             length = 2.0 * (sum(counts) + 3) + 50.0
@@ -166,6 +166,15 @@ class TestExactSampler:
             x2, log_g2 = chain_log_integrals(np.array(counts, dtype=float), level=1)
             assert x2.size == 2 * n_grid and x2[-1] == length and log_g2.shape == (3, 2 * n_grid)
             assert same_bits(chain_log_integrals(np.array(counts, dtype=float), level=0)[1], log_g)
+
+    @pytest.mark.parametrize("cells", [50, 171, 200])
+    def test_grid_grows_with_the_cells(self, cells):
+        # the trapezoid error grows as K^3 / N^2, so past 18 cells N = 53 K^1.5;
+        # at t = 0 the chain's G_1(L) is 1/K!
+        assert chain_log_integrals(np.zeros(18))[0].size == 4096
+        x, log_g = chain_log_integrals(np.zeros(cells))
+        assert x.size == int(53.0 * cells ** 1.5)
+        assert abs(log_g[0, -1] + math.lgamma(cells + 1)) <= 2e-3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fly_means_match_exact_means(self, means, seed):
