@@ -27,9 +27,11 @@ from .core import (
     OrderedCone,
     SimplexPoint,
     TrineEllipse,
+    consecutive_blocks,
     crosshairs_region,
     pauli_region,
     quantiles,
+    strided,
     tetrahedron_region,
 )
 from .sampling import RngStream
@@ -149,8 +151,7 @@ def parse_region(text, n_cells):
 
 
 def parse_group(text, n_cells):
-    from .model_check import Strided, consecutive_blocks
-
+    """The group labels of a ``--group`` spelling (see ``core.consecutive_blocks``)."""
     if text == "pairs":
         return consecutive_blocks(n_cells, n_cells // 2)
     if text == "triples":
@@ -158,7 +159,7 @@ def parse_group(text, n_cells):
     if text.startswith("m="):
         return consecutive_blocks(n_cells, int(text[2:]))
     if text.startswith("stride="):
-        return Strided(int(text[7:]), n_cells)
+        return strided(int(text[7:]), n_cells)
     raise InputError(f"unknown group layout {text!r}")
 
 
@@ -313,17 +314,17 @@ def cmd_check_prior(args):
     if args.group is not None:
         if not isinstance(prior, OrderedDirichletPrior):
             raise InputError("--group prior checks need an ordered_dirichlet prior")
-        spec = parse_group(args.group, len(t))
+        labels = parse_group(args.group, len(t))
         if not args.group.startswith("stride="):
             raise InputError("grouped prior checks use the strided layout (stride=K)")
-        rep = grouped_conflict_check(t, prior, spec.n_groups, args.npred, args.nis, rng,
+        rep = grouped_conflict_check(t, prior, labels, args.npred, args.nis, rng,
                                      tau=args.tau, workers=args.workers)
-        payload["group_m"] = spec.n_groups
+        payload["group_m"] = max(labels) + 1
         payload["in_region_rate"] = predictive_in_region_rate(
-            prior, spec, t.n, 10_000, rng.substream(99)
+            prior, labels, t.n, 10_000, rng.substream(99)
         )
         if "l" in meta and "u" in meta:
-            lred, ured = grouped_bounds(float(meta["l"]), float(meta["u"]), t.k, spec.n_groups)
+            lred, ured = grouped_bounds(float(meta["l"]), float(meta["u"]), labels)
             payload["grouped_bounds"] = {"l": lred, "u": ured}
     else:
         rep = conflict_pvalue(t, prior, args.npred, args.nis, rng, tau=args.tau,
@@ -386,12 +387,11 @@ def cmd_posterior(args):
         payload = {"method": "exact", "ess": float(samples.shape[0])}
         line = f"kept {samples.shape[0]} exact draws; ess {samples.shape[0]}"
     else:
-        samples, diag = run_gibbs(t, omega, args.sweeps, args.burn_in, None, rng)
-        ess = float(samples.shape[0] / diag.autocorr_time.max())  # worst coordinate
-        payload = {"method": "gibbs", "ess": ess,
-                   "autocorr_time": [float(v) for v in diag.autocorr_time]}
+        samples, act = run_gibbs(t, omega, args.sweeps, args.burn_in, None, rng)
+        ess = float(samples.shape[0] / act.max())  # worst coordinate
+        payload = {"method": "gibbs", "ess": ess, "autocorr_time": [float(v) for v in act]}
         line = (f"kept {samples.shape[0]} sweeps; "
-                f"max autocorrelation time {diag.autocorr_time.max():.1f}; ess {ess:.0f}")
+                f"max autocorrelation time {act.max():.1f}; ess {ess:.0f}")
     write_csv(args.out, "posterior_samples.csv",
               [f"theta_{j + 1}" for j in range(samples.shape[1])], format_rows(samples))
     config = {
@@ -443,6 +443,14 @@ def cmd_consistency(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def positive_int(text):
+    """An ``int`` of at least 1, for argparse."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="conmult",
                      description="Bayesian checks for constrained multinomial models")
@@ -452,7 +460,7 @@ def build_parser():
     def common(p, draws=False):
         p.add_argument("--seed", type=int, default=20260810)
         p.add_argument("--out", default="out")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=positive_int, default=1)
         if draws:
             p.add_argument("--draws", type=int, default=100_000,
                            help="Monte Carlo draws (only echoed by the exact ordered region)")

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of immutable values: simplex/count types,
 the bijection between ordered probability vectors and unconstrained weights,
-Zipf-Mandelbrot probabilities, KL divergence, constraint-region membership,
-and closed-form log densities.
+the ordered prior's mode, groupings of the cells, Zipf-Mandelbrot
+probabilities, KL divergence, constraint-region membership, and closed-form
+log densities.
 """
 
 import math
@@ -164,6 +165,66 @@ def weights_from_ordered(theta: SimplexPoint) -> SimplexPoint:
             f"ordering violated at index {i}: theta_{i}={th[i - 1]:.6g} < theta_{i + 1}={th[i]:.6g}"
         )
     return SimplexPoint(weights_from_ordered_array(th))
+
+
+def ordered_mode(alphas):
+    """Probability-space image of the mode of weights Dirichlet(alphas); decreasing for every alpha.
+
+    Weights with alpha_j < 1 get no mass (the weight density peaks at the
+    face omega_j = 0), and alphas with none above 1 anchor at the uniform
+    vector.
+    """
+    excess = np.maximum(np.asarray(alphas, dtype=float) - 1.0, 0.0)
+    tau = float(excess.sum())
+    if tau <= 0:
+        xi = np.zeros(excess.size)
+        xi[-1] = 1.0
+    else:
+        xi = excess / tau
+    return ordered_from_weights_array(xi)
+
+
+# ---------------------------------------------------------------------------
+# groupings: a tuple of labels, one per cell; labels[i] is the group of cell i,
+# and groups are numbered 0, 1, ... in report order
+# ---------------------------------------------------------------------------
+
+def consecutive_blocks(n_cells: int, n_groups: int) -> tuple:
+    """Equal consecutive blocks covering ``n_cells``, the last one possibly smaller."""
+    if n_groups < 2:
+        raise ValueError(f"need at least 2 groups, got {n_groups}")
+    g = math.ceil(n_cells / n_groups)
+    if n_cells - g * (n_groups - 1) < 1:
+        raise ValueError(f"{n_cells} cells cannot form {n_groups} equal consecutive blocks")
+    return tuple(i // g for i in range(n_cells))
+
+
+def strided(m: int, n_cells: int) -> tuple:
+    """Cells j, j + m, j + 2m, ... in group j, for m groups; group sizes are non-increasing."""
+    if m < 2:
+        raise ValueError(f"need at least 2 groups, got {m}")
+    if m > n_cells:
+        raise ValueError(f"need at most {n_cells} groups, got {m}")
+    return tuple(i % m for i in range(n_cells))
+
+
+def group_sums(t, labels):
+    """Group sums along the last axis; members are added in cell order."""
+    t = np.asarray(t)
+    cells = np.asarray(labels)
+    return np.stack([t[..., cells == g].sum(axis=-1) for g in range(max(labels) + 1)], axis=-1)
+
+
+def group_counts(t: CountVector, labels) -> CountVector:
+    """Aggregate counts by an order-preserving grouping.
+
+    Both layouts provably preserve decreasing order: consecutive equal blocks
+    (with a possibly smaller last block) compare componentwise, and strided
+    groups have non-increasing sizes with componentwise-dominating members.
+    """
+    if len(labels) != len(t):
+        raise ValueError(f"group layout covers {len(labels)} cells, counts have {len(t)}")
+    return CountVector(group_sums(t.counts, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -19,71 +19,11 @@ from .core import (
     TrineEllipse,
     chain_log_integrals,
     gammaln,
+    group_counts,
     trine_prior_mass,
     zm_log_probs_array,
 )
 from .sampling import RngStream, chunked_monte_carlo, sample_dirichlet_array
-
-
-# ---------------------------------------------------------------------------
-# grouping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Grouping:
-    """Partition of the cells into groups: ``labels[i]`` is the group of cell i.
-
-    Groups are numbered 0, 1, ... in the order they are reported.
-    """
-
-    labels: tuple
-
-    @property
-    def n_cells(self):
-        return len(self.labels)
-
-    @property
-    def n_groups(self):
-        return max(self.labels) + 1
-
-    def group_array(self, t):
-        """Group sums along the last axis; members are added in cell order."""
-        t = np.asarray(t)
-        labels = np.asarray(self.labels)
-        return np.stack([t[..., labels == g].sum(axis=-1) for g in range(self.n_groups)],
-                        axis=-1)
-
-
-def consecutive_blocks(n_cells: int, n_groups: int) -> Grouping:
-    """Equal consecutive blocks covering ``n_cells``, the last one possibly smaller."""
-    if n_groups < 1:
-        raise ValueError(f"need at least one group, got {n_groups}")
-    g = math.ceil(n_cells / n_groups)
-    last = n_cells - g * (n_groups - 1)
-    if last < 1:
-        raise ValueError(
-            f"{n_cells} cells cannot form {n_groups} equal consecutive blocks"
-        )
-    return Grouping(tuple(i // g for i in range(n_cells)))
-
-
-def Strided(m: int, n_cells: int) -> Grouping:
-    """Partition of 1..k+1 into m groups {j, j+m, j+2m, ...}; group sizes are non-increasing."""
-    if not (1 <= m <= n_cells):
-        raise ValueError(f"need 1 <= m <= {n_cells}, got m={m}")
-    return Grouping(tuple(i % m for i in range(n_cells)))
-
-
-def group_counts(t: CountVector, spec) -> CountVector:
-    """Aggregate counts by an order-preserving group layout.
-
-    Both layouts provably preserve decreasing order: consecutive equal blocks
-    (with a possibly smaller last block) compare componentwise, and strided
-    groups have non-increasing sizes with componentwise-dominating members.
-    """
-    if spec.n_cells != len(t):
-        raise ValueError(f"group layout covers {spec.n_cells} cells, counts have {len(t)}")
-    return CountVector(spec.group_array(t.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +140,15 @@ def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
     )
 
 
-def rb_grouped_check(t: CountVector, spec, n_draws: int, rng: RngStream,
+def rb_grouped_check(t: CountVector, labels, n_draws: int, rng: RngStream,
                      workers: int = 1) -> CheckReport:
-    """Ordered-probabilities check after grouping cells.
+    """Ordered-probabilities check after grouping the cells by ``labels`` (see ``core``).
 
     The grouped counts are treated as a fresh multinomial on m cells with the
     flat reference prior, so the posterior is Dirichlet(grouped counts + 1)
     and the prior content of the ordered cone is 1/m!. Both contents are exact.
     """
-    grouped = group_counts(t, spec)
+    grouped = group_counts(t, labels)
     return rb_region_check(grouped, OrderedCone(dim=len(grouped)), n_draws, rng, workers)
 
 

@@ -13,18 +13,11 @@ omega | m ~ Dirichlet(alpha + m). Alternating the two exact draws is data
 augmentation (Tanner & Wong 1987), with no grid or truncation anywhere.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (CountVector, DirichletParams, SimplexPoint, chain_log_integrals,
-                   ordered_from_weights_array, weights_from_ordered_array)
+                   ordered_from_weights_array, ordered_mode, weights_from_ordered_array)
 from .sampling import RngStream
-
-
-@dataclass(frozen=True)
-class GibbsDiagnostics:
-    autocorr_time: np.ndarray
 
 
 def autocorrelation_time(x):
@@ -120,18 +113,17 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     """Latent-allocation Gibbs on the weights, reported in probability space.
 
     ``counts`` may be None for a prior-only chain. ``init`` is a probability
-    vector; it defaults to the probability-space image of the prior mode. Its
-    weights, averaged with equal weights, set the first sweep's allocation
-    probabilities. Returns (samples array of kept sweeps, GibbsDiagnostics).
+    vector; it defaults to the probability-space image of the prior mode
+    (``core.ordered_mode``). Its weights, averaged with equal weights, set the
+    first sweep's allocation probabilities. Returns (samples array of kept
+    sweeps, autocorrelation time of each coordinate).
     """
     al = prior.alphas
     k1 = len(prior)
     cnt = _counts(counts, k1)
     check_sweeps(n_sweeps, burn_in)
     if init is None:
-        from .prior_check import OrderedDirichletPrior
-
-        theta0 = OrderedDirichletPrior(prior).theta_mode()
+        theta0 = ordered_mode(al)
     else:
         theta0 = init.probs if isinstance(init, SimplexPoint) else np.asarray(init, dtype=float)
     # averaging with equal weights lets every component receive counts in the first sweep
@@ -152,4 +144,4 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     omega = np.exp(log_kept - log_kept.max(axis=1, keepdims=True))
     kept = ordered_from_weights_array(omega / omega.sum(axis=1, keepdims=True))
     act = np.array([autocorrelation_time(kept[:, j]) for j in range(k1)])
-    return kept, GibbsDiagnostics(autocorr_time=act)
+    return kept, act

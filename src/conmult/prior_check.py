@@ -19,15 +19,18 @@ import numpy as np
 from .core import (
     CountVector,
     DirichletParams,
+    OrderedCone,
     TrineEllipse,
     gammaln,
     gauss_legendre,
+    group_counts,
+    group_sums,
     log_dirichlet_multinomial,
     log_dirichlet_norm,
     log_dirichlet_pdf_array,
     logsumexp,
     median,
-    ordered_from_weights_array,
+    ordered_mode,
     weights_from_ordered_array,
 )
 from .sampling import (
@@ -366,28 +369,13 @@ class OrderedDirichletPrior:
                        + gammaln(self.dim + 1))
         return out
 
-    def theta_mode(self):
-        """Probability-space image of the weight mode; decreasing for every alpha.
-
-        Weights with alpha_j < 1 get no mass (the weight density peaks at the
-        face omega_j = 0), and a prior with no alpha_j > 1 anchors at the
-        uniform vector.
-        """
-        excess = np.maximum(self.omega_params.alphas - 1.0, 0.0)
-        tau = float(excess.sum())
-        if tau <= 0:
-            xi = np.zeros(self.dim)
-            xi[-1] = 1.0
-        else:
-            xi = excess / tau
-        return ordered_from_weights_array(xi)
-
     def proposal_alphas(self, counts, tau):
         """Dirichlet on the weights, with the frequencies pulled into the cone toward the mode.
 
         Draws induced through the weights always stay in the cone.
         """
-        mode = project_to_cone(counts / counts.sum(axis=-1, keepdims=True), self.theta_mode())
+        mode = project_to_cone(counts / counts.sum(axis=-1, keepdims=True),
+                               ordered_mode(self.omega_params.alphas))
         xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
         return 1.0 + tau * (xi / xi.sum(axis=-1, keepdims=True))
 
@@ -671,70 +659,59 @@ def _exact_masses(ts, prior):
 # grouping support for elicited priors
 # ---------------------------------------------------------------------------
 
-def grouped_bounds(l: float, u: float, k: int, m: int):
-    """Virtual-certainty interval for the strided m-group reduction.
+def grouped_bounds(l: float, u: float, labels):
+    """Virtual-certainty interval for the strided reduction with group ``labels``.
 
     Group j collects cells {j, j+m, j+2m, ...}. Each extra member of the first
     group is capped by the decreasing-probabilities bound theta_i <= 1/i at
-    position 1 + (j-1)m, raising the upper bound; the lower bound gains the
-    cap values at the positions j*m of the last group's extra members. A
-    singleton last group leaves the lower bound unchanged.
+    its position i, raising the upper bound; the lower bound gains the cap
+    values at the positions of the last group's extra members. A singleton
+    last group leaves the lower bound unchanged.
     """
     if not (0 <= l < u <= 1):
         raise ValueError(f"need 0 <= l < u <= 1, got ({l}, {u})")
-    k1 = k + 1
-    if not (1 <= m <= k1):
-        raise ValueError(f"need 1 <= m <= {k1}")
-    g_first = math.ceil(k1 / m)
-    g_last = k1 // m
-    u_red = u + sum(1.0 / (1 + (j - 1) * m) for j in range(2, g_first + 1))
-    l_red = l + sum(1.0 / (j * m) for j in range(2, g_last + 1))
-    return l_red, u_red
+    first, last = ([i + 1 for i, g in enumerate(labels) if g == group]
+                   for group in (0, max(labels)))
+    return l + sum(1.0 / i for i in last[1:]), u + sum(1.0 / i for i in first[1:])
 
 
-def predictive_in_region_rate(prior, spec, n: int, n_draws: int,
+def predictive_in_region_rate(prior, labels, n: int, n_draws: int,
                               rng: RngStream) -> float:
     """Fraction of predictive draws whose grouped relative frequencies are decreasing."""
     gen = rng.generator()
-    g = spec.group_array(gen.multinomial(n, prior.sample_array(n_draws, gen)))
-    return float(np.mean(np.all(g[:, :-1] >= g[:, 1:], axis=-1)))
+    g = group_sums(gen.multinomial(n, prior.sample_array(n_draws, gen)), labels)
+    return float(np.mean(OrderedCone(g.shape[-1]).contains_array(g)))
 
 
-def reduce_ordered_prior(prior: OrderedDirichletPrior, m: int) -> OrderedDirichletPrior:
-    """Surrogate elicited prior for the strided m-group problem.
+def reduce_ordered_prior(prior: OrderedDirichletPrior, labels) -> OrderedDirichletPrior:
+    """Surrogate elicited prior for the strided reduction with group ``labels``.
 
     Keeps the elicited concentration and moves the mode to the grouped mode,
     so the reduced prior expresses the same information on the coarser scale.
     """
-    from .model_check import Strided
-
-    spec = Strided(m, prior.dim)
     al = prior.omega_params.alphas
     tau = float((al - 1.0).sum())
-    mode_red = spec.group_array(prior.theta_mode())  # decreasing, see group_counts
+    mode_red = group_sums(ordered_mode(al), labels)  # decreasing, see group_counts
     xi_red = np.clip(weights_from_ordered_array(mode_red), 0.0, None)
     xi_red = xi_red / xi_red.sum()
     return OrderedDirichletPrior(DirichletParams(1.0 + tau * xi_red))
 
 
 def grouped_conflict_check(t_obs: CountVector, prior: OrderedDirichletPrior,
-                           m: int, n_pred: int, n_is: int, rng: RngStream,
+                           labels, n_pred: int, n_is: int, rng: RngStream,
                            tau: float = None, workers: int = 1) -> ConflictReport:
-    """Conflict check of an elicited ordered prior on the strided m-group reduction.
+    """Conflict check of an elicited ordered prior on the strided reduction with group ``labels``.
 
     Predictive count vectors are drawn from the full prior and grouped (the
     grouped counts are multinomial in the grouped probabilities, so this is
     the exact reduced predictive); their masses are ranked under the surrogate
     reduced prior.
     """
-    from .model_check import Strided
-
     if prior.dim != len(t_obs):
         raise ValueError(f"prior has {prior.dim} cells, counts have {len(t_obs)}")
-    spec = Strided(m, len(t_obs))
-    reduced = reduce_ordered_prior(prior, m)
+    t_red = group_counts(t_obs, labels)
+    reduced = reduce_ordered_prior(prior, labels)
     gen = rng.substream(0).generator()
-    t_pred = spec.group_array(gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen)))
-    t_red = CountVector(spec.group_array(t_obs.counts))
+    t_pred = group_sums(gen.multinomial(t_obs.n, prior.sample_array(n_pred, gen)), labels)
     return conflict_pvalue(t_red, reduced, n_pred, n_is, rng.substream(1),
                            tau=tau, predictive_counts=t_pred, workers=workers)

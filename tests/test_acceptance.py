@@ -20,14 +20,14 @@ from conmult.core import (
     DirichletParams,
     SimplexPoint,
     TrineEllipse,
+    consecutive_blocks,
     log_dirichlet_multinomial,
     ordered_from_weights,
+    strided,
     weights_from_ordered,
 )
 from conmult.elicitation import ElicitationInput, find_tau_result
 from conmult.model_check import (
-    Strided,
-    consecutive_blocks,
     rb_distance_check,
     rb_grouped_check,
     rb_region_check,
@@ -194,14 +194,14 @@ def test_criterion_6_ordered_conflict(fly_prior):
                              1000, 10_000, RngStream(8604))
 
     targets = {18: 0.00, 9: 0.04, 6: 0.25, 5: 0.44, 4: 0.61, 3: 0.78, 2: 0.93}
-    rates = {m: predictive_in_region_rate(prior, Strided(m, 18), t.n, 10_000,
+    rates = {m: predictive_in_region_rate(prior, strided(m, 18), t.n, 10_000,
                                           RngStream(8610 + m))
              for m in targets}
     rates_ok = all(abs(rates[m] - targets[m]) <= 0.03 for m in targets)
     rates_txt = ", ".join(f"{m}:{rates[m]:.3f}" for m in sorted(targets, reverse=True))
 
-    g9 = grouped_conflict_check(t, prior, 9, 1000, 10_000, RngStream(8621))
-    g6 = grouped_conflict_check(t, prior, 6, 1000, 10_000, RngStream(8622))
+    g9 = grouped_conflict_check(t, prior, strided(9, 18), 1000, 10_000, RngStream(8621))
+    g6 = grouped_conflict_check(t, prior, strided(6, 18), 1000, 10_000, RngStream(8622))
 
     criterion(6, [
         (f"original data p {original.pvalue:.3f} = 0.36 +/- 0.10",

@@ -571,6 +571,29 @@ class TestInputErrors:
         assert code == 1
         assert "input error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["check-model", "--counts", "{fly}", "--group", "m=1"],
+                     "need at least 2 groups, got 1", id="model-m=1"),
+        pytest.param(["check-model", "--counts", "{fly}", "--group", "stride=1"],
+                     "need at least 2 groups, got 1", id="model-stride=1"),
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
+                      "--group", "stride=1"], "need at least 2 groups, got 1", id="prior-stride=1"),
+        # refused when parsed, before any report echoes the value
+        pytest.param(["check-model", "--counts", "{fly}", "--group", "pairs", "--workers", "0"],
+                     "argument --workers: must be at least 1, got 0", id="model-workers-0"),
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
+                      "--workers", "-3"], "argument --workers: must be at least 1, got -3",
+                     id="prior-workers-negative"),
+    ])
+    def test_exits_1_with_message(self, tmp_path, capsys, argv, message):
+        files = {"fly": write_counts(tmp_path, FLY_COUNTS), "prior": str(tmp_path / "prior.json")}
+        with open(files["prior"], "w") as fh:
+            json.dump({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}, fh)
+        out = tmp_path / "out"
+        code = main([a.format(**files) for a in argv] + ["--out", str(out)])
+        assert (code, capsys.readouterr().err.splitlines()[-1]) == (1, f"input error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("prior, group, k1", [
         ({"type": "trine", "a": 1 / 3}, None, 3),
         ({"type": "raw_dirichlet", "alphas": [1.0, 1.0, 1.0]}, None, 3),
@@ -664,11 +687,13 @@ assert not scipy_modules, scipy_modules
                          "--npred", "20", "--nis", "200", "--force"], ["prior_check"]),
         "prior-grouped": (["check-prior", "--counts", "{fly}", "--prior", "{fly_prior}",
                            "--npred", "20", "--nis", "200", "--force", "--group", "stride=9"],
-                          ["model_check", "prior_check"]),
+                          ["prior_check"]),
         "elicit": (["elicit", "--k", "3", "--l", "0.02", "--u", "0.8", "--gamma", "0.9",
                     "--draws", "2000"], ["elicitation"]),
         "posterior": (["posterior", "--counts", "{fly}", "--prior", "{fly_prior}",
                        "--sweeps", "200", "--burn-in", "50"], ["posterior"]),
+        "posterior-gibbs": (["posterior", "--counts", "{fly}", "--prior", "{gibbs_prior}",
+                             "--sweeps", "200", "--burn-in", "50"], ["posterior"]),
         "consistency": (["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
                          "--schedule", "50", "--replications", "5"], ["consistency"]),
     }
@@ -684,7 +709,10 @@ assert not scipy_modules, scipy_modules
         files = {"trine": {"counts": TRINE_SYMMETRIC.tolist()},
                  "fly": {"counts": FLY_COUNTS.tolist()},
                  "trine_prior": {"type": "trine", "a": 1 / 3},
-                 "fly_prior": {"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}}
+                 "fly_prior": {"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]},
+                 # alpha_1 != 1 leaves the exact draws for the Gibbs chain
+                 "gibbs_prior": {"type": "ordered_dirichlet",
+                                 "omega_alphas": [2.0] + [1.0] * 16 + [3.85]}}
         paths = {}
         for key, obj in files.items():
             paths[key] = str(tmp_path / f"{key}.json")
@@ -722,8 +750,9 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         # --version, the exact cone contents and the exact delta = 0 elicitation draw
         # nothing, so only they leave numpy.random unimported
         assert seen["numpy_random"] == (name not in ("version", "model-pairs", "elicit"))
-        # the flat-mode prior takes exact draws, which need no autocorrelation FFT
-        assert not seen["numpy_fft"]
+        # the flat-mode prior takes exact draws, which need no autocorrelation FFT;
+        # the Gibbs chain's autocorrelation times do
+        assert seen["numpy_fft"] == (name == "posterior-gibbs")
         assert seen["freeze_count"] > 0
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):

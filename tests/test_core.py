@@ -14,24 +14,30 @@ from conmult.core import (
     SimplexPoint,
     TrineEllipse,
     ZmParams,
+    consecutive_blocks,
     crosshairs_region,
     gammaln,
     gauss_legendre,
+    group_counts,
+    group_sums,
     kl_divergence,
     log_multinomial_pmf,
     logsumexp,
     median,
     ordered_from_weights,
+    ordered_from_weights_array,
+    ordered_mode,
     pauli_region,
     quantiles,
     region_contains,
+    strided,
     tetrahedron_region,
     trine_prior_mass,
     weights_from_ordered,
     zm_distribution,
 )
 
-from conftest import same_bits
+from conftest import FLY_COUNTS, same_bits
 
 
 def random_simplex(rng, k1, size=1):
@@ -156,6 +162,115 @@ class TestOrderedWeightsBijection:
                 assert region_contains(cone, theta)
                 cone_checked += 1
         assert cone_checked == 600
+
+
+class TestOrderedMode:
+    @staticmethod
+    def theta_mode_reference(alphas):
+        """The arithmetic of ``OrderedDirichletPrior.theta_mode``, which ``ordered_mode`` replaced."""
+        excess = np.maximum(alphas - 1.0, 0.0)
+        tau = float(excess.sum())
+        if tau <= 0:
+            xi = np.zeros(alphas.size)
+            xi[-1] = 1.0
+        else:
+            xi = excess / tau
+        return ordered_from_weights_array(xi)
+
+    def test_decreasing_with_small_alpha(self):
+        # weights with alpha < 1 get no mode mass: xi = (0, 1/2, 1/2)
+        mode = ordered_mode(np.array([0.5, 3.0, 3.0]))
+        np.testing.assert_allclose(mode, [5 / 12, 5 / 12, 1 / 6], atol=1e-15)
+
+    @pytest.mark.parametrize("alphas", [
+        [0.5, 3.0, 3.0],
+        [1.0] * 17 + [3.85],
+        [0.2, 1.7, 0.9, 1.0, 2.5, 0.01],
+        [1.084, 1.169, 1.253, 1.338, 4.967],
+        [1.0, 1.0, 1.0],
+        [0.5, 1.0, 0.3, 0.99],
+        [0.05] * 18,
+    ])
+    def test_same_bits_as_the_prior_method(self, alphas):
+        alphas = np.array(alphas)
+        assert same_bits(ordered_mode(alphas), self.theta_mode_reference(alphas))
+
+    def test_no_alpha_above_one_anchors_at_uniform(self):
+        np.testing.assert_allclose(ordered_mode(np.array([0.5, 1.0, 0.3, 0.99])), np.full(4, 0.25),
+                                   atol=1e-15)
+
+
+class TestGroupings:
+    @staticmethod
+    def group_array_reference(t, labels):
+        """The arithmetic of ``Grouping.group_array``, which ``group_sums`` replaced."""
+        t = np.asarray(t)
+        cells = np.asarray(labels)
+        return np.stack([t[..., cells == g].sum(axis=-1) for g in range(max(labels) + 1)],
+                        axis=-1)
+
+    def test_labels(self):
+        assert consecutive_blocks(7, 3) == (0, 0, 0, 1, 1, 1, 2)
+        assert strided(3, 7) == (0, 1, 2, 0, 1, 2, 0)
+        assert strided(7, 7) == consecutive_blocks(7, 7) == tuple(range(7))
+
+    def test_consecutive_construction(self):
+        assert group_sums(np.ones(18), consecutive_blocks(18, 5)).tolist() == [4, 4, 4, 4, 2]
+        assert group_sums(np.ones(18), consecutive_blocks(18, 9)).tolist() == [2] * 9
+
+    def test_rejects_nonequal_blocks(self):
+        with pytest.raises(ValueError, match="cannot form 7 equal consecutive blocks"):
+            consecutive_blocks(18, 7)
+        with pytest.raises(ValueError, match="cannot form"):
+            consecutive_blocks(3, 4)
+
+    @pytest.mark.parametrize("make", [lambda g: consecutive_blocks(6, g), lambda g: strided(g, 6)],
+                             ids=["consecutive", "strided"])
+    @pytest.mark.parametrize("groups", [1, 0, -2])
+    def test_one_group_or_fewer_refused(self, make, groups):
+        with pytest.raises(ValueError, match=f"need at least 2 groups, got {groups}"):
+            make(groups)
+
+    def test_strided_needs_a_cell_per_group(self):
+        with pytest.raises(ValueError, match="need at most 18 groups, got 19"):
+            strided(19, 18)
+
+    def test_strided_sizes_non_increasing(self):
+        assert group_sums(np.ones(18), strided(5, 18)).tolist() == [4, 4, 4, 3, 3]
+
+    def test_group_counts_values(self):
+        t = CountVector(FLY_COUNTS)
+        pairs = group_counts(t, consecutive_blocks(18, 9))
+        np.testing.assert_array_equal(pairs.counts, [241, 64, 31, 8, 7, 5, 3, 2, 2])
+        stride = group_counts(t, strided(9, 18))
+        np.testing.assert_array_equal(stride.counts, [148, 99, 37, 31, 21, 12, 5, 5, 5])
+
+    def test_group_counts_dimension_check(self):
+        with pytest.raises(ValueError, match="group layout covers 16 cells, counts have 18"):
+            group_counts(CountVector(FLY_COUNTS), consecutive_blocks(16, 8))
+
+    def test_order_preservation_both_layouts(self, rng):
+        # decreasing inputs stay decreasing after grouping, for every layout
+        for _ in range(200):
+            th = np.sort(rng.dirichlet(np.ones(18)))[::-1]
+            for labels in (consecutive_blocks(18, 5), strided(7, 18)):
+                assert np.all(np.diff(group_sums(th, labels)) <= 1e-15)
+
+    @pytest.mark.parametrize("n_cells", [2, 5, 18, 23])
+    def test_same_bits_as_the_grouping_method(self, rng, n_cells):
+        # both layouts, every group count, on probabilities and counts, 1-D and 2-D
+        probs = random_simplex(rng, n_cells, 50)
+        counts = rng.multinomial(500, probs[0], size=50)
+        for groups in range(2, n_cells + 1):
+            layouts = [strided(groups, n_cells)]
+            assert layouts[0] == tuple(i % groups for i in range(n_cells))
+            size = math.ceil(n_cells / groups)
+            if n_cells - size * (groups - 1) >= 1:
+                layouts.append(consecutive_blocks(n_cells, groups))
+                assert layouts[1] == tuple(i // size for i in range(n_cells))
+            for labels in layouts:
+                for t in (probs, probs[0], counts, counts[0]):
+                    assert same_bits(group_sums(t, labels), self.group_array_reference(t, labels))
 
 
 class TestZipfMandelbrot:

@@ -1,5 +1,6 @@
-"""Leftovers from deletions (imports nothing uses, exports that no longer exist), and
-module-level imports of command modules that the front end loads only on demand."""
+"""Leftovers from deletions (imports nothing uses, exports that no longer exist),
+module-level imports of command modules that the front end loads only on demand, and
+imports between the analysis modules, which build on ``core`` and ``sampling`` alone."""
 
 import ast
 import json
@@ -101,8 +102,14 @@ def test_cli_loads_command_modules_on_demand():
     assert module_level_imports((SRC / "cli.py").read_text()) & COMMAND_MODULES == set()
 
 
-def test_prior_check_loads_model_check_on_demand():
-    assert "model_check" not in module_level_imports((SRC / "prior_check.py").read_text())
+def package_imports(source):
+    """Package modules that ``source`` imports anywhere, function bodies included."""
+    return set().union(*map(package_modules, ast.walk(ast.parse(source))))
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_MODULES))
+def test_analysis_module_imports_core_and_sampling_alone(name):
+    assert package_imports((SRC / f"{name}.py").read_text()) <= {"core", "sampling"}
 
 
 def test_guard_skips_function_bodies_only():
@@ -113,6 +120,8 @@ def test_guard_skips_function_bodies_only():
               "    def m(self):\n        import conmult.sampling\n")
     assert module_level_imports(source) == {"core", "posterior", "elicitation", "model_check",
                                             "prior_check"}
+    assert package_imports(source) == {"core", "posterior", "elicitation", "model_check",
+                                       "consistency", "prior_check", "sampling"}
 
 
 def environment_reads(source):

@@ -12,9 +12,13 @@ from conmult.core import (
     QuadBall,
     TrineEllipse,
     chain_log_integrals,
+    consecutive_blocks,
     crosshairs_region,
     gammaln,
+    group_counts,
+    group_sums,
     pauli_region,
+    strided,
     tetrahedron_region,
     trine_prior_mass,
     zm_log_probs_array,
@@ -31,12 +35,9 @@ from conmult.model_check import (
     ZM_MAX_BINS,
     ZM_N_ALPHA,
     CheckReport,
-    Strided,
     alpha_upper_bounds,
     analytic_prior_prob,
     build_zm_table,
-    consecutive_blocks,
-    group_counts,
     kl_uniform_to_zm,
     ordered_cone_log_content,
     rb_distance_check,
@@ -52,43 +53,6 @@ from conmult.core import DirichletParams
 
 from conftest import (FLY_COUNTS, TRINE_ASYMMETRIC, TRINE_ASYMMETRIC_A, TRINE_SYMMETRIC,
                       same_bits)
-
-
-class TestGroupSpecs:
-    def test_consecutive_construction(self):
-        spec = consecutive_blocks(18, 5)
-        assert spec.group_array(np.ones(18)).tolist() == [4, 4, 4, 4, 2]
-        assert consecutive_blocks(18, 9).group_array(np.ones(18)).tolist() == [2] * 9
-
-    def test_rejects_nonequal_blocks(self):
-        with pytest.raises(ValueError):
-            consecutive_blocks(18, 7)  # no equal-block cover exists
-        with pytest.raises(ValueError):
-            consecutive_blocks(2, 0)
-
-    def test_strided_sizes_non_increasing(self):
-        spec = Strided(5, 18)
-        grouped = spec.group_array(np.ones(18))
-        assert grouped.tolist() == [4, 4, 4, 3, 3]
-
-    def test_group_counts_values(self):
-        t = CountVector(FLY_COUNTS)
-        pairs = group_counts(t, consecutive_blocks(18, 9))
-        np.testing.assert_array_equal(pairs.counts, [241, 64, 31, 8, 7, 5, 3, 2, 2])
-        strided = group_counts(t, Strided(9, 18))
-        np.testing.assert_array_equal(strided.counts, [148, 99, 37, 31, 21, 12, 5, 5, 5])
-
-    def test_group_counts_dimension_check(self):
-        with pytest.raises(ValueError):
-            group_counts(CountVector(FLY_COUNTS), consecutive_blocks(16, 8))
-
-    def test_order_preservation_both_layouts(self, rng):
-        # decreasing inputs stay decreasing after grouping, for every layout
-        for _ in range(200):
-            th = np.sort(rng.dirichlet(np.ones(18)))[::-1]
-            for spec in (consecutive_blocks(18, 5), Strided(7, 18)):
-                g = spec.group_array(th)
-                assert np.all(np.diff(g) <= 1e-15)
 
 
 class TestRegionCheck:
@@ -195,8 +159,8 @@ class TestExactConeContent:
         assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
 
     @pytest.mark.parametrize("counts", [
-        consecutive_blocks(18, 9).group_array(FLY_COUNTS),
-        consecutive_blocks(18, 6).group_array(FLY_COUNTS),
+        group_sums(FLY_COUNTS, consecutive_blocks(18, 9)),
+        group_sums(FLY_COUNTS, consecutive_blocks(18, 6)),
         FLY_COUNTS,
         np.array([7, 3]),
         np.zeros(18, dtype=int),
@@ -212,10 +176,10 @@ class TestExactConeContent:
     def test_fly_contents_and_ratios(self):
         # pairs and triples meet criterion 2; the ungrouped cone is decided too
         t = CountVector(FLY_COUNTS)
-        for spec, post, rb in ((consecutive_blocks(18, 9), 0.0404213, 14668.1),
-                               (consecutive_blocks(18, 6), 0.397446, 286.161),
-                               (Strided(18, 18), 2.90549e-7, 1.86020e9)):
-            rep = rb_grouped_check(t, spec, 1000, RngStream(1))
+        for labels, post, rb in ((consecutive_blocks(18, 9), 0.0404213, 14668.1),
+                                 (consecutive_blocks(18, 6), 0.397446, 286.161),
+                                 (strided(18, 18), 2.90549e-7, 1.86020e9)):
+            rep = rb_grouped_check(t, labels, 1000, RngStream(1))
             assert rep.method == "exact" and rep.n_draws == 1000
             assert rep.post_prob == pytest.approx(post, rel=1e-5)
             assert rep.rb == pytest.approx(rb, rel=1e-5)

@@ -17,11 +17,11 @@ class TestRunGibbs:
     def test_states_stay_in_cone_and_simplex(self):
         counts = CountVector(np.array([8, 5, 3, 1]))
         prior = DirichletParams(np.ones(4))
-        samples, diag = run_gibbs(counts, prior, 500, 50, None, RngStream(300))
+        samples, act = run_gibbs(counts, prior, 500, 50, None, RngStream(300))
         assert samples.shape == (450, 4)
         assert np.all(samples[:, :-1] >= samples[:, 1:] - 1e-12)
         np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-10)
-        assert np.all(diag.autocorr_time >= 1.0)
+        assert np.all(act >= 1.0)
 
     def test_deterministic_under_seed(self):
         counts = CountVector(np.array([8, 5, 3, 1]))
@@ -34,12 +34,12 @@ class TestRunGibbs:
         # flat prior on the cone: posterior = Dirichlet(t+1) conditioned on order
         counts = CountVector(np.array([3, 2, 1]))
         prior = DirichletParams(np.ones(3))
-        samples, diag = run_gibbs(counts, prior, 12_000, 1000, None, RngStream(302))
+        samples, act = run_gibbs(counts, prior, 12_000, 1000, None, RngStream(302))
         draws = rng.dirichlet(counts.counts + 1.0, size=400_000)
         cone = draws[np.all(draws[:, :-1] >= draws[:, 1:], axis=1)]
         mean_oracle = cone.mean(axis=0)
         se_oracle = cone.std(axis=0) / np.sqrt(len(cone))
-        n_eff = samples.shape[0] / diag.autocorr_time
+        n_eff = samples.shape[0] / act
         se_gibbs = samples.std(axis=0) / np.sqrt(n_eff)
         gap = np.abs(samples.mean(axis=0) - mean_oracle)
         assert np.all(gap < 3 * np.sqrt(se_oracle**2 + se_gibbs**2))
@@ -49,13 +49,13 @@ class TestRunGibbs:
         # so direct rejection from Dirichlet(t+1) is a feasible oracle
         counts = CountVector(np.array([241, 64, 31, 8, 7, 5, 3, 2, 2]))
         prior = DirichletParams(np.ones(9))
-        samples, diag = run_gibbs(counts, prior, 8_000, 800, None, RngStream(306))
+        samples, act = run_gibbs(counts, prior, 8_000, 800, None, RngStream(306))
         draws = rng.dirichlet(counts.counts + 1.0, size=500_000)
         cone = draws[np.all(draws[:, :-1] >= draws[:, 1:], axis=1)]
         assert len(cone) > 10_000
         mean_oracle = cone.mean(axis=0)
         se_oracle = cone.std(axis=0) / np.sqrt(len(cone))
-        n_eff = samples.shape[0] / diag.autocorr_time
+        n_eff = samples.shape[0] / act
         se_gibbs = samples.std(axis=0) / np.sqrt(n_eff)
         gap = np.abs(samples.mean(axis=0) - mean_oracle)
         assert np.all(gap < 3.5 * np.sqrt(se_oracle**2 + se_gibbs**2))
@@ -117,9 +117,9 @@ class TestExactMeansOracle:
         # se of each coordinate's mean corrected by its autocorrelation time
         alphas = np.ones(18)
         alphas[-1] = FLY_ALPHA_LAST
-        samples, diag = run_gibbs(CountVector(FLY_COUNTS), DirichletParams(alphas),
+        samples, act = run_gibbs(CountVector(FLY_COUNTS), DirichletParams(alphas),
                                   21_000, 1000, None, RngStream(seed))
-        se = samples.std(axis=0) * np.sqrt(diag.autocorr_time / samples.shape[0])
+        se = samples.std(axis=0) * np.sqrt(act / samples.shape[0])
         assert np.all(np.abs(samples.mean(axis=0) - means) <= 4 * se)
 
 
@@ -203,8 +203,8 @@ class TestExactSampler:
         # 0.001 each keep the family-wise size below 1%
         counts = CountVector(np.array([241, 64, 31, 8, 7, 5, 3, 2, 2]))
         prior = DirichletParams(np.ones(9))
-        chain, diag = run_gibbs(counts, prior, 40_000, 1000, None, RngStream(310))
-        thinned = chain[::math.ceil(2 * diag.autocorr_time.max())]
+        chain, act = run_gibbs(counts, prior, 40_000, 1000, None, RngStream(310))
+        thinned = chain[::math.ceil(2 * act.max())]
         exact = sample_ordered_posterior(counts, prior, 20_000, RngStream(311))
         for j in range(9):
             assert ks_2samp(thinned[:, j], exact[:, j]).pvalue > 0.001
@@ -281,9 +281,9 @@ class TestSmallConcentration:
         # alpha = 0.1 puts the prior near the simplex faces
         mean_oracle, se_oracle = importance_oracle(counts, 0.1, 400_000, 11)
         prior = DirichletParams(np.full(4, 0.1))
-        samples, diag = run_gibbs(CountVector(np.array(counts)), prior, 20_000, 1000, None,
+        samples, act = run_gibbs(CountVector(np.array(counts)), prior, 20_000, 1000, None,
                                   RngStream(400))
-        se_gibbs = samples.std(axis=0) / np.sqrt(samples.shape[0] / diag.autocorr_time)
+        se_gibbs = samples.std(axis=0) / np.sqrt(samples.shape[0] / act)
         gap = np.abs(samples.mean(axis=0) - mean_oracle)
         assert np.all(gap < 3.5 * np.sqrt(se_oracle**2 + se_gibbs**2))
 
@@ -311,10 +311,10 @@ class TestRowProperties:
         counts[data.draw(st.integers(0, k1 - 1))] += 1
         alphas = np.exp(log_alpha) * np.array(
             data.draw(st.lists(st.floats(0.5, 2.0), min_size=k1, max_size=k1)))
-        samples, diag = run_gibbs(None if prior_only else CountVector(counts),
+        samples, act = run_gibbs(None if prior_only else CountVector(counts),
                                   DirichletParams(alphas), 40, 10, None, RngStream(seed))
         assert_valid_rows(samples, k1, 30)
-        assert np.all(np.isfinite(diag.autocorr_time))
+        assert np.all(np.isfinite(act))
 
     @pytest.mark.parametrize("counts", [None, [1, 0, 0, 0, 0], [10**7, 0, 0, 0, 3],
                                         [0, 0, 0, 0, 10**7]])

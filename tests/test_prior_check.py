@@ -14,11 +14,13 @@ from conmult.core import (
     TrineEllipse,
     gammaln,
     log_dirichlet_multinomial,
+    group_sums,
     log_dirichlet_norm,
     ordered_from_weights_array,
+    ordered_mode,
+    strided,
     weights_from_ordered_array,
 )
-from conmult.model_check import Strided
 from conmult.prior_check import (
     OrderedDirichletPrior,
     ProposalSupportError,
@@ -226,16 +228,11 @@ class TestProposals:
         np.testing.assert_allclose(got, expect, atol=1e-9)
         assert np.all(got[:-1] - got[1:] >= -1e-9)
 
-    def test_ordered_mode_decreasing_with_small_alpha(self):
-        # weights with alpha < 1 get no mode mass: xi = (0, 1/2, 1/2)
-        mode = OrderedDirichletPrior(DirichletParams(np.array([0.5, 3.0, 3.0]))).theta_mode()
-        np.testing.assert_allclose(mode, [5 / 12, 5 / 12, 1 / 6], atol=1e-15)
-
     def test_projection_boundary_has_tie(self):
         prior = ordered_prior(2.85)
         t = CountVector(np.array([35, 29, 20, 145, 96, 11, 4, 4, 4, 3, 3, 2, 2,
                                   1, 1, 1, 1, 1]))
-        mode = project_to_cone(t.counts / t.n, prior.theta_mode())
+        mode = project_to_cone(t.counts / t.n, ordered_mode(prior.omega_params.alphas))
         diffs = mode[:-1] - mode[1:]
         assert np.all(diffs >= -1e-15)
         assert diffs.min() <= 1e-9  # lands on the cone boundary
@@ -553,78 +550,105 @@ class TestConflictPvalue:
             conflict_pvalue(t, prior, 20, 100, NoDraws())
         if isinstance(prior, OrderedDirichletPrior):
             with pytest.raises(ValueError, match=msg):
-                grouped_conflict_check(t, prior, 2, 20, 100, NoDraws())
+                grouped_conflict_check(t, prior, strided(2, 4), 20, 100, NoDraws())
+
+
+def grouped_bounds_reference(l, u, k, m):
+    """The strided m-group interval as ``grouped_bounds`` computed it from k and m, before labels."""
+    k1 = k + 1
+    g_first = math.ceil(k1 / m)
+    g_last = k1 // m
+    u_red = u + sum(1.0 / (1 + (j - 1) * m) for j in range(2, g_first + 1))
+    l_red = l + sum(1.0 / (j * m) for j in range(2, g_last + 1))
+    return l_red, u_red
 
 
 class TestGroupedBounds:
     def test_pairs_formula(self):
         l, u = FLY_ELICITATION["l"], FLY_ELICITATION["u"]
-        lred, ured = grouped_bounds(l, u, 17, 9)
+        lred, ured = grouped_bounds(l, u, strided(9, 18))
         assert ured == pytest.approx(u + 1 / 10, abs=1e-12)
         assert lred == pytest.approx(l + 1 / 18, abs=1e-12)
 
     def test_triples_formula(self):
         l, u = FLY_ELICITATION["l"], FLY_ELICITATION["u"]
-        lred, ured = grouped_bounds(l, u, 17, 6)
+        lred, ured = grouped_bounds(l, u, strided(6, 18))
         assert ured == pytest.approx(u + 1 / 7 + 1 / 13, abs=1e-12)
         assert lred == pytest.approx(l + 1 / 12 + 1 / 18, abs=1e-12)
 
     def test_no_grouping_unchanged(self):
-        assert grouped_bounds(0.1, 0.6, 17, 18) == (0.1, 0.6)
+        assert grouped_bounds(0.1, 0.6, strided(18, 18)) == (0.1, 0.6)
 
     def test_singleton_last_group_keeps_lower(self):
         # 5 cells in 3 strided groups: last group is {theta_3} alone
-        lred, ured = grouped_bounds(0.05, 0.5, 4, 3)
+        lred, ured = grouped_bounds(0.05, 0.5, strided(3, 5))
         assert lred == 0.05
         assert ured == pytest.approx(0.5 + 1 / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("l, u", [(FLY_ELICITATION["l"], FLY_ELICITATION["u"]),
+                                      (0.0, 1.0), (0.013, 0.37)])
+    def test_same_bits_as_the_stride_formula(self, l, u):
+        for k1 in range(2, 31):
+            for m in range(2, k1 + 1):
+                assert same_bits(grouped_bounds(l, u, strided(m, k1)),
+                                 grouped_bounds_reference(l, u, k1 - 1, m))
 
     def test_provable_directions_hold_on_draws(self, rng):
         # chain ordering always holds; the upper bound holds whenever
         # theta_1 < u; the lower bound is feasible at the elicited mode
         l, u, m, k1 = FLY_ELICITATION["l"], FLY_ELICITATION["u"], 6, 18
-        lred, ured = grouped_bounds(l, u, k1 - 1, m)
-        spec = Strided(m, k1)
+        labels = strided(m, k1)
+        lred, ured = grouped_bounds(l, u, labels)
         g = rng.standard_gamma(1.0, size=(100_000, k1))
         th = np.sort(g / g.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
         keep = (th[:, 0] < u) & (th[:, -1] > l)
-        grouped = spec.group_array(th[keep])
+        grouped = group_sums(th[keep], labels)
         assert np.all(grouped[:, :-1] >= grouped[:, 1:] - 1e-12)
         assert np.all(grouped[:, 0] < ured)
-        mode_grouped = spec.group_array(np.full(k1, 1 / k1))
+        mode_grouped = group_sums(np.full(k1, 1 / k1), labels)
         assert mode_grouped[-1] > lred
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
-            grouped_bounds(0.5, 0.4, 17, 9)
+            grouped_bounds(0.5, 0.4, strided(9, 18))
 
 
 class TestPredictiveRateAndGroupedCheck:
-    def test_rate_no_grouping_is_one(self):
+    def test_rate_without_grouping_reads_the_counts(self):
+        # strided(6, 6) is every cell in its own group: the rate is the share of
+        # predictive count vectors that are themselves decreasing
         prior = ordered_prior(2.85, k1=6)
-        rate = predictive_in_region_rate(prior, Strided(1, 6), 100, 2000,
-                                         RngStream(101))
-        assert rate == 1.0
+        rate = predictive_in_region_rate(prior, strided(6, 6), 100, 2000, RngStream(101))
+        gen = RngStream(101).generator()
+        t = gen.multinomial(100, prior.sample_array(2000, gen))
+        assert rate == np.mean(np.all(t[:, :-1] >= t[:, 1:], axis=1))
+        assert 0 < rate < 1
 
     def test_rate_increases_with_n(self):
         prior = ordered_prior(8.0, k1=6)
-        spec = Strided(3, 6)
-        small = predictive_in_region_rate(prior, spec, 60, 4000, RngStream(102))
-        large = predictive_in_region_rate(prior, spec, 20_000, 4000, RngStream(103))
+        labels = strided(3, 6)
+        small = predictive_in_region_rate(prior, labels, 60, 4000, RngStream(102))
+        large = predictive_in_region_rate(prior, labels, 20_000, 4000, RngStream(103))
         assert large > small
         assert large > 0.95
 
     def test_reduced_prior_carries_concentration(self):
         prior = ordered_prior(2.85)
-        red = reduce_ordered_prior(prior, 9)
+        red = reduce_ordered_prior(prior, strided(9, 18))
         assert red.dim == 9
         assert float((red.omega_params.alphas - 1).sum()) == pytest.approx(2.85)
 
     def test_grouped_check_runs(self):
         t = CountVector(FLY_COUNTS)
-        rep = grouped_conflict_check(t, ordered_prior(2.85), 9, 60, 2000,
+        rep = grouped_conflict_check(t, ordered_prior(2.85), strided(9, 18), 60, 2000,
                                      RngStream(104))
         assert 0 <= rep.pvalue <= 1
         assert rep.n_predictive == 60
+
+    def test_labels_must_cover_the_cells(self):
+        with pytest.raises(ValueError, match="group layout covers 16 cells, counts have 18"):
+            grouped_conflict_check(CountVector(FLY_COUNTS), ordered_prior(2.85), strided(8, 16),
+                                   60, 2000, RngStream(104))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +680,7 @@ def point_proposal(t, prior, tau):
     """One point's proposal parameters, computed on its own."""
     freqs = t / t.sum()
     if isinstance(prior, OrderedDirichletPrior):
-        mode = scalar_project_to_cone(freqs, prior.theta_mode())
+        mode = scalar_project_to_cone(freqs, ordered_mode(prior.omega_params.alphas))
         xi = np.clip(weights_from_ordered_array(mode), 0.0, None)
         return 1.0 + tau * (xi / xi.sum())
     return 1.0 + tau * freqs
@@ -894,7 +918,7 @@ class TestVectorisedProjection:
 
     def test_boundary_tie_rows(self):
         prior = ordered_prior(2.85)
-        anchor = prior.theta_mode()
+        anchor = ordered_mode(prior.omega_params.alphas)
         x = np.array([FLY_COUNTS_PERMUTED, FLY_COUNTS, FLY_COUNTS_PERMUTED[::-1]], dtype=float)
         x /= x.sum(axis=1, keepdims=True)
         got = project_to_cone(x, anchor)
