@@ -131,7 +131,10 @@ def read_prior(path):
     kind, params, data = read_prior_params(path)
     build = {"trine": TrinePrior, "raw_dirichlet": RawDirichletPrior,
              "ordered_dirichlet": OrderedDirichletPrior}[kind]
-    return build(params), data
+    try:
+        return build(params), data
+    except ValueError as exc:  # a trine's a outside (0, 1/2)
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def parse_region(text, n_cells):
@@ -156,10 +159,14 @@ def parse_group(text, n_cells):
         return consecutive_blocks(n_cells, n_cells // 2)
     if text == "triples":
         return consecutive_blocks(n_cells, n_cells // 3)
-    if text.startswith("m="):
-        return consecutive_blocks(n_cells, int(text[2:]))
-    if text.startswith("stride="):
-        return strided(int(text[7:]), n_cells)
+    name, _, value = text.partition("=")
+    if name in ("m", "stride"):
+        try:
+            m = int(value)
+        except ValueError:
+            pass
+        else:
+            return consecutive_blocks(n_cells, m) if name == "m" else strided(m, n_cells)
     raise InputError(f"unknown group layout {text!r}")
 
 
@@ -314,9 +321,9 @@ def cmd_check_prior(args):
     if args.group is not None:
         if not isinstance(prior, OrderedDirichletPrior):
             raise InputError("--group prior checks need an ordered_dirichlet prior")
-        labels = parse_group(args.group, len(t))
         if not args.group.startswith("stride="):
             raise InputError("grouped prior checks use the strided layout (stride=K)")
+        labels = parse_group(args.group, len(t))
         rep = grouped_conflict_check(t, prior, labels, args.npred, args.nis, rng,
                                      tau=args.tau, workers=args.workers)
         payload["group_m"] = max(labels) + 1
@@ -527,11 +534,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
-        # includes core.MeasureZeroRegionError: a region with no flat-prior content
+    except (InputError, ValueError, OSError) as exc:
+        # ValueError includes core.MeasureZeroRegionError: a region with no flat-prior content
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

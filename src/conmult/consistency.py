@@ -9,8 +9,8 @@ limit over a schedule of sample sizes.
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,18 +22,14 @@ ENUMERATION_GUARD = 10**8
 LOG_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class CellIndex:
     """Lattice point of the cell containing an interior point r at resolution n."""
 
-    n: int
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx) or sum(idx) > self.n:
-            raise ValueError(f"invalid cell index {idx} for n={self.n}")
-        object.__setattr__(self, "indices", idx)
+    def __init__(self, n, indices):
+        idx = tuple(int(i) for i in indices)
+        if any(i < 0 for i in idx) or sum(idx) > n:
+            raise ValueError(f"invalid cell index {idx} for n={n}")
+        self.n, self.indices = n, idx
 
 
 def cell_index(r, n: int) -> CellIndex:
@@ -283,31 +279,28 @@ def check_prior_conditions(alphas: DirichletParams):
         )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     replication: int
     pvalue: float
     abs_error: float
 
 
-@dataclass(frozen=True)
 class ConvergenceTable:
-    rows: tuple
-    limit: float
+    """Rows of a convergence experiment and its limit; the medians are taken once, here."""
+
+    def __init__(self, rows, limit):
+        self.rows, self.limit = rows, limit
+        out = []
+        for n in sorted({r.n for r in rows}):
+            group = [r for r in rows if r.n == n]
+            out.append((n, float(median(np.array([r.pvalue for r in group]))),
+                        float(median(np.array([r.abs_error for r in group])))))
+        self._medians = tuple(out)
 
     def medians(self):
         """(n, median p-value, median absolute error) per schedule entry."""
         return self._medians
-
-    @cached_property
-    def _medians(self):
-        out = []
-        for n in sorted({r.n for r in self.rows}):
-            rows = [r for r in self.rows if r.n == n]
-            out.append((n, float(median(np.array([r.pvalue for r in rows]))),
-                        float(median(np.array([r.abs_error for r in rows])))))
-        return tuple(out)
 
     def sandwich_ok(self, slack: float) -> bool:
         """Median p-value per n lies within [limit - slack, limit + slack].

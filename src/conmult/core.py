@@ -8,7 +8,6 @@ log densities.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,21 +25,18 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
 class SimplexPoint:
     """A probability vector (p_1, ..., p_{k+1}) with nonnegative entries summing to 1."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly(self.probs)
+    def __init__(self, probs):
+        arr = _readonly(probs)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("simplex point needs at least 2 coordinates")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("simplex coordinates must be finite and >= 0")
         if abs(arr.sum() - 1.0) > SIMPLEX_SUM_TOL:
             raise ValueError(f"coordinates sum to {arr.sum()!r}, not 1")
-        object.__setattr__(self, "probs", arr)
+        self.probs = arr
 
     @property
     def k(self):
@@ -50,14 +46,11 @@ class SimplexPoint:
         return self.probs.size
 
 
-@dataclass(frozen=True)
 class CountVector:
     """Multinomial counts (t_1, ..., t_{k+1}) with total n >= 1."""
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.counts)
+    def __init__(self, counts):
+        arr = np.array(counts)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("count vector needs at least 2 cells")
         # bools, strings and objects (a null among numbers) are no counts, nor is inf
@@ -71,7 +64,7 @@ class CountVector:
             raise ValueError("total count must be >= 1")
         arr = arr.astype(np.int64)
         arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        self.counts = arr
 
     @property
     def n(self):
@@ -85,36 +78,30 @@ class CountVector:
         return self.counts.size
 
 
-@dataclass(frozen=True)
 class DirichletParams:
     """Dirichlet concentration parameters, all strictly positive."""
 
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly(self.alphas)
+    def __init__(self, alphas):
+        arr = _readonly(alphas)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 Dirichlet parameters")
         if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
             raise ValueError("Dirichlet parameters must be finite and > 0")
-        object.__setattr__(self, "alphas", arr)
+        self.alphas = arr
 
     def __len__(self):
         return self.alphas.size
 
 
-@dataclass(frozen=True)
 class ZmParams:
     """Zipf-Mandelbrot parameters: offset alpha > -1, decay beta >= 0."""
 
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > -1):
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
-        if not (self.beta >= 0):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+    def __init__(self, alpha, beta):
+        if not (alpha > -1):
+            raise ValueError(f"alpha must be > -1, got {alpha}")
+        if not (beta >= 0):
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        self.alpha, self.beta = alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +265,18 @@ def kl_divergence(theta: SimplexPoint, p: SimplexPoint) -> float:
 # constraint regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TrineEllipse:
     """Ellipse {(theta_1, theta_2): (theta - c)^t C (theta - c) <= 1} inside the 2-simplex."""
 
-    a: float
-    center: np.ndarray = field(init=False, repr=False)
-    matrix: np.ndarray = field(init=False, repr=False)
+    dim = 3
 
-    def __post_init__(self):
-        a = self.a
+    def __init__(self, a):
         if not (0 < a < 0.5):
             raise ValueError(f"a must be in (0, 1/2), got {a}")
-        c = 0.5 * np.array([2 * a, 1 - a])
-        C = (1.0 / (1 - 2 * a)) * np.array([[(1 - 1 / a) ** 2, 2.0], [2.0, 4.0]])
-        object.__setattr__(self, "center", _readonly(c))
-        object.__setattr__(self, "matrix", _readonly(C))
-
-    @property
-    def dim(self):
-        return 3
+        self.a = a
+        self.center = _readonly(0.5 * np.array([2 * a, 1 - a]))
+        C = np.array([[(1 - 1 / a) ** 2, 2.0], [2.0, 4.0]])
+        self.matrix = _readonly((1.0 / (1 - 2 * a)) * C)
 
     def quad_form_array(self, theta12):
         """(theta - c)^t C (theta - c) along the last axis.
@@ -316,22 +295,19 @@ class TrineEllipse:
         return self.quad_form_array(th[..., :2]) <= 1.0
 
 
-@dataclass(frozen=True)
 class OrderedCone:
     """Closed cone of decreasing probability vectors; ties are inside."""
 
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
+    def __init__(self, dim):
+        if dim < 2:
             raise ValueError("dim must be >= 2")
+        self.dim = dim
 
     def contains_array(self, theta):
         th = np.asarray(theta, dtype=float)
         return np.all(th[..., :-1] >= th[..., 1:], axis=-1)
 
 
-@dataclass(frozen=True)
 class QuadBall:
     """Sum-of-squares ball with optional linear equality constraints.
 
@@ -341,20 +317,16 @@ class QuadBall:
     equality names some cells but not every cell.
     """
 
-    dim: int
-    bound: float
-    equalities: tuple = ()
-
-    def __post_init__(self):
-        if self.dim < 2 or self.bound <= 0:
-            raise ValueError(f"need dim >= 2 and bound > 0, got {self.dim} and {self.bound}")
-        eqs = tuple((tuple(int(i) for i in idx), float(v)) for idx, v in self.equalities)
+    def __init__(self, dim, bound, equalities=()):
+        if dim < 2 or bound <= 0:
+            raise ValueError(f"need dim >= 2 and bound > 0, got {dim} and {bound}")
+        eqs = tuple((tuple(int(i) for i in idx), float(v)) for idx, v in equalities)
         for idx, _ in eqs:
-            if any(i < 0 or i >= self.dim for i in idx) or len(set(idx)) in (0, self.dim):
+            if any(i < 0 or i >= dim for i in idx) or len(set(idx)) in (0, dim):
                 raise ValueError("an equality must name cells in range, some but not all")
-        if not eqs and self.bound > 1.0 / (self.dim - 1):
-            raise ValueError(f"bound {self.bound:g} > 1/{self.dim - 1} leaves the simplex")
-        object.__setattr__(self, "equalities", eqs)
+        if not eqs and bound > 1.0 / (dim - 1):
+            raise ValueError(f"bound {bound:g} > 1/{dim - 1} leaves the simplex")
+        self.dim, self.bound, self.equalities = dim, bound, eqs
 
     def contains_array(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -555,10 +527,12 @@ def gauss_legendre(n):
 
 
 def chain_log_integrals(powers, level=0):
-    """Running integrals of the ordered chain on one grid; returns (x, log_g).
+    """Running integrals of the ordered chain on one grid; returns (x, rows).
 
     With H_K(x) = x^p_K e^-x, H_i(x) = x^p_i e^-x G_{i+1}(x) for i < K and
-    G_i(x) = int_0^x H_i, row i of ``log_g`` holds log G_i at the points ``x``.
+    G_i(x) = int_0^x H_i, ``rows`` yields log G_i at the points ``x``, one
+    array at a time, for i = K, K - 1, ..., 1. A caller that needs only G_1
+    holds one row at a time; one that needs every row stacks them.
     Under an ordered prior with weights Dirichlet(1, ..., 1, alpha_K) the
     powers are the counts t with alpha_K - 1 added to the last. Then
     theta = z / sum(z), where z_1 >= ... >= z_K has density proportional to
@@ -577,21 +551,25 @@ def chain_log_integrals(powers, level=0):
     length = 2.0 * float((p + 1.0).sum()) + 50.0
     n_grid = max(4096, int(40.0 * math.sqrt(length)), int(53.0 * p.size ** 1.5)) << level
     x = length * np.linspace(0.0, 1.0, n_grid) ** 3
-    dx = np.diff(x)
-    log_g = np.empty((p.size, n_grid))
-    cum = np.zeros(n_grid)
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x)
+
+    def rows():
+        dx = np.diff(x)
+        cum = np.zeros(n_grid)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
         for i in range(p.size - 1, -1, -1):
             log_h = -x if p[i] == 0 else p[i] * log_x - x
             if i + 1 < p.size:
-                log_h += log_g[i + 1]
+                log_h += log_g
             top = log_h.max()
             h = np.exp(log_h - top)
             np.cumsum(0.5 * (h[1:] + h[:-1]) * dx, out=cum[1:])
-            np.log(cum, out=log_g[i])
-            log_g[i] += top
-    return x, log_g
+            with np.errstate(divide="ignore"):
+                log_g = np.log(cum)
+            log_g += top
+            yield log_g
+
+    return x, rows()
 
 
 def median(x):

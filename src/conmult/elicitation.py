@@ -6,7 +6,7 @@ certainty gamma, and the search returns the least concentration achieving it.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,23 +14,18 @@ from .core import DirichletParams, SimplexPoint, gauss_legendre
 from .sampling import RngStream, sample_dirichlet_array
 
 
-@dataclass(frozen=True)
 class ElicitationInput:
-    k: int
-    delta: float
-    l: float
-    u: float
-    gamma: float
-    mode: tuple = field(init=False, repr=False, compare=False)  # equispaced_mode(k, delta)
+    """The investigator's answers; ``mode`` is ``equispaced_mode(k, delta)``."""
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k, delta, l, u, gamma):
+        if k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "mode", equispaced_mode(self.k, self.delta))
-        if not (0 <= self.l < self.u <= 1):
-            raise ValueError(f"need 0 <= l < u <= 1, got ({self.l}, {self.u})")
-        if not (0 < self.gamma < 1):
+        self.mode = equispaced_mode(k, delta)
+        if not (0 <= l < u <= 1):
+            raise ValueError(f"need 0 <= l < u <= 1, got ({l}, {u})")
+        if not (0 < gamma < 1):
             raise ValueError("gamma must be in (0, 1)")
+        self.k, self.delta, self.l, self.u, self.gamma = k, delta, l, u, gamma
 
 
 def equispaced_mode(k: int, delta: float):
@@ -57,8 +52,7 @@ def dirichlet_from_mode(xi: SimplexPoint, tau: float) -> DirichletParams:
     return DirichletParams(1.0 + tau * xi.probs)
 
 
-@dataclass(frozen=True)
-class TauSearchResult:
+class TauSearchResult(NamedTuple):
     tau: float
     achieved: float
     mc_se: float  # the achieved value's Monte Carlo se, or its quadrature certificate

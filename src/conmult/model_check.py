@@ -6,7 +6,7 @@ against the Zipf-Mandelbrot family for hypotheses of prior mass zero.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .sampling import RngStream, chunked_monte_carlo, sample_dirichlet_array
 # region check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     prior_prob: float
     post_prob: float
     rb: float
@@ -89,7 +88,12 @@ def ordered_cone_log_content(counts):
     """
     powers = np.asarray(counts, dtype=float)
     log_norm = float(gammaln(powers + 1.0).sum())
-    coarse, fine = (chain_log_integrals(powers, level)[1][0, -1] - log_norm for level in (0, 1))
+    ends = []
+    for level in (0, 1):
+        for log_g in chain_log_integrals(powers, level)[1]:
+            pass  # keeps one row: G_1 comes last
+        ends.append(log_g[-1] - log_norm)
+    coarse, fine = ends
     step = (fine - coarse) / 3.0
     return float(fine + step), float(abs(step))
 
@@ -207,12 +211,11 @@ def alpha_upper_bounds(betas, delta: float, k1: int):
 ZM_SCAN_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class ZmTable:
+class ZmTable(NamedTuple):
     """Tabulated ZM distributions used to seed the KL projection."""
 
-    params: np.ndarray = field(repr=False)      # (E, 2) alpha, beta
-    log_probs: np.ndarray = field(repr=False)   # (E, k+1)
+    params: np.ndarray      # (E, 2) alpha, beta
+    log_probs: np.ndarray   # (E, k+1)
 
     @property
     def n_entries(self):
@@ -375,8 +378,7 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta):
 ZM_MAX_BINS = 100_000
 
 
-@dataclass(frozen=True)
-class DistanceCheckReport:
+class DistanceCheckReport(NamedTuple):
     rb_zero: float
     strength: float
     prior_hist: np.ndarray

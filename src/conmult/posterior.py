@@ -88,7 +88,10 @@ def sample_ordered_posterior(t, omega_params: DirichletParams, size: int, rng: R
     al = omega_params.alphas
     powers = _counts(t, al.size).astype(float)
     powers[-1] += al[-1] - 1.0
-    x, log_g = chain_log_integrals(powers)
+    x, rows = chain_log_integrals(powers)
+    log_g = np.empty((al.size, x.size))
+    for i, row in zip(range(al.size - 1, -1, -1), rows):
+        log_g[i] = row  # filled in place: a list of the rows would double the peak
     gen = rng.generator()
     z = np.empty((size, al.size))
     log_top = np.full(size, log_g[0, -1])

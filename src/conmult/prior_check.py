@@ -11,8 +11,7 @@ comparisons.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,24 +236,17 @@ class _SimplexPrior:
         return log_th, log_prior, _log_dirichlet_by_cells(log_th, alphas, norm)
 
 
-@dataclass(frozen=True)
 class TrinePrior(_SimplexPrior):
     """Density proportional to (1 - (theta - c)^t C (theta - c))^(1/2) on the trine ellipse."""
 
-    a: float
-
-    @property
-    def dim(self):
-        return 3
-
+    dim = 3
     normalized = False
+
+    def __init__(self, a):
+        self.a, self.region = a, TrineEllipse(a)
 
     def sample_array(self, size, rng):
         return sample_trine_prior_array(self.a, size, rng)
-
-    @cached_property
-    def region(self):
-        return TrineEllipse(self.a)
 
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -292,25 +284,17 @@ class TrinePrior(_SimplexPrior):
         return log_m[rows], cert[rows]
 
 
-@dataclass(frozen=True)
 class RawDirichletPrior(_SimplexPrior):
-    """Plain Dirichlet prior on the cell probabilities."""
-
-    params: DirichletParams
-
-    @property
-    def dim(self):
-        return len(self.params)
+    """Plain Dirichlet prior on the cell probabilities; ``log_norm`` is its log normaliser."""
 
     normalized = True
 
+    def __init__(self, params: DirichletParams):
+        self.params, self.dim = params, len(params)
+        self.log_norm = log_dirichlet_norm(params.alphas)
+
     def sample_array(self, size, rng):
         return sample_dirichlet_array(self.params, size, rng)
-
-    @cached_property
-    def log_norm(self):
-        """Dirichlet log normaliser of the probabilities."""
-        return log_dirichlet_norm(self.params.alphas)
 
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -334,29 +318,22 @@ class RawDirichletPrior(_SimplexPrior):
         return log_m, np.zeros_like(log_m)
 
 
-@dataclass(frozen=True)
 class OrderedDirichletPrior:
     """Prior on decreasing probability vectors induced by a Dirichlet on the weights.
 
     The weight-to-probability map is linear with constant Jacobian, so the
     induced density is the weight density times (k+1)! on the closed cone.
+    ``log_norm`` is the Dirichlet log normaliser of the weights.
     """
-
-    omega_params: DirichletParams
-
-    @property
-    def dim(self):
-        return len(self.omega_params)
 
     normalized = True
 
+    def __init__(self, omega_params: DirichletParams):
+        self.omega_params, self.dim = omega_params, len(omega_params)
+        self.log_norm = log_dirichlet_norm(omega_params.alphas)
+
     def sample_array(self, size, rng):
         return sample_ordered_prior_array(self.omega_params, size, rng)
-
-    @cached_property
-    def log_norm(self):
-        """Dirichlet log normaliser of the weights."""
-        return log_dirichlet_norm(self.omega_params.alphas)
 
     def log_density_array(self, thetas):
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -537,8 +514,7 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
 # conflict p-value
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """The p-value and the masses behind it.
 
     ``method`` is "closed_form", "quadrature" or "importance_sampling". The

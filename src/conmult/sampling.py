@@ -5,7 +5,7 @@ Carlo partitions work across substreams and reduces results in substream
 order, so aggregates do not depend on scheduling or worker count.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .core import (
 DEFAULT_CHUNK = 100_000
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """Identity of a reproducible random stream.
 
     Identical (seed, stream_id) pairs reproduce identical draw sequences;

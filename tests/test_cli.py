@@ -578,6 +578,21 @@ class TestInputErrors:
                      "need at least 2 groups, got 1", id="model-stride=1"),
         pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
                       "--group", "stride=1"], "need at least 2 groups, got 1", id="prior-stride=1"),
+        # the layout spelling is checked before any labels are built
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
+                      "--group", "m=1"], "grouped prior checks use the strided layout (stride=K)",
+                     id="prior-m=1"),
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
+                      "--group", "m=40"], "grouped prior checks use the strided layout (stride=K)",
+                     id="prior-m=40"),
+        pytest.param(["check-model", "--counts", "{fly}", "--group", "m=abc"],
+                     "unknown group layout 'm=abc'", id="model-m=abc"),
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
+                      "--group", "stride=abc"], "unknown group layout 'stride=abc'",
+                     id="prior-stride=abc"),
+        # a trine prior's a is checked when the file is read, before the model report is
+        pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{bad_trine}"],
+                     "{bad_trine}: a must be in (0, 1/2), got 0.7", id="prior-trine-a"),
         # refused when parsed, before any report echoes the value
         pytest.param(["check-model", "--counts", "{fly}", "--group", "pairs", "--workers", "0"],
                      "argument --workers: must be at least 1, got 0", id="model-workers-0"),
@@ -586,12 +601,16 @@ class TestInputErrors:
                      id="prior-workers-negative"),
     ])
     def test_exits_1_with_message(self, tmp_path, capsys, argv, message):
-        files = {"fly": write_counts(tmp_path, FLY_COUNTS), "prior": str(tmp_path / "prior.json")}
+        files = {"fly": write_counts(tmp_path, FLY_COUNTS), "prior": str(tmp_path / "prior.json"),
+                 "bad_trine": str(tmp_path / "bad_trine.json")}
         with open(files["prior"], "w") as fh:
             json.dump({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}, fh)
+        with open(files["bad_trine"], "w") as fh:
+            json.dump({"type": "trine", "a": 0.7}, fh)
         out = tmp_path / "out"
         code = main([a.format(**files) for a in argv] + ["--out", str(out)])
-        assert (code, capsys.readouterr().err.splitlines()[-1]) == (1, f"input error: {message}")
+        assert (code, capsys.readouterr().err.splitlines()[-1]) == (
+            1, f"input error: {message.format(**files)}")
         assert not out.exists()
 
     @pytest.mark.parametrize("prior, group, k1", [
@@ -733,6 +752,7 @@ def record():
                    "numpy_ma": "numpy.ma" in sys.modules,
                    "numpy_random": "numpy.random" in sys.modules,
                    "numpy_fft": "numpy.fft" in sys.modules,
+                   "dataclasses": "dataclasses" in sys.modules,
                    "freeze_count": gc.get_freeze_count()}}, fh)
 
 sys.argv = ["conmult", *{argv!r}]
@@ -753,6 +773,8 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         # the flat-mode prior takes exact draws, which need no autocorrelation FFT;
         # the Gibbs chain's autocorrelation times do
         assert seen["numpy_fft"] == (name == "posterior-gibbs")
+        # value types validate in __init__ and records are NamedTuples: no class generation
+        assert not seen["dataclasses"]
         assert seen["freeze_count"] > 0
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):

@@ -9,6 +9,7 @@ from scipy.special import gammaln as scipy_gammaln, logsumexp as scipy_logsumexp
 
 from conmult.core import (
     CountVector,
+    DirichletParams,
     OrderedCone,
     QuadBall,
     SimplexPoint,
@@ -89,6 +90,18 @@ class TestSimplexTypes:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="does not fit in a 64-bit integer"):
                 CountVector(np.array(counts))
+
+    def test_arrays_are_read_only_copies(self):
+        # the value types guard their arrays, not their attributes
+        source = np.array([0.2, 0.3, 0.5])
+        point = SimplexPoint(source)
+        source[0] = 0.9
+        assert point.probs[0] == 0.2
+        trine = TrineEllipse(1 / 3)
+        for arr in (point.probs, CountVector(np.array([3, 0, 2])).counts,
+                    DirichletParams(np.ones(3)).alphas, trine.center, trine.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
     def test_zm_params_validation(self):
         with pytest.raises(ValueError):
