@@ -526,13 +526,15 @@ def gauss_legendre(n):
     return 0.5 * (x + 1.0), vecs[0] ** 2
 
 
-def chain_log_integrals(powers, level=0):
+def chain_log_integrals(powers, level=0, resume=None):
     """Running integrals of the ordered chain on one grid; returns (x, rows).
 
     With H_K(x) = x^p_K e^-x, H_i(x) = x^p_i e^-x G_{i+1}(x) for i < K and
     G_i(x) = int_0^x H_i, ``rows`` yields log G_i at the points ``x``, one
     array at a time, for i = K, K - 1, ..., 1. A caller that needs only G_1
-    holds one row at a time; one that needs every row stacks them.
+    holds one row at a time. With ``resume`` = (i, log G_i), a row yielded
+    before, ``rows`` starts at G_{i-1} and keeps every bit of a full pass, so
+    a caller may hold some rows and rebuild the others (Griewank 1992).
     Under an ordered prior with weights Dirichlet(1, ..., 1, alpha_K) the
     powers are the counts t with alpha_K - 1 added to the last. Then
     theta = z / sum(z), where z_1 >= ... >= z_K has density proportional to
@@ -552,12 +554,12 @@ def chain_log_integrals(powers, level=0):
     n_grid = max(4096, int(40.0 * math.sqrt(length)), int(53.0 * p.size ** 1.5)) << level
     x = length * np.linspace(0.0, 1.0, n_grid) ** 3
 
-    def rows():
+    def rows(above, log_g):
         dx = np.diff(x)
         cum = np.zeros(n_grid)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
-        for i in range(p.size - 1, -1, -1):
+        for i in range(above - 2, -1, -1):
             log_h = -x if p[i] == 0 else p[i] * log_x - x
             if i + 1 < p.size:
                 log_h += log_g
@@ -569,7 +571,7 @@ def chain_log_integrals(powers, level=0):
             log_g += top
             yield log_g
 
-    return x, rows()
+    return x, rows(*(resume or (p.size + 1, None)))
 
 
 def median(x):

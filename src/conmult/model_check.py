@@ -38,6 +38,8 @@ class CheckReport(NamedTuple):
     mc_se: float  # post_prob's binomial se, or its quadrature certificate when exact
     n_draws: int
     method: str = "monte_carlo"  # or "exact"
+    log_rb: float = math.nan  # exact: log rb, and the certificate of the log contents
+    log_cert: float = math.nan
 
     def verdict(self) -> str:
         """Return "favor", "against", or "undefined" when the error bar leaves the side of 1 open.
@@ -45,12 +47,14 @@ class CheckReport(NamedTuple):
         With no posterior draw in the region its posterior content is only
         bounded by the rule-of-three 3 / n_draws; when the prior content is at
         or below that bound, the ratio may lie on either side of 1. An exact
-        content is undefined when its certificate reaches the prior content.
+        ratio is undefined when its log lies within the certificate of 0; the
+        log is taken, since from 171 cells on the contents underflow.
         """
         if self.method == "exact":
-            if abs(self.post_prob - self.prior_prob) <= self.mc_se:
+            if not abs(self.log_rb) > self.log_cert:
                 return "undefined"
-        elif self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
+            return "favor" if self.log_rb > 0 else "against"
+        if self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
             return "undefined"
         return "favor" if self.rb > 1 else "against"
 
@@ -121,7 +125,7 @@ def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
         post = math.exp(log_post)
         return CheckReport(prior_prob=analytic_prior_prob(region), post_prob=post,
                            rb=math.exp(log_rb), strength=post, mc_se=post * math.expm1(log_cert),
-                           n_draws=n_draws, method="exact")
+                           n_draws=n_draws, method="exact", log_rb=log_rb, log_cert=log_cert)
     prior = analytic_prior_prob(region)
     if prior == 0.0:
         raise MeasureZeroRegionError(
@@ -206,9 +210,11 @@ def alpha_upper_bounds(betas, delta: float, k1: int):
     return np.where(live, lo, np.nan)
 
 
-# rows of thetas scanned against the table at once; bounds the scan matrix
-# at ZM_SCAN_ROWS x table entries
-ZM_SCAN_ROWS = 1024
+# rows of thetas scanned against the table at once: the scan buffer holds
+# ZM_SCAN_ROWS x table entries, 1.2 MB for the fly table's 1201, whatever the chunk
+ZM_SCAN_ROWS = 128
+# most draws in one pattern search: its cells-by-draws arrays stay near 0.6 MB at 18 cells
+ZM_SEARCH_COLS = 4096
 
 
 class ZmTable(NamedTuple):
@@ -246,21 +252,25 @@ def build_zm_table(k: int, delta: float) -> ZmTable:
 def zm_distance_batch(thetas, table: ZmTable, refine: bool = True):
     """KL distance from each row of ``thetas`` to the ZM family.
 
-    Table scan first, then coordinate-wise pattern search with step halving
-    from the best entry (``_pattern_search``). Returns (distances, alphas,
-    betas); no refined distance exceeds the scan's.
+    Table scan first, in blocks of ZM_SCAN_ROWS rows, then coordinate-wise
+    pattern search with step halving from the best entry (``_pattern_search``),
+    in blocks of at most ZM_SEARCH_COLS draws. A lone last draw joins the block
+    before it, so no block has one column unless the batch has. Returns
+    (distances, alphas, betas); no refined distance exceeds the scan's.
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
+    neg_ent = np.empty(th.shape[0])
     j = np.empty(th.shape[0], dtype=np.intp)
     best = np.empty(th.shape[0])
-    # one scan buffer for all blocks: a fresh ~12 MB matrix per block let the
-    # heap layout, down to the output path's length, move the peak RSS by ~5 MB
+    # one scan buffer for all blocks, written in place: fresh matrices per block
+    # raise the fly-zm peak RSS by 1-2 MB and let the heap layout move it
     scan = np.empty((min(th.shape[0], ZM_SCAN_ROWS), table.n_entries))
     for start in range(0, th.shape[0], ZM_SCAN_ROWS):
         rows = slice(start, start + ZM_SCAN_ROWS)
-        dists = np.matmul(th[rows], table.log_probs.T, out=scan[:len(neg_ent[rows])])
+        block = th[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            neg_ent[rows] = np.sum(np.where(block > 0, block * np.log(block), 0.0), axis=1)
+        dists = np.matmul(block, table.log_probs.T, out=scan[:len(block)])
         np.subtract(neg_ent[rows, None], dists, out=dists)
         j[rows] = np.argmin(dists, axis=1)
         best[rows] = dists[np.arange(dists.shape[0]), j[rows]]
@@ -269,7 +279,13 @@ def zm_distance_batch(thetas, table: ZmTable, refine: bool = True):
     beta = table.params[j, 1].copy()
     if not refine:
         return best, alpha, beta
-    best, alpha, beta = _pattern_search(np.ascontiguousarray(th.T), neg_ent, best, alpha, beta)
+    edges = [*range(0, th.shape[0], ZM_SEARCH_COLS), th.shape[0]]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for cols in map(slice, edges[:-1], edges[1:]):
+        # writes each block's results into the views
+        _pattern_search(np.ascontiguousarray(th[cols].T), neg_ent[cols],
+                        best[cols], alpha[cols], beta[cols])
     return np.maximum(best, 0.0), alpha, beta
 
 
@@ -361,9 +377,14 @@ def _pattern_search(th_t, neg_ent, best, alpha, beta):
             break
         # numpy reduces a lone column in other loops, with other bits, so none is left alone
         if 8 * keep.size <= 7 * live.size and keep.size > 1:
-            th_t, log_a, work = th_t[:, keep], log_a[:, keep], np.empty((k1, keep.size))
-            neg_ent, mass, m_sum, best, alpha, beta, sa, sb, draw, live = (
-                v[keep] for v in (neg_ent, mass, m_sum, best, alpha, beta, sa, sb, draw, live))
+            # rebound a few at a time, so the old and the gathered sets never coexist
+            th_t = th_t[:, keep]
+            log_a = log_a[:, keep]
+            work = None
+            work = np.empty((k1, keep.size))
+            neg_ent, mass, m_sum = neg_ent[keep], mass[keep], m_sum[keep]
+            best, alpha, beta = best[keep], alpha[keep], beta[keep]
+            sa, sb, draw, live = sa[keep], sb[keep], draw[keep], live[keep]
     for out, v in zip(res, (best, alpha, beta)):
         out[draw[live]] = v[live]
     return res

@@ -478,6 +478,16 @@ class TestEdgeInputs:
             assert rep["prior_prob"] == 1 / math.factorial(cells)
             assert rep["verdict"] == "favor" and rep["rb"] > 1e100
 
+    def test_many_cell_cone_decided_from_logs(self, tmp_path):
+        # both contents underflow to 0; log RB 1.7712 clears its certificate, 3.4e-4
+        counts = write_counts(tmp_path, np.array([1] + [0] * 199))
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", counts, "--region", "ordered",
+                     "--draws", "1000", "--out", out]) == 0
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["prior_prob"], rep["post_prob"]) == ("favor", 0.0, 0.0)
+        assert rep["rb"] == pytest.approx(math.exp(1.7712), rel=1e-4)
+
     @pytest.mark.parametrize("cells", [171, 200])
     def test_many_cell_cone_without_evidence_is_undefined(self, tmp_path, capsys, cells):
         # equal counts give the cone its prior content, RB 1 exactly, which the

@@ -31,6 +31,7 @@ from conmult.model_check import (
     STEP_ALPHA,
     STEP_BETA,
     ZM_SCAN_ROWS,
+    ZM_SEARCH_COLS,
     ZM_ALPHA_MIN,
     ZM_BETAS,
     ZM_MAX_BINS,
@@ -209,16 +210,18 @@ class TestExactConeContent:
         with pytest.raises(ValueError, match="at least one draw"):
             rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 0, RngStream(1))
 
-    @pytest.mark.parametrize("post, cert, verdict", [
-        (0.5 + 1e-9, 1e-9, "undefined"),  # the certificate reaches the prior content
-        (0.5 + 2e-9, 1e-9, "favor"),
-        (0.5 - 2e-9, 1e-9, "against"),
-        (0.0, 0.0, "undefined"),  # both contents underflowed
+    @pytest.mark.parametrize("log_rb, cert, verdict", [
+        (1e-9, 1e-9, "undefined"),  # log RB within the certificate of 0
+        (-1e-9, 1e-9, "undefined"),
+        (2e-9, 1e-9, "favor"),
+        (-2e-9, 1e-9, "against"),
+        (-800.0, 1e-4, "against"),  # the ratio itself underflows to 0
+        (math.nan, 1e-4, "undefined"),
     ])
-    def test_exact_verdict_against_the_certificate(self, post, cert, verdict):
-        prior = 0.0 if post == 0.0 else 0.5
-        rep = CheckReport(prior_prob=prior, post_prob=post, rb=post / 0.5, strength=post,
-                          mc_se=cert, n_draws=1, method="exact")
+    def test_exact_verdict_against_the_certificate(self, log_rb, cert, verdict):
+        # the contents are 0, as from 171 cells on: the logs alone decide
+        rep = CheckReport(prior_prob=0.0, post_prob=0.0, rb=math.exp(log_rb), strength=0.0,
+                          mc_se=0.0, n_draws=1, method="exact", log_rb=log_rb, log_cert=cert)
         assert rep.verdict() == verdict
 
 
@@ -379,7 +382,10 @@ def draws_by_cells_search(thetas, table, refine=True):
     k1 = th.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_ent = np.sum(np.where(th > 0, th * np.log(th), 0.0), axis=1)
-    dists = neg_ent[:, None] - th @ table.log_probs.T
+    # scanned in zm_distance_batch's blocks of rows: the scan's last bits follow
+    # the BLAS partition, and so the block shape
+    blocks = [slice(i, i + ZM_SCAN_ROWS) for i in range(0, th.shape[0], ZM_SCAN_ROWS)]
+    dists = np.vstack([neg_ent[b, None] - th[b] @ table.log_probs.T for b in blocks])
     j = np.argmin(dists, axis=1)
     best = dists[np.arange(th.shape[0]), j]
     alpha = table.params[j, 0].copy()
@@ -424,12 +430,10 @@ def assert_agrees_with_oracle(th, table):
 
 
 def oracle_draws(k1, prior):
-    """600 flat or posterior-like draws: fewer than ZM_SCAN_ROWS, so the scan is one block."""
+    """600 flat or posterior-like draws, scanned in several blocks of ZM_SCAN_ROWS rows."""
     gen = np.random.default_rng(9000 + k1)
     a = np.ones(k1) if prior == "flat" else gen.integers(0, 60, k1) + 1.0
-    th = gen.dirichlet(a, 600)
-    assert th.shape[0] < ZM_SCAN_ROWS  # else the scan's blocks could move its last bits
-    return th
+    return gen.dirichlet(a, 600)
 
 
 class TestPatternSearchOracle:
@@ -560,6 +564,38 @@ class TestStoppingRule:
         start = [v.copy() for v in scan]
         got = _pattern_search(th_t, neg_ent, *start)
         assert all(g is s for g, s in zip(got, start))
+
+
+class TestBlocks:
+    """zm_distance_batch scans and searches in blocks whose size does not grow with the batch."""
+
+    @pytest.fixture(scope="class")
+    def many(self):
+        return sample_dirichlet_array(DirichletParams(np.ones(18)), 2 * ZM_SEARCH_COLS + 1,
+                                      RngStream(303))
+
+    @pytest.mark.parametrize("n", [1, 2, ZM_SEARCH_COLS - 1, ZM_SEARCH_COLS, ZM_SEARCH_COLS + 1,
+                                   2 * ZM_SEARCH_COLS + 1])
+    def test_blocked_search_equals_one_search(self, fly_table, many, n):
+        th_t, neg_ent, scan = search_inputs(many[:n], fly_table)
+        whole = _pattern_search(th_t, neg_ent, *(v.copy() for v in scan))
+        got = zm_distance_batch(many[:n], fly_table)
+        assert same_bits(got[0], np.maximum(whole[0], 0.0))
+        assert same_bits(got[1], whole[1]) and same_bits(got[2], whole[2])
+
+    @pytest.mark.parametrize("prior", ["flat", "posterior"])
+    def test_memory_of_a_10k_chunk(self, fly_table, prior):
+        # above the 1.44 MB of draws: the scan's 128-row blocks (1.2 MB) and then
+        # the search's arrays of at most 4096 draws (0.6 MB each)
+        alphas = np.ones(18) if prior == "flat" else FLY_COUNTS + 1.0
+        th = sample_dirichlet_array(DirichletParams(alphas), 10_000, RngStream(304))
+        tracemalloc.start()
+        try:
+            zm_distance_batch(th, fly_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
 
 
 @functools.lru_cache(maxsize=None)

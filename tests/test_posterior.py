@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from conmult.core import CountVector, DirichletParams, chain_log_integrals, ordered_from_weights_array
+from conmult import posterior
 from conmult.posterior import (autocorrelation_time, has_exact_draws, run_gibbs,
                                sample_ordered_posterior)
 from conmult.sampling import RngStream, sample_ordered_prior_array
@@ -172,6 +174,37 @@ class TestExactSampler:
             x2, log_g2 = stacked_chain(np.array(counts, dtype=float), level=1)
             assert x2.size == 2 * n_grid and x2[-1] == length and log_g2.shape == (3, 2 * n_grid)
             assert same_bits(stacked_chain(np.array(counts, dtype=float), level=0)[1], log_g)
+
+    def test_resumed_rows_keep_their_bits(self):
+        powers = np.array([5.0, 0.0, 3.0, 1.0, 0.0, 2.0, 7.0])
+        _, full = stacked_chain(powers)
+        for i in (7, 5, 2):
+            _, rows = chain_log_integrals(powers, resume=(i, full[i - 1]))
+            assert same_bits(np.stack(list(rows))[::-1], full[:i - 1])
+
+    @pytest.mark.parametrize("cells, segment", [(18, 4), (18, 5), (60, None), (60, 7)])
+    def test_segments_keep_the_draws_bits(self, monkeypatch, cells, segment):
+        counts = CountVector(np.random.default_rng(cells).integers(0, 5, cells))
+        prior = flat_mode_prior(cells, 3.85)
+        if segment is not None:
+            monkeypatch.setattr(posterior, "CHAIN_SEGMENT", segment)
+        got = sample_ordered_posterior(counts, prior, 200, RngStream(7))
+        monkeypatch.setattr(posterior, "CHAIN_SEGMENT", cells)  # one pass, every row held
+        assert same_bits(got, sample_ordered_posterior(counts, prior, 200, RngStream(7)))
+
+    def test_many_cell_draws_hold_segments(self):
+        # at 200 cells a row is 149 906 points, 1.2 MB: every row at once was 250 MB
+        counts = CountVector(np.random.default_rng(200).integers(0, 5, 200))
+        tracemalloc.start()
+        try:
+            samples = sample_ordered_posterior(counts, flat_mode_prior(200, 3.85), 100,
+                                               RngStream(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert np.all(samples[:, :-1] >= samples[:, 1:])
+        np.testing.assert_allclose(samples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cells", [50, 171, 200])
     def test_grid_grows_with_the_cells(self, cells):
