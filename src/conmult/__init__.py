@@ -10,22 +10,9 @@ from .core import (
     QuadBall,
     SimplexPoint,
     TrineEllipse,
-    ZmParams,
-    kl_divergence,
-    log_multinomial_pmf,
-    ordered_from_weights,
-    region_contains,
     trine_prior_mass,
-    weights_from_ordered,
-    zm_distribution,
 )
-from .sampling import (
-    RngStream,
-    sample_dirichlet,
-    sample_multinomial,
-    sample_ordered_prior,
-    sample_trine_prior,
-)
+from .sampling import RngStream
 
 __all__ = [
     "CountVector",
@@ -36,17 +23,6 @@ __all__ = [
     "RngStream",
     "SimplexPoint",
     "TrineEllipse",
-    "ZmParams",
-    "kl_divergence",
-    "log_multinomial_pmf",
-    "ordered_from_weights",
-    "region_contains",
-    "sample_dirichlet",
-    "sample_multinomial",
-    "sample_ordered_prior",
-    "sample_trine_prior",
     "trine_prior_mass",
-    "weights_from_ordered",
-    "zm_distribution",
     "__version__",
 ]

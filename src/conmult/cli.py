@@ -270,9 +270,9 @@ def cmd_check_model(args):
             "mc_se": rep.mc_se, "n_draws": rep.n_draws, "verdict": verdict,
         }
         if rep.method == "exact":
-            note = (f"the posterior content {rep.post_prob:.3g} lies within its quadrature "
-                    f"certificate {rep.mc_se:.3g} of the prior content {rep.prior_prob:.3g}: "
-                    "relative belief ratio undefined; group the cells")
+            note = (f"the log relative belief ratio {rep.log_rb:.3g} lies within its quadrature "
+                    f"certificate {rep.log_cert:.3g} of 0: relative belief ratio undefined; "
+                    "group the cells")
         else:
             note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
                     f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "

@@ -3,8 +3,7 @@
 Everything here is a pure function of immutable values: simplex/count types,
 the bijection between ordered probability vectors and unconstrained weights,
 the ordered prior's mode, groupings of the cells, Zipf-Mandelbrot
-probabilities, KL divergence, constraint-region membership, and closed-form
-log densities.
+probabilities, constraint-region membership, and closed-form log densities.
 """
 
 import math
@@ -93,17 +92,6 @@ class DirichletParams:
         return self.alphas.size
 
 
-class ZmParams:
-    """Zipf-Mandelbrot parameters: offset alpha > -1, decay beta >= 0."""
-
-    def __init__(self, alpha, beta):
-        if not (alpha > -1):
-            raise ValueError(f"alpha must be > -1, got {alpha}")
-        if not (beta >= 0):
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        self.alpha, self.beta = alpha, beta
-
-
 # ---------------------------------------------------------------------------
 # ordered probabilities <-> weights
 # ---------------------------------------------------------------------------
@@ -111,7 +99,9 @@ class ZmParams:
 def ordered_from_weights_array(omega):
     """Vectorized map from weight vectors to decreasing probability vectors.
 
-    theta_i = sum_{j >= i} omega_j / j, applied along the last axis.
+    theta_i = sum_{j >= i} omega_j / j, applied along the last axis: mass
+    omega_j is spread evenly over the first j coordinates, a bijection from
+    the simplex onto the closed decreasing cone.
     """
     om = np.asarray(omega, dtype=float)
     j = np.arange(1, om.shape[-1] + 1, dtype=float)
@@ -130,28 +120,6 @@ def weights_from_ordered_array(theta):
     head = i * (th[..., :-1] - th[..., 1:])
     tail = k1 * th[..., -1:]
     return np.concatenate([head, tail], axis=-1)
-
-
-def ordered_from_weights(omega: SimplexPoint) -> SimplexPoint:
-    """Turn any simplex point into one with decreasing coordinates.
-
-    The map is a bijection from the simplex onto the closed decreasing cone;
-    mass omega_j is spread evenly over the first j coordinates.
-    """
-    return SimplexPoint(ordered_from_weights_array(omega.probs))
-
-
-def weights_from_ordered(theta: SimplexPoint) -> SimplexPoint:
-    """Invert :func:`ordered_from_weights`; requires decreasing coordinates."""
-    th = theta.probs
-    diffs = th[:-1] - th[1:]
-    bad = np.nonzero(diffs < 0)[0]
-    if bad.size:
-        i = int(bad[0]) + 1  # positions are 1-based like theta_1 >= ... >= theta_{k+1}
-        raise ValueError(
-            f"ordering violated at index {i}: theta_{i}={th[i - 1]:.6g} < theta_{i + 1}={th[i]:.6g}"
-        )
-    return SimplexPoint(weights_from_ordered_array(th))
 
 
 def ordered_mode(alphas):
@@ -229,36 +197,6 @@ def zm_log_probs_array(alpha, beta, k1):
     lp = -b * np.log(a + np.arange(1, k1 + 1, dtype=float))
     mx = lp.max(axis=-1, keepdims=True)
     return lp - (mx + np.log(np.exp(lp - mx).sum(axis=-1, keepdims=True)))
-
-
-def zm_distribution(params: ZmParams, k: int) -> SimplexPoint:
-    """Cell probabilities proportional to (alpha + i)^(-beta), i = 1..k+1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return SimplexPoint(np.exp(zm_log_probs_array(params.alpha, params.beta, k + 1)))
-
-
-# ---------------------------------------------------------------------------
-# KL divergence
-# ---------------------------------------------------------------------------
-
-def kl_divergence_array(theta, p):
-    """Sum theta_i log(theta_i / p_i) along the last axis, with 0 log 0 = 0.
-
-    Support mismatch (theta_i > 0 where p_i == 0) yields +inf.
-    """
-    th = np.asarray(theta, dtype=float)
-    pp = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(th > 0, th * (np.log(th) - np.log(pp)), 0.0)
-    return terms.sum(axis=-1)
-
-
-def kl_divergence(theta: SimplexPoint, p: SimplexPoint) -> float:
-    """KL(theta || p); returns +inf on support mismatch."""
-    if len(theta) != len(p):
-        raise ValueError("dimension mismatch")
-    return float(kl_divergence_array(theta.probs, p.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +289,6 @@ def pauli_region() -> QuadBall:
         bound=2.0 / 9.0,
         equalities=(((0, 1), third), ((2, 3), third), ((4, 5), third)),
     )
-
-
-def region_contains(region, theta: SimplexPoint) -> bool:
-    """Membership of a simplex point in a constraint region."""
-    if len(theta) != region.dim:
-        raise ValueError(f"region has dimension {region.dim}, point has {len(theta)}")
-    return bool(region.contains_array(theta.probs))
 
 
 def trine_prior_mass(a: float) -> float:
@@ -454,27 +385,6 @@ def gammaln(x):
     if large.any():
         out[large] = _lgam_large(vals[large])
     return out[where].reshape(x.shape)[()]
-
-
-def log_multinomial_pmf_array(counts, theta):
-    """Multinomial log pmf along the last axis, broadcasting counts vs theta.
-
-    Computed with log-gamma; a zero probability with a positive count gives -inf.
-    """
-    t = np.asarray(counts, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    n = t.sum(axis=-1)
-    coef = gammaln(n + 1) - gammaln(t + 1).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(t > 0, t * np.log(th), 0.0)
-    return coef + terms.sum(axis=-1)
-
-
-def log_multinomial_pmf(t: CountVector, theta: SimplexPoint) -> float:
-    """Log of the multinomial pmf of counts t under cell probabilities theta."""
-    if len(t) != len(theta):
-        raise ValueError("dimension mismatch")
-    return float(log_multinomial_pmf_array(t.counts, theta.probs))
 
 
 def log_dirichlet_norm(alphas):

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .core import (CountVector, DirichletParams, SimplexPoint, chain_log_integrals,
-                   ordered_from_weights_array, ordered_mode, weights_from_ordered_array)
+from .core import (CountVector, DirichletParams, chain_log_integrals, ordered_from_weights_array,
+                   ordered_mode, weights_from_ordered_array)
 from .sampling import RngStream
 
 
@@ -156,10 +156,7 @@ def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
     k1 = len(prior)
     cnt = _counts(counts, k1)
     check_sweeps(n_sweeps, burn_in)
-    if init is None:
-        theta0 = ordered_mode(al)
-    else:
-        theta0 = init.probs if isinstance(init, SimplexPoint) else np.asarray(init, dtype=float)
+    theta0 = ordered_mode(al) if init is None else np.asarray(init, dtype=float)
     # averaging with equal weights lets every component receive counts in the first sweep
     log_omega = np.log(np.maximum(weights_from_ordered_array(theta0), 0.0) + 1.0 / k1)
     # row i of the allocation matrix may use components j >= i only

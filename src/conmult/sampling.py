@@ -9,13 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    CountVector,
-    DirichletParams,
-    SimplexPoint,
-    TrineEllipse,
-    ordered_from_weights_array,
-)
+from .core import DirichletParams, TrineEllipse, ordered_from_weights_array
 
 DEFAULT_CHUNK = 100_000
 
@@ -57,21 +51,9 @@ def sample_dirichlet_array(params: DirichletParams, size: int, rng) -> np.ndarra
     return g
 
 
-def sample_dirichlet(params: DirichletParams, rng: RngStream) -> SimplexPoint:
-    """One Dirichlet draw."""
-    return SimplexPoint(sample_dirichlet_array(params, 1, rng)[0])
-
-
 def sample_multinomial_array(n: int, theta, size: int, rng) -> np.ndarray:
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     return gen.multinomial(n, np.asarray(theta, dtype=float), size=size)
-
-
-def sample_multinomial(n: int, theta: SimplexPoint, rng: RngStream):
-    """One multinomial count vector of total n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return CountVector(sample_multinomial_array(n, theta.probs, 1, rng)[0])
 
 
 def sample_trine_prior_array(a: float, size: int, rng) -> np.ndarray:
@@ -95,20 +77,10 @@ def sample_trine_prior_array(a: float, size: int, rng) -> np.ndarray:
     return np.column_stack([xy, 1.0 - xy.sum(axis=1)])
 
 
-def sample_trine_prior(a: float, rng: RngStream) -> SimplexPoint:
-    """One draw from the trine prior; always lies inside the trine ellipse."""
-    return SimplexPoint(sample_trine_prior_array(a, 1, rng)[0])
-
-
 def sample_ordered_prior_array(omega_params: DirichletParams, size: int, rng) -> np.ndarray:
     """Draws with decreasing coordinates, induced by a Dirichlet on the weights."""
     om = sample_dirichlet_array(omega_params, size, rng)
     return ordered_from_weights_array(om)
-
-
-def sample_ordered_prior(omega_params: DirichletParams, rng: RngStream) -> SimplexPoint:
-    """One draw from the ordered prior induced by omega ~ Dirichlet(omega_params)."""
-    return SimplexPoint(sample_ordered_prior_array(omega_params, 1, rng)[0])
 
 
 def chunked_monte_carlo(draw_chunk, total: int, rng: RngStream,

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -500,6 +501,12 @@ class TestEdgeInputs:
         assert (rep["verdict"], rep["rb"]) == ("undefined", None)
         err = capsys.readouterr().err
         assert "quadrature certificate" in err and "relative belief ratio undefined" in err
+        # the contents are subnormal or 0, so the note names the logs the verdict read
+        found = re.search(r"log relative belief ratio (\S+) lies within its quadrature "
+                          r"certificate (\S+) of 0:", err)
+        assert found is not None
+        log_rb, log_cert = map(float, found.groups())
+        assert 0 < log_cert < 1e-2 and abs(log_rb) <= log_cert
 
 
 class TestInputErrors:

@@ -14,28 +14,23 @@ from conmult.core import (
     QuadBall,
     SimplexPoint,
     TrineEllipse,
-    ZmParams,
     consecutive_blocks,
     crosshairs_region,
     gammaln,
     gauss_legendre,
     group_counts,
     group_sums,
-    kl_divergence,
-    log_multinomial_pmf,
     logsumexp,
     median,
-    ordered_from_weights,
     ordered_from_weights_array,
     ordered_mode,
     pauli_region,
     quantiles,
-    region_contains,
     strided,
     tetrahedron_region,
     trine_prior_mass,
-    weights_from_ordered,
-    zm_distribution,
+    weights_from_ordered_array,
+    zm_log_probs_array,
 )
 
 from conftest import FLY_COUNTS, same_bits
@@ -103,36 +98,30 @@ class TestSimplexTypes:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
-    def test_zm_params_validation(self):
-        with pytest.raises(ValueError):
-            ZmParams(alpha=-1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            ZmParams(alpha=0.0, beta=-0.5)
-
 
 class TestOrderedWeightsBijection:
     def test_all_mass_last_gives_uniform(self):
         k1 = 5
         omega = np.zeros(k1)
         omega[-1] = 1.0
-        theta = ordered_from_weights(SimplexPoint(omega))
-        np.testing.assert_allclose(theta.probs, np.full(k1, 1 / k1), atol=1e-15)
+        theta = ordered_from_weights_array(omega)
+        np.testing.assert_allclose(theta, np.full(k1, 1 / k1), atol=1e-15)
 
     def test_corner_fixed_point(self):
-        theta = ordered_from_weights(SimplexPoint(np.array([1.0, 0.0, 0.0])))
-        np.testing.assert_allclose(theta.probs, [1.0, 0.0, 0.0], atol=1e-15)
+        theta = ordered_from_weights_array(np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(theta, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_matches_explicit_matrix_product(self, rng):
         # oracle: multiply by the explicit triangular matrix
         omega = np.array([0.1, 0.2, 0.3, 0.4])
         expect = lower_weight_matrix(4) @ omega
         np.testing.assert_allclose(expect, [0.4, 0.3, 0.2, 0.1], atol=1e-15)
-        got = ordered_from_weights(SimplexPoint(omega))
-        np.testing.assert_allclose(got.probs, expect, atol=1e-14)
+        got = ordered_from_weights_array(omega)
+        np.testing.assert_allclose(got, expect, atol=1e-14)
         for k1 in (2, 5, 9):
             om = random_simplex(rng, k1)[0]
             np.testing.assert_allclose(
-                ordered_from_weights(SimplexPoint(om)).probs,
+                ordered_from_weights_array(om),
                 lower_weight_matrix(k1) @ om,
                 atol=1e-13,
             )
@@ -142,28 +131,24 @@ class TestOrderedWeightsBijection:
         Ainv = np.linalg.inv(lower_weight_matrix(4))
         expect = Ainv @ theta
         np.testing.assert_allclose(expect, [0.1, 0.2, 0.3, 0.4], atol=1e-12)
-        got = weights_from_ordered(SimplexPoint(theta))
-        np.testing.assert_allclose(got.probs, expect, atol=1e-12)
+        got = weights_from_ordered_array(theta)
+        np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_uniform_maps_to_last_corner(self):
         k1 = 6
-        om = weights_from_ordered(SimplexPoint(np.full(k1, 1 / k1)))
+        om = weights_from_ordered_array(np.full(k1, 1 / k1))
         expect = np.zeros(k1)
         expect[-1] = 1.0
-        np.testing.assert_allclose(om.probs, expect, atol=1e-14)
-
-    def test_ordering_violation_reports_first_index(self):
-        with pytest.raises(ValueError, match="index 1"):
-            weights_from_ordered(SimplexPoint(np.array([0.3, 0.4, 0.3])))
+        np.testing.assert_allclose(om, expect, atol=1e-14)
 
     def test_round_trip_many_dimensions(self, rng):
         for _ in range(50):
             k1 = int(rng.integers(2, 22))
             om = random_simplex(rng, k1, 20)
             for row in om:
-                theta = ordered_from_weights(SimplexPoint(row))
-                back = weights_from_ordered(theta)
-                np.testing.assert_allclose(back.probs, row, atol=1e-12)
+                theta = ordered_from_weights_array(row)
+                back = weights_from_ordered_array(theta)
+                np.testing.assert_allclose(back, row, atol=1e-12)
 
     def test_forward_output_always_in_cone(self, rng):
         cone_checked = 0
@@ -171,8 +156,8 @@ class TestOrderedWeightsBijection:
             om = random_simplex(rng, k1, 200)
             cone = OrderedCone(dim=k1)
             for row in om:
-                theta = ordered_from_weights(SimplexPoint(row))
-                assert region_contains(cone, theta)
+                theta = ordered_from_weights_array(row)
+                assert cone.contains_array(theta)
                 cone_checked += 1
         assert cone_checked == 600
 
@@ -289,60 +274,26 @@ class TestGroupings:
 class TestZipfMandelbrot:
     def test_beta_zero_is_uniform(self):
         for alpha in (-0.5, 0.0, 3.0):
-            p = zm_distribution(ZmParams(alpha, 0.0), k=4)
-            np.testing.assert_allclose(p.probs, 0.2, atol=1e-15)
+            p = np.exp(zm_log_probs_array(alpha, 0.0, 5))
+            np.testing.assert_allclose(p, 0.2, atol=1e-15)
 
     def test_hand_evaluated_case(self):
         # alpha=0, beta=1, k=2: weights 1, 1/2, 1/3 normalize by 11/6
-        p = zm_distribution(ZmParams(0.0, 1.0), k=2)
-        np.testing.assert_allclose(p.probs, [6 / 11, 3 / 11, 2 / 11], atol=1e-14)
+        p = np.exp(zm_log_probs_array(0.0, 1.0, 3))
+        np.testing.assert_allclose(p, [6 / 11, 3 / 11, 2 / 11], atol=1e-14)
 
     def test_large_alpha_approaches_uniform(self):
-        p = zm_distribution(ZmParams(1e8, 2.0), k=3)
-        np.testing.assert_allclose(p.probs, 0.25, atol=1e-6)
+        p = np.exp(zm_log_probs_array(1e8, 2.0, 4))
+        np.testing.assert_allclose(p, 0.25, atol=1e-6)
 
     def test_strictly_decreasing_iff_beta_positive(self, rng):
         for _ in range(20):
             alpha = float(rng.uniform(-0.9, 5.0))
             beta = float(rng.uniform(0.05, 8.0))
-            p = zm_distribution(ZmParams(alpha, beta), k=6).probs
+            p = np.exp(zm_log_probs_array(alpha, beta, 7))
             assert np.all(np.diff(p) < 0)
-        p0 = zm_distribution(ZmParams(2.0, 0.0), k=6).probs
+        p0 = np.exp(zm_log_probs_array(2.0, 0.0, 7))
         assert np.all(np.diff(p0) == 0)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            zm_distribution(ZmParams(0.0, 1.0), k=0)
-
-
-class TestKlDivergence:
-    def test_identity_is_zero(self, rng):
-        for _ in range(10):
-            p = SimplexPoint(random_simplex(rng, 5)[0])
-            assert kl_divergence(p, p) == 0.0
-
-    def test_hand_value(self):
-        v = kl_divergence(SimplexPoint(np.array([1.0, 0.0])),
-                          SimplexPoint(np.array([0.5, 0.5])))
-        assert v == pytest.approx(math.log(2), abs=1e-14)
-
-    def test_support_mismatch_is_inf(self):
-        v = kl_divergence(SimplexPoint(np.array([0.5, 0.5])),
-                          SimplexPoint(np.array([1.0, 0.0])))
-        assert v == math.inf
-
-    def test_nonnegative_zero_only_at_equality(self, rng):
-        for _ in range(200):
-            p = random_simplex(rng, 4)[0]
-            q = random_simplex(rng, 4)[0]
-            v = kl_divergence(SimplexPoint(p), SimplexPoint(q))
-            assert v >= 0
-            assert v > 0  # distinct random pairs almost surely
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence(SimplexPoint(np.array([0.5, 0.5])),
-                          SimplexPoint(np.array([0.3, 0.3, 0.4])))
 
 
 class TestTrineGeometry:
@@ -372,11 +323,11 @@ class TestTrineGeometry:
 class TestRegions:
     def test_trine_center_inside(self):
         region = TrineEllipse(1 / 3)
-        assert region_contains(region, SimplexPoint(np.array([1 / 3, 1 / 3, 1 / 3])))
+        assert region.contains_array(np.array([1 / 3, 1 / 3, 1 / 3]))
 
     def test_trine_corner_outside(self):
         region = TrineEllipse(1 / 3)
-        assert not region_contains(region, SimplexPoint(np.array([1.0, 0.0, 0.0])))
+        assert not region.contains_array(np.array([1.0, 0.0, 0.0]))
 
     def test_sphere_cap_form_agrees_at_symmetric_overlap(self, rng):
         # the sum-of-squares form and the ellipse form define the same set
@@ -389,36 +340,32 @@ class TestRegions:
 
     def test_ordered_cone(self):
         cone = OrderedCone(dim=4)
-        assert region_contains(cone, SimplexPoint(np.array([0.4, 0.3, 0.2, 0.1])))
-        assert not region_contains(cone, SimplexPoint(np.array([0.3, 0.4, 0.2, 0.1])))
+        assert cone.contains_array(np.array([0.4, 0.3, 0.2, 0.1]))
+        assert not cone.contains_array(np.array([0.3, 0.4, 0.2, 0.1]))
         # ties are inside the closed cone
-        assert region_contains(cone, SimplexPoint(np.array([0.3, 0.3, 0.2, 0.2])))
+        assert cone.contains_array(np.array([0.3, 0.3, 0.2, 0.2]))
 
     def test_crosshairs_membership(self):
         region = crosshairs_region()
-        good = SimplexPoint(np.array([0.3, 0.2, 0.26, 0.24]))
-        assert region_contains(region, good)
-        bad_sum = SimplexPoint(np.array([0.4, 0.2, 0.2, 0.2]))
-        assert not region_contains(region, bad_sum)
-        too_far = SimplexPoint(np.array([0.5, 0.0, 0.5, 0.0]))
-        assert not region_contains(region, too_far)
+        good = np.array([0.3, 0.2, 0.26, 0.24])
+        assert region.contains_array(good)
+        bad_sum = np.array([0.4, 0.2, 0.2, 0.2])
+        assert not region.contains_array(bad_sum)
+        too_far = np.array([0.5, 0.0, 0.5, 0.0])
+        assert not region.contains_array(too_far)
 
     def test_pauli_membership(self):
         region = pauli_region()
         third = 1 / 3
-        uniform = SimplexPoint(np.full(6, 1 / 6))
-        assert region_contains(region, uniform)
-        skew = SimplexPoint(np.array([third, 0.0, third, 0.0, third, 0.0]))
-        assert not region_contains(region, skew)  # sum of squares 1/3 > 2/9
+        uniform = np.full(6, 1 / 6)
+        assert region.contains_array(uniform)
+        skew = np.array([third, 0.0, third, 0.0, third, 0.0])
+        assert not region.contains_array(skew)  # sum of squares 1/3 > 2/9
 
     def test_tetrahedron_membership(self):
         region = tetrahedron_region()
-        assert region_contains(region, SimplexPoint(np.full(4, 0.25)))
-        assert not region_contains(region, SimplexPoint(np.array([0.7, 0.1, 0.1, 0.1])))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            region_contains(TrineEllipse(1 / 3), SimplexPoint(np.full(4, 0.25)))
+        assert region.contains_array(np.full(4, 0.25))
+        assert not region.contains_array(np.array([0.7, 0.1, 0.1, 0.1]))
 
     def test_quadball_validation(self):
         with pytest.raises(ValueError):
@@ -436,44 +383,6 @@ class TestRegions:
         # the inscribed ball itself, and a larger ball cut by an equality, are fine
         QuadBall(dim=4, bound=1.0 / 3.0)
         QuadBall(dim=4, bound=0.5, equalities=(((0, 1), 0.5),))
-
-
-class TestMultinomialPmf:
-    def test_single_trial(self):
-        theta = SimplexPoint(np.array([0.2, 0.5, 0.3]))
-        for i in range(3):
-            t = np.zeros(3, dtype=int)
-            t[i] = 1
-            v = log_multinomial_pmf(CountVector(t), theta)
-            assert v == pytest.approx(math.log(theta.probs[i]), abs=1e-12)
-
-    def test_hand_value(self):
-        v = log_multinomial_pmf(CountVector(np.array([2, 0])),
-                                SimplexPoint(np.array([0.5, 0.5])))
-        assert v == pytest.approx(math.log(0.25), abs=1e-12)
-
-    def test_zero_prob_positive_count_is_minus_inf(self):
-        v = log_multinomial_pmf(CountVector(np.array([1, 1])),
-                                SimplexPoint(np.array([1.0, 0.0])))
-        assert v == -math.inf
-
-    def test_normalizes_by_enumeration(self):
-        from conmult.consistency import enumerate_lattice
-        from conmult.core import log_multinomial_pmf_array
-
-        rng = np.random.default_rng(17)
-        for k in (1, 2, 3):
-            theta = rng.dirichlet(np.ones(k + 1))
-            for n in (3, 11, 20):
-                lattice = enumerate_lattice(k, n)
-                total = np.exp(log_multinomial_pmf_array(lattice, theta)).sum()
-                assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_large_counts_no_overflow(self):
-        t = CountVector(np.array([3416, 1912, 1748]))
-        theta = SimplexPoint(np.array([0.48, 0.27, 0.25]))
-        v = log_multinomial_pmf(t, theta)
-        assert np.isfinite(v)
 
 
 class TestLogSumExp:

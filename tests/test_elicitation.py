@@ -5,9 +5,8 @@ import pytest
 from conmult.core import (
     DirichletParams,
     SimplexPoint,
-    ordered_from_weights,
     ordered_from_weights_array,
-    weights_from_ordered,
+    weights_from_ordered_array,
 )
 from conmult.elicitation import (
     VC_NODES,
@@ -41,10 +40,10 @@ class TestEquispacedMode:
         for k, delta in [(3, 0.05), (17, 2 / 306), (9, 0.0), (5, 0.02)]:
             theta, xi = equispaced_mode(k, delta)
             np.testing.assert_allclose(
-                ordered_from_weights(xi).probs, theta.probs, atol=1e-12
+                ordered_from_weights_array(xi.probs), theta.probs, atol=1e-12
             )
             np.testing.assert_allclose(
-                weights_from_ordered(theta).probs, xi.probs, atol=1e-12
+                weights_from_ordered_array(theta.probs), xi.probs, atol=1e-12
             )
 
     def test_spacing_is_exact(self):

@@ -163,3 +163,51 @@ print(sorted(m for m in ("numpy.polynomial", "conmult.consistency") if m in sys.
                          timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+# the paper's continuized density; only its convergence tests call it, and they stay
+READ_BY_TESTS_ALONE = [("consistency", "continuized_density")]
+
+
+def public_definitions(source):
+    """Names of the public functions and classes that ``source`` defines at module level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def reads_by_statement(source):
+    """(name the statement defines, or None; bare names it reads) per module-level statement."""
+    return [(getattr(stmt, "name", None),
+             {node.id for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)})
+            for stmt in ast.parse(source).body]
+
+
+def unread_definitions(sources, bench_sources):
+    """(module, name) for each public definition in ``sources``, a dict of module texts, that
+    no module reads outside the definition itself and no benchmark source reads."""
+    reads = [((module, owner), names) for module, text in sources.items()
+             for owner, names in reads_by_statement(text)]
+    bench = {name for text in bench_sources for _, names in reads_by_statement(text)
+             for name in names}
+    return sorted((module, name) for module, text in sources.items()
+                  for name in public_definitions(text)
+                  if name not in bench and not any(name in names for where, names in reads
+                                                   if where != (module, name)))
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # __init__ only re-exports, so a name that it alone reads is read by nothing
+    sources = {p.stem: p.read_text() for p in MODULES}
+    bench = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_definitions(sources, bench) == READ_BY_TESTS_ALONE
+
+
+def test_definition_guard_skips_a_definitions_own_body():
+    sources = {"a": "def f():\n    return f()\nclass C:\n    x = C\ndef g():\n    return h\n",
+               "b": "def h():\n    return 1\nclass D:\n    pass\ny = D\n"
+                    "if y:\n    E()\nclass E:\n    pass\n"}
+    assert unread_definitions(sources, ["g()\n"]) == [("a", "C"), ("a", "f")]

@@ -5,24 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp
 
-from conmult.core import (
-    DirichletParams,
-    OrderedCone,
-    SimplexPoint,
-    TrineEllipse,
-    region_contains,
-)
+from conmult.core import DirichletParams, OrderedCone, SimplexPoint, TrineEllipse
 from conmult.elicitation import dirichlet_from_mode
 from conmult.sampling import (
     RngStream,
     chunked_monte_carlo,
-    sample_dirichlet,
     sample_dirichlet_array,
-    sample_multinomial,
     sample_multinomial_array,
-    sample_ordered_prior,
     sample_ordered_prior_array,
-    sample_trine_prior,
     sample_trine_prior_array,
 )
 
@@ -91,8 +81,9 @@ class TestDirichlet:
         np.testing.assert_allclose(large.mean(axis=0), xi.probs, atol=2e-3)
 
     def test_single_draw_api(self):
-        p = sample_dirichlet(DirichletParams(np.array([2.0, 2.0])), RngStream(1))
-        assert isinstance(p, SimplexPoint)
+        p = sample_dirichlet_array(DirichletParams(np.array([2.0, 2.0])), 1, RngStream(1))
+        assert p.shape == (1, 2)
+        SimplexPoint(p[0])
 
     @staticmethod
     def numpy_dirichlet(alphas, size, gen):
@@ -130,12 +121,12 @@ class TestDirichlet:
 
 class TestMultinomial:
     def test_degenerate_cell(self):
-        t = sample_multinomial(50, SimplexPoint(np.array([1.0, 0.0])), RngStream(2))
-        assert t.counts[0] == 50
+        t = sample_multinomial_array(50, np.array([1.0, 0.0]), 1, RngStream(2))[0]
+        assert t[0] == 50
 
     def test_single_trial_one_hot(self):
-        t = sample_multinomial(1, SimplexPoint(np.array([0.3, 0.7])), RngStream(3))
-        assert t.n == 1 and t.counts.max() == 1
+        t = sample_multinomial_array(1, np.array([0.3, 0.7]), 1, RngStream(3))[0]
+        assert t.sum() == 1 and t.max() == 1
 
     def test_chi_square_goodness_of_fit(self):
         theta = np.array([0.5, 0.3, 0.2])
@@ -143,10 +134,6 @@ class TestMultinomial:
         observed = draws.sum(axis=0)
         stat = chisquare(observed, 100_000 * theta)
         assert stat.pvalue > 0.01
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            sample_multinomial(0, SimplexPoint(np.array([0.5, 0.5])), RngStream(0))
 
 
 class TestTrinePrior:
@@ -180,8 +167,8 @@ class TestTrinePrior:
             assert ks_2samp(draws[:m, j], oracle[:m, j]).pvalue > 0.01
 
     def test_single_draw_api(self):
-        p = sample_trine_prior(1 / 3, RngStream(14))
-        assert region_contains(TrineEllipse(1 / 3), p)
+        p = sample_trine_prior_array(1 / 3, 1, RngStream(14))
+        assert p.shape == (1, 3) and TrineEllipse(1 / 3).contains_array(p).all()
 
     def test_rejects_bad_overlap(self):
         with pytest.raises(ValueError):
@@ -217,8 +204,8 @@ class TestOrderedPrior:
         assert th.std(axis=0).max() < 0.01
 
     def test_single_draw_api(self):
-        p = sample_ordered_prior(DirichletParams(np.ones(5)), RngStream(24))
-        assert region_contains(OrderedCone(dim=5), p)
+        p = sample_ordered_prior_array(DirichletParams(np.ones(5)), 1, RngStream(24))
+        assert p.shape == (1, 5) and OrderedCone(dim=5).contains_array(p).all()
 
     def test_bit_identical_reproducibility(self):
         a = sample_ordered_prior_array(DirichletParams(np.ones(5)), 100, RngStream(7, 3))
