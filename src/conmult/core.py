@@ -192,6 +192,8 @@ def zm_log_probs_array(alpha, beta, k1):
     Broadcasts over array-valued alpha/beta; normalization is done with
     log-sum-exp so large beta cannot overflow.
     """
+    if k1 < 2:
+        raise ValueError(f"k1 must be >= 2, got {k1}")
     a = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(beta, dtype=float)[..., None]
     lp = -b * np.log(a + np.arange(1, k1 + 1, dtype=float))
@@ -202,6 +204,15 @@ def zm_log_probs_array(alpha, beta, k1):
 # ---------------------------------------------------------------------------
 # constraint regions
 # ---------------------------------------------------------------------------
+
+def _points(theta, dim, *widths):
+    """``theta`` as a float array; refused unless its last axis has ``dim`` cells,
+    or as many as one of ``widths``."""
+    th = np.asarray(theta, dtype=float)
+    if th.shape[-1] not in (dim, *widths):
+        raise ValueError(f"region has dimension {dim}, points have {th.shape[-1]}")
+    return th
+
 
 class TrineEllipse:
     """Ellipse {(theta_1, theta_2): (theta - c)^t C (theta - c) <= 1} inside the 2-simplex."""
@@ -229,7 +240,8 @@ class TrineEllipse:
         return d0 * c00 * d0 + d0 * c01 * d1 + d1 * c10 * d0 + d1 * c11 * d1
 
     def contains_array(self, theta):
-        th = np.asarray(theta, dtype=float)
+        """Membership of points given by all three cells or by (theta_1, theta_2)."""
+        th = _points(theta, self.dim, 2)
         return self.quad_form_array(th[..., :2]) <= 1.0
 
 
@@ -242,7 +254,7 @@ class OrderedCone:
         self.dim = dim
 
     def contains_array(self, theta):
-        th = np.asarray(theta, dtype=float)
+        th = _points(theta, self.dim)
         return np.all(th[..., :-1] >= th[..., 1:], axis=-1)
 
 
@@ -267,7 +279,7 @@ class QuadBall:
         self.dim, self.bound, self.equalities = dim, bound, eqs
 
     def contains_array(self, theta):
-        th = np.asarray(theta, dtype=float)
+        th = _points(theta, self.dim)
         ok = (th**2).sum(axis=-1) <= self.bound
         for idx, val in self.equalities:
             ok = ok & (np.abs(th[..., list(idx)].sum(axis=-1) - val) <= EQUALITY_TOL)

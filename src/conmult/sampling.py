@@ -52,6 +52,8 @@ def sample_dirichlet_array(params: DirichletParams, size: int, rng) -> np.ndarra
 
 
 def sample_multinomial_array(n: int, theta, size: int, rng) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     return gen.multinomial(n, np.asarray(theta, dtype=float), size=size)
 

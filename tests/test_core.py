@@ -32,6 +32,7 @@ from conmult.core import (
     weights_from_ordered_array,
     zm_log_probs_array,
 )
+from conmult.model_check import ZmTable, kl_uniform_to_zm, zm_distance_batch
 
 from conftest import FLY_COUNTS, same_bits
 
@@ -295,6 +296,83 @@ class TestZipfMandelbrot:
         p0 = np.exp(zm_log_probs_array(2.0, 0.0, 7))
         assert np.all(np.diff(p0) == 0)
 
+    def test_broadcast_rows_normalize(self, rng):
+        alpha = rng.uniform(-0.9, 10.0, size=(4, 5))
+        beta = rng.uniform(0.0, 30.0, size=(4, 5))
+        lp = zm_log_probs_array(alpha, beta, 9)
+        assert lp.shape == (4, 5, 9)
+        np.testing.assert_allclose(np.exp(lp).sum(axis=-1), 1.0, atol=1e-14)
+        np.testing.assert_array_equal(lp[2, 3], zm_log_probs_array(alpha[2, 3], beta[2, 3], 9))
+
+    def test_two_cells_is_the_smallest_family(self):
+        # alpha=0, beta=1: weights 1, 1/2 normalize by 3/2
+        np.testing.assert_allclose(zm_log_probs_array(0.0, 1.0, 2),
+                                   np.log([2 / 3, 1 / 3]), atol=1e-15)
+
+    def test_rejects_bad_k(self):
+        for k1 in (1, 0):
+            with pytest.raises(ValueError, match="k1"):
+                zm_log_probs_array(0.0, 1.0, k1)
+
+
+def scan_kl(theta, p):
+    """KL(theta || p) as the ZM distance's table scan computes it, p a one-row table."""
+    with np.errstate(divide="ignore"):
+        table = ZmTable(params=np.zeros((1, 2)), log_probs=np.log(np.atleast_2d(p)))
+    return float(zm_distance_batch(theta, table, refine=False)[0][0])
+
+
+class TestKlDivergence:
+    """The two KL divergences of the ZM check: the redundancy KL(uniform || ZM)
+    and the table scan's KL(theta || p)."""
+
+    def test_identity_is_zero(self, rng):
+        # ZM(alpha, 0) is the uniform distribution itself
+        for _ in range(10):
+            alpha = float(rng.uniform(-0.9, 5.0))
+            k1 = int(rng.integers(2, 30))
+            assert kl_uniform_to_zm(alpha, 0.0, k1) == 0.0
+
+    def test_hand_value(self):
+        v = scan_kl(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        assert v == pytest.approx(math.log(2), abs=1e-14)
+        # ZM(0, 1) on two cells is (2/3, 1/3)
+        assert kl_uniform_to_zm(0.0, 1.0, 2) == pytest.approx(0.5 * math.log(9 / 8), abs=1e-15)
+
+    def test_support_mismatch_is_inf(self):
+        v = scan_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        assert v == math.inf
+
+    def test_nonnegative_zero_only_at_equality(self, rng):
+        for _ in range(200):
+            p = random_simplex(rng, 4)[0]
+            q = random_simplex(rng, 4)[0]
+            v = scan_kl(p, q)
+            assert v >= 0
+            assert v > 0  # distinct random pairs almost surely
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            scan_kl(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
+
+    def test_scan_matches_definition(self, rng):
+        for _ in range(50):
+            p, q = random_simplex(rng, 6, 2)
+            p[int(rng.integers(6))] = 0.0  # a zero cell adds 0 log 0 = 0
+            p /= p.sum()
+            want = sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
+            assert scan_kl(p, q) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_scan_takes_the_nearest_row(self):
+        probs = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+        table = ZmTable(params=np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]]),
+                        log_probs=np.log(probs))
+        theta = np.array([[0.45, 0.35, 0.2], [0.1, 0.3, 0.6]])
+        dist, alpha, beta = zm_distance_batch(theta, table, refine=False)
+        for row, want in zip(range(2), (0, 1)):
+            assert dist[row] == pytest.approx(scan_kl(theta[row], probs[want]), rel=1e-14)
+            assert (alpha[row], beta[row]) == tuple(table.params[want])
+
 
 class TestTrineGeometry:
     def test_prior_mass_values(self):
@@ -366,6 +444,26 @@ class TestRegions:
         region = tetrahedron_region()
         assert region.contains_array(np.full(4, 0.25))
         assert not region.contains_array(np.array([0.7, 0.1, 0.1, 0.1]))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            TrineEllipse(1 / 3).contains_array(np.full(4, 0.25))
+        # (theta_1, theta_2) alone places a point of the 2-simplex
+        assert TrineEllipse(1 / 3).contains_array(np.array([1 / 3, 1 / 3]))
+        with pytest.raises(ValueError, match="dimension"):
+            TrineEllipse(1 / 3).contains_array(np.array([1.0]))
+
+    def test_trine_pairs_agree_with_full_points(self, rng):
+        th = random_simplex(rng, 3, 5_000)
+        region = TrineEllipse(0.48445)
+        np.testing.assert_array_equal(region.contains_array(th[:, :2]),
+                                      region.contains_array(th))
+
+    def test_cone_and_ball_dimension_mismatch_rejected(self):
+        for region in (OrderedCone(dim=4), tetrahedron_region(), pauli_region()):
+            for width in (region.dim - 1, region.dim + 1):
+                with pytest.raises(ValueError, match="dimension"):
+                    region.contains_array(np.full((2, width), 1.0 / width))
 
     def test_quadball_validation(self):
         with pytest.raises(ValueError):

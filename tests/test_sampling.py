@@ -135,6 +135,15 @@ class TestMultinomial:
         stat = chisquare(observed, 100_000 * theta)
         assert stat.pvalue > 0.01
 
+    def test_rejects_nonpositive_n(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be"):
+                sample_multinomial_array(n, np.array([0.5, 0.5]), 1, RngStream(0))
+
+    def test_every_row_totals_n(self):
+        t = sample_multinomial_array(37, np.array([0.1, 0.6, 0.3]), 500, RngStream(5))
+        assert t.shape == (500, 3) and t.min() >= 0 and np.all(t.sum(axis=1) == 37)
+
 
 class TestTrinePrior:
     def test_every_draw_in_region(self):
