@@ -270,9 +270,10 @@ def cmd_check_model(args):
             "mc_se": rep.mc_se, "n_draws": rep.n_draws, "verdict": verdict,
         }
         if rep.method == "exact":
+            payload.update(log_rb=rep.log_rb, log_cert=rep.log_cert)
             note = (f"the log relative belief ratio {rep.log_rb:.3g} lies within its quadrature "
-                    f"certificate {rep.log_cert:.3g} of 0: relative belief ratio undefined; "
-                    "group the cells")
+                    f"certificate {rep.log_cert:.3g} of 0: relative belief ratio undefined"
+                    + ("; group the cells" if isinstance(region, OrderedCone) else ""))
         else:
             note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
                     f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
@@ -470,7 +471,8 @@ def build_parser():
         p.add_argument("--workers", type=positive_int, default=1)
         if draws:
             p.add_argument("--draws", type=int, default=100_000,
-                           help="Monte Carlo draws (only echoed by the exact ordered region)")
+                           help="Monte Carlo draws (only echoed by the exact ordered and "
+                                "trine regions)")
 
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)

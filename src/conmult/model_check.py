@@ -15,11 +15,13 @@ from .core import (
     DirichletParams,
     MeasureZeroRegionError,
     OrderedCone,
+    TRINE_RULES,
     QuadBall,
     TrineEllipse,
     chain_log_integrals,
     gammaln,
     group_counts,
+    trine_log_integrals,
     trine_prior_mass,
     zm_log_probs_array,
 )
@@ -102,50 +104,66 @@ def ordered_cone_log_content(counts):
     return float(fine + step), float(abs(step))
 
 
+def trine_log_content(counts, region):
+    """log P(theta in the trine ellipse) under Dirichlet(t + 1), t = ``counts``, with a certificate.
+
+    The Dirichlet(t + 1) density of (theta_1, theta_2) is its normaliser times
+    prod theta_i^t_i, so this is ``trine_log_integrals`` with a flat density,
+    refined while the log content lies within its certificate of the prior's.
+    """
+    t = np.asarray(counts, dtype=float)[None]
+    norm = gammaln(t.sum(axis=1) + 3) - gammaln(t + 1).sum(axis=1)  # Gamma(n + 3) / prod t_i!
+    log_prior = math.log(trine_prior_mass(region.a))
+    for level in range(len(TRINE_RULES) - 1):
+        log_post, cert = trine_log_integrals(t, region, lambda th: np.zeros(len(th)), norm, level)
+        if abs(log_post[0] - log_prior) > cert[0]:
+            break
+    return float(log_post[0]), float(cert[0])
+
+
 def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
                     workers: int = 1) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
-    The ordered cone's posterior content is exact (``ordered_cone_log_content``),
-    its ratio is taken in log space, and ``n_draws`` is only echoed. Elsewhere
-    the posterior content is the fraction of Dirichlet(t+1) draws inside the
-    region, on substream 0. Prior content is ``analytic_prior_prob``, and a
-    region with none is refused before any draw. Strength is reported as the
-    posterior content.
+    The ordered cone's and the trine ellipse's posterior contents are exact
+    (``ordered_cone_log_content``, ``trine_log_content``), the ratio is taken
+    in log space, and ``n_draws`` is only echoed. Elsewhere the posterior
+    content is the fraction of Dirichlet(t+1) draws inside the region, on
+    substream 0. Prior content is ``analytic_prior_prob``, and a region with
+    none is refused before any draw. Strength is the posterior content.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
+    prior = analytic_prior_prob(region)
+    if not isinstance(region, (OrderedCone, TrineEllipse)):
+        if prior == 0.0:
+            raise MeasureZeroRegionError(
+                "region has no flat-prior content, so its relative belief ratio is undefined")
+        post_alphas = DirichletParams(t.counts + 1.0)
+
+        def chunk(stream, m):
+            th = sample_dirichlet_array(post_alphas, m, stream)
+            return int(region.contains_array(th).sum())
+
+        post = sum(chunked_monte_carlo(chunk, n_draws, rng.substream(0), workers)) / n_draws
+        return CheckReport(prior_prob=prior, post_prob=post, rb=post / prior, strength=post,
+                           mc_se=math.sqrt(post * (1.0 - post) / n_draws), n_draws=n_draws)
     if isinstance(region, OrderedCone):
         log_post, log_cert = ordered_cone_log_content(t.counts)
-        log_rb = log_post + math.lgamma(region.dim + 1)
-        if not log_rb < math.log(np.finfo(float).max):
-            raise FloatingPointError(f"relative belief ratio exp({log_rb:.6g}) overflows a float")
-        post = math.exp(log_post)
-        return CheckReport(prior_prob=analytic_prior_prob(region), post_prob=post,
-                           rb=math.exp(log_rb), strength=post, mc_se=post * math.expm1(log_cert),
-                           n_draws=n_draws, method="exact", log_rb=log_rb, log_cert=log_cert)
-    prior = analytic_prior_prob(region)
-    if prior == 0.0:
-        raise MeasureZeroRegionError(
-            "region has no flat-prior content, so its relative belief ratio is undefined")
-    post_alphas = DirichletParams(t.counts + 1.0)
-
-    def chunk(stream, m):
-        th = sample_dirichlet_array(post_alphas, m, stream)
-        return int(region.contains_array(th).sum())
-
-    post = sum(chunked_monte_carlo(chunk, n_draws, rng.substream(0), workers=workers)) / n_draws
-    se = math.sqrt(post * (1.0 - post) / n_draws)
-    return CheckReport(
-        prior_prob=prior,
-        post_prob=post,
-        rb=post / prior,
-        strength=post,
-        mc_se=se,
-        n_draws=n_draws,
-    )
+        log_prior = -math.lgamma(region.dim + 1)
+    else:
+        log_post, log_cert = trine_log_content(t.counts, region)
+        log_prior = math.log(prior)
+    log_post = min(log_post, 0.0)  # a rule may put a content of nearly 1 above 1
+    log_rb = log_post - log_prior
+    if not log_rb < math.log(np.finfo(float).max):
+        raise FloatingPointError(f"relative belief ratio exp({log_rb:.6g}) overflows a float")
+    post = math.exp(log_post)
+    return CheckReport(prior_prob=prior, post_prob=post, rb=math.exp(log_rb), strength=post,
+                       mc_se=post * math.expm1(log_cert), n_draws=n_draws, method="exact",
+                       log_rb=log_rb, log_cert=log_cert)
 
 
 def rb_grouped_check(t: CountVector, labels, n_draws: int, rng: RngStream,

@@ -56,10 +56,9 @@ def _log_dirichlet(shape, gen):
 def _counts(counts, k1):
     if counts is None:
         return np.zeros(k1, dtype=np.int64)
-    cnt = counts.counts if isinstance(counts, CountVector) else np.asarray(counts)
-    if len(cnt) != k1:
+    if len(counts) != k1:
         raise ValueError("counts and prior dimensions differ")
-    return cnt
+    return counts.counts
 
 
 def check_sweeps(n_sweeps, burn_in):
@@ -142,7 +141,7 @@ def sample_ordered_posterior(t, omega_params: DirichletParams, size: int, rng: R
     return z
 
 
-def run_gibbs(counts, prior: DirichletParams, n_sweeps: int, burn_in: int,
+def run_gibbs(counts: CountVector | None, prior: DirichletParams, n_sweeps: int, burn_in: int,
               init, rng: RngStream):
     """Latent-allocation Gibbs on the weights, reported in probability space.
 

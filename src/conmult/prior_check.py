@@ -19,9 +19,9 @@ from .core import (
     CountVector,
     DirichletParams,
     OrderedCone,
+    TRINE_RULES,
     TrineEllipse,
     gammaln,
-    gauss_legendre,
     group_counts,
     group_sums,
     log_dirichlet_multinomial,
@@ -30,6 +30,7 @@ from .core import (
     logsumexp,
     median,
     ordered_mode,
+    trine_log_integrals,
     weights_from_ordered_array,
 )
 from .sampling import (
@@ -43,155 +44,6 @@ from .sampling import (
 
 class ProposalSupportError(RuntimeError):
     """All importance weights were zero: the proposal missed the support."""
-
-
-# ---------------------------------------------------------------------------
-# trine predictive masses by quadrature
-# ---------------------------------------------------------------------------
-
-# (nodes per axis, box half-width in standard deviations) of each level's
-# rule; a level's certificate compares its rule with the one before
-TRINE_RULES = ((16, 6.0), (32, 8.0), (64, 10.0), (128, 12.0))
-
-# quadrature nodes per block of rows: the temporaries stay near 1 MB, which
-# keeps the trine check-prior's peak RSS below check-model's; 1 << 15 added
-# 3 MB to it and ran no faster
-QUAD_BLOCK_NODES = 1 << 13
-
-
-def _end_maps(n):
-    """An n-node Gauss-Legendre rule on (0, 1) under four maps g: tables of g(s) and log(g'(s) w).
-
-    Row ``lo + 2 hi`` serves an interval whose low (lo = 1) or high (hi = 1)
-    end lies on the ellipse, where the density has a square-root zero: there
-    g is a sine wave, flat at that end, which makes the integrand analytic in
-    s, so the rule converges as fast as at an open end, where g is the identity.
-    """
-    s, w = gauss_legendre(n)
-    h = 0.5 * np.pi * s
-    g = np.array([s, 1.0 - np.cos(h), np.sin(h), 0.5 - 0.5 * np.cos(2.0 * h)])
-    dg = np.array([np.full(n, 2.0 / np.pi), np.sin(h), np.cos(h), np.sin(2.0 * h)])
-    return g, np.log(0.5 * np.pi * dg * w)
-
-
-def _clipped_nodes(box_lo, box_hi, edge_lo, edge_hi, maps):
-    """Nodes of the box interval clipped to the ellipse's, with log weights; -inf where empty."""
-    g, log_w = maps
-    case = (edge_lo > box_lo) + 2 * (edge_hi < box_hi)
-    lo = np.maximum(box_lo, edge_lo)
-    width = np.maximum(np.minimum(box_hi, edge_hi) - lo, 0.0)
-    with np.errstate(divide="ignore"):
-        return lo[..., None] + width[..., None] * g[case], np.log(width)[..., None] + log_w[case]
-
-
-def _trine_mode(t, region):
-    """Maximiser of sum t log theta + log(1 - q)/2 inside the ellipse, by damped Newton steps.
-
-    The function is concave, so the steps converge from any inside start:
-    (t + 0.5)/(n + 1.5), or that point pulled toward the centre when it lies
-    outside. A row stops once its step would gain under 1e-12 or cannot go
-    uphill. Returns the first two coordinates.
-    """
-    c, C = region.center, region.matrix
-    v = (t[:, :2] + 0.5) / (t.sum(axis=1, keepdims=True) + 1.5)
-    q = region.quad_form_array(v)
-    out = q >= 0.999
-    v[out] = c + (v[out] - c) * (0.999 / np.sqrt(q[out]))[:, None]
-
-    def value(t, v):
-        th = np.column_stack([v, 1.0 - v.sum(axis=1)])
-        q = region.quad_form_array(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = (t * np.log(th)).sum(axis=1) + 0.5 * np.log1p(-q)
-        return np.where((q < 1.0) & (th > 0).all(axis=1), f, -np.inf)
-
-    live, f = np.arange(len(t)), value(t, v)
-    for _ in range(100):
-        if not live.size:
-            break
-        tl, vl = t[live], v[live]
-        v3 = 1.0 - vl.sum(axis=1)
-        cd = (vl - c) @ C
-        r = 1.0 / (1.0 - region.quad_form_array(vl))
-        grad = tl[:, :2] / vl - (tl[:, 2] / v3)[:, None] - cd * r[:, None]
-        hess = (-(tl[:, 2] / v3**2)[:, None, None] - C * r[:, None, None]
-                - cd[:, :, None] * cd[:, None, :] * (r * r)[:, None, None])
-        hess[:, [0, 1], [0, 1]] -= tl[:, :2] / vl**2
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        keep = (grad * step).sum(axis=1) > 1e-12  # the Newton decrement, squared
-        live, tl, vl, step = live[keep], tl[keep], vl[keep], step[keep]
-        for _ in range(60):  # halve each row's step until it goes uphill
-            trial = value(tl, vl + step)
-            back = ~(trial >= f[live])
-            if not back.any():
-                break
-            step[back] *= 0.5
-        up = trial >= f[live]
-        v[live[up]] += step[up]
-        f[live[up]] = trial[up]
-        live = live[up]
-    return v
-
-
-def _trine_rule(t, prior, mode, n_nodes, width):
-    """log of the integral of prior density * multinomial(t | theta) / coefficient, one rule per row.
-
-    The rule is a tensor Gauss-Legendre rule in coordinates (u, v) with
-    theta = mode + a (u, v): a whitens the multinomial covariance at the mode
-    and turns v along the ellipse's normal there, so the inner integrals cross
-    the edge. The box |u|, |v| <= width (wider where a cell's expected count
-    is small, as its tail is long) is clipped to the ellipse per row and per
-    u node, with ``_end_maps``'s sine maps at the ends on the ellipse. The
-    nodes go through in blocks of rows of at most ``QUAD_BLOCK_NODES``.
-    """
-    region, maps = prior.region, _end_maps(n_nodes)
-    n = t.sum(axis=1) + 1.5
-    th = np.column_stack([mode, 1.0 - mode.sum(axis=1)])
-    chol = np.zeros((len(t), 2, 2))  # of the covariance (diag(theta) - theta theta^t) / n
-    chol[:, 0, 0] = np.sqrt(th[:, 0] * (1.0 - th[:, 0]) / n)
-    chol[:, 1, 0] = -th[:, 0] * th[:, 1] / n / chol[:, 0, 0]
-    chol[:, 1, 1] = np.sqrt(th[:, 1] * (1.0 - th[:, 1]) / n - chol[:, 1, 0] ** 2)
-    d = mode - region.center
-    cd = d @ region.matrix  # half the gradient of q
-    e = np.einsum("rji,rj->ri", chol, cd)  # the normal in whitened coordinates
-    norm = np.hypot(e[:, 0], e[:, 1])[:, None]
-    e = np.where(norm > 0, e / np.where(norm > 0, norm, 1.0), [0.0, 1.0])  # any at the centre
-    a = chol @ np.stack([np.column_stack([-e[:, 1], e[:, 0]]), e], axis=2)
-    # q(u, v) - 1 = (u, v) m (u, v)^t + 2 b . (u, v) + q1
-    m = np.einsum("rji,jk,rkl->ril", a, region.matrix, a)
-    b = np.einsum("rji,rj->ri", a, cd)
-    q1 = (d * cd).sum(axis=1) - 1.0
-    half = width * (1.0 + 1.0 / np.sqrt(n * th.min(axis=1)))
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
-    mid = (m[:, 0, 1] * b[:, 1] - m[:, 1, 1] * b[:, 0]) / det
-    rad = np.sqrt(mid * mid + (b[:, 1] ** 2 - m[:, 1, 1] * q1) / det)
-    u, log_wu = _clipped_nodes(-half, half, mid - rad, mid + rad, maps)
-    # the chord in v at each u node
-    m00, m01, m11, b0, b1 = (col[:, None] for col in (m[:, 0, 0], m[:, 0, 1], m[:, 1, 1],
-                                                      b[:, 0], b[:, 1]))
-    lin = m01 * u + b1
-    disc = np.sqrt(np.maximum(lin * lin - m11 * ((m00 * u + 2.0 * b0) * u + q1[:, None]), 0.0))
-    v_lo, v_hi = (-lin - disc) / m11, (-lin + disc) / m11
-    x0 = mode[:, 0, None] + a[:, 0, 0, None] * u
-    y0 = mode[:, 1, None] + a[:, 1, 0, None] * u
-    out = np.empty(len(t))
-    size = max(1, QUAD_BLOCK_NODES // n_nodes**2)
-    for i in range(0, len(t), size):
-        r = slice(i, i + size)
-        box = np.broadcast_to(half[r, None], v_lo[r].shape)
-        v, log_f = _clipped_nodes(-box, box, v_lo[r], v_hi[r], maps)
-        log_f += log_wu[r, :, None]
-        x = x0[r, :, None] + a[r, 0, 1, None, None] * v
-        y = y0[r, :, None] + a[r, 1, 1, None, None] * v
-        z = 1.0 - x - y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_f += prior.log_density_array(np.stack([x, y, z], axis=-1).reshape(-1, 3)
-                                             ).reshape(x.shape)
-            for cell, counts in zip((x, y, z), t[r].T):
-                log_f += counts[:, None, None] * np.log(cell)
-        np.copyto(log_f, -np.inf, where=np.isnan(log_f))  # a node off the simplex, by rounding
-        out[r] = logsumexp(log_f.reshape(len(x), -1))
-    return out + np.log(chol[:, 0, 0] * chol[:, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +115,17 @@ class TrinePrior(_SimplexPrior):
     def exact_log_predictive(self, ts, level=0):
         """Log predictive masses of the count rows ``ts`` by quadrature, with certificates.
 
-        Each mass is a tensor Gauss-Legendre rule (``_trine_rule``) on a box
-        around the mode of the integrand, and the prior enters only through
-        ``log_density_array``, so a prior scaled by a constant gets masses
-        shifted by its log. Level k returns rule k + 1 of ``TRINE_RULES``; its
-        certificate is the distance to rule k, plus a bound on the rounding of
-        the log-gamma and log-likelihood terms, 16 ulp of
-        (n + 1) log(n + 2) + |log m|. Equal rows are computed once, so they
-        get equal bits.
+        Each mass is ``core.trine_log_integrals`` of this density with the
+        multinomial coefficient, so the prior enters only through
+        ``log_density_array``, and a prior scaled by a constant gets masses
+        shifted by its log. Level k takes rule k + 1 of ``TRINE_RULES``. Equal
+        rows are computed once, so they get equal bits.
         """
         index = {}
         rows = [index.setdefault(key, len(index)) for key in map(tuple, np.asarray(ts).tolist())]
         t = np.array(list(index), dtype=float).reshape(len(index), 3)
-        mode = _trine_mode(t, self.region)
-        rules = [_trine_rule(t, self, mode, *rule) for rule in TRINE_RULES[level:level + 2]]
-        n = t.sum(axis=1)
-        log_m = rules[1] + (gammaln(n + 1) - gammaln(t + 1).sum(axis=1))
-        cert = (np.abs(rules[1] - rules[0])
-                + 16 * np.finfo(float).eps * ((n + 1) * np.log(n + 2) + np.abs(log_m)))
+        log_coef = gammaln(t.sum(axis=1) + 1) - gammaln(t + 1).sum(axis=1)
+        log_m, cert = trine_log_integrals(t, self.region, self.log_density_array, log_coef, level)
         return log_m[rows], cert[rows]
 
 

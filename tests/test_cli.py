@@ -75,6 +75,24 @@ class TestCheckModel:
         second = open(os.path.join(out, "model_check.json"), "rb").read()
         assert first == second
 
+    def test_trine_report_ignores_draws_and_workers(self, tmp_path, capsys):
+        # the trine content is exact: --draws is echoed and --workers changes nothing
+        counts = write_counts(tmp_path, TRINE_SYMMETRIC)
+        reports = []
+        for draws, workers in (("1", "1"), ("100000", "1"), ("100000", "2")):
+            out = str(tmp_path / f"out-{draws}-{workers}")
+            assert main(["check-model", "--counts", counts, "--region", "trine", "--draws", draws,
+                         "--workers", workers, "--seed", "7", "--out", out]) == 0
+            rep = load(out, "model_check.json")
+            assert rep.pop("config")["draws"] == rep.pop("n_draws") == int(draws)
+            del rep["config_hash"]
+            reports.append(rep)
+        assert reports[0] == reports[1] == reports[2]
+        assert capsys.readouterr().out == "prior=0.6046 post=1 rb=1.65399 verdict=favor\n" * 3
+        rep = reports[0]
+        assert (rep["method"], rep["post_prob"]) == ("exact", 1.0)
+        assert rep["log_rb"] == math.log(rep["rb"]) and 0 < rep["log_cert"] < 1e-4
+
     def test_against_verdict_exit_code(self, tmp_path):
         counts = write_counts(tmp_path, np.array([900, 50, 50]))
         out = str(tmp_path / "out")
@@ -97,6 +115,7 @@ class TestCheckModel:
         assert rep["post_prob"] == pytest.approx(2.90549e-7, rel=1e-5)
         assert rep["rb"] == pytest.approx(1.8602e9, rel=1e-4)
         assert 0 < rep["mc_se"] < 1e-4 * rep["post_prob"]
+        assert rep["log_rb"] == pytest.approx(math.log(1.8602e9), abs=1e-4)
         assert capsys.readouterr().err == ""
 
     def test_grouped_ordered(self, tmp_path):
@@ -108,6 +127,7 @@ class TestCheckModel:
         assert code == 0
         rep = load(out, "model_check.json")
         assert rep["rb"] == pytest.approx(14726, rel=0.25)
+        assert rep["log_rb"] == pytest.approx(math.log(rep["rb"]), rel=1e-12)
 
     def test_zm_distance_mode(self, tmp_path):
         counts = write_counts(tmp_path, np.array([40, 30, 20, 10]))
@@ -139,6 +159,8 @@ class TestCheckModel:
         rep = load(out, "model_check.json")
         assert rep["prior_prob"] == pytest.approx(np.pi / (6 * np.sqrt(3)), rel=1e-14)
         assert "prior_prob_analytic" not in rep
+        # a sampled content has no log certificate to report
+        assert rep["method"] == "monte_carlo" and "log_rb" not in rep and "log_cert" not in rep
 
 
 class TestCheckPrior:
@@ -488,6 +510,9 @@ class TestEdgeInputs:
         rep = load(out, "model_check.json")
         assert (rep["verdict"], rep["prior_prob"], rep["post_prob"]) == ("favor", 0.0, 0.0)
         assert rep["rb"] == pytest.approx(math.exp(1.7712), rel=1e-4)
+        # the report carries the logs the verdict was taken on
+        assert rep["log_rb"] == pytest.approx(1.7712, abs=1e-4)
+        assert 0 < rep["log_cert"] < 1e-3
 
     @pytest.mark.parametrize("cells", [171, 200])
     def test_many_cell_cone_without_evidence_is_undefined(self, tmp_path, capsys, cells):
@@ -499,6 +524,7 @@ class TestEdgeInputs:
                      "--draws", "1000", "--out", out]) == 2
         rep = load(out, "model_check.json")
         assert (rep["verdict"], rep["rb"]) == ("undefined", None)
+        assert 0 < rep["log_cert"] < 1e-2 and abs(rep["log_rb"]) <= rep["log_cert"]
         err = capsys.readouterr().err
         assert "quadrature certificate" in err and "relative belief ratio undefined" in err
         # the contents are subnormal or 0, so the note names the logs the verdict read
@@ -784,9 +810,10 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
                                          + [f"conmult.{m}" for m in loaded])
         assert not seen["numpy_ma"]
-        # --version, the exact cone contents and the exact delta = 0 elicitation draw
-        # nothing, so only they leave numpy.random unimported
-        assert seen["numpy_random"] == (name not in ("version", "model-pairs", "elicit"))
+        # --version, the exact cone and trine contents and the exact delta = 0 elicitation
+        # draw nothing, so only they leave numpy.random unimported
+        assert seen["numpy_random"] == (name not in ("version", "model-pairs", "model-trine",
+                                                     "elicit"))
         # the flat-mode prior takes exact draws, which need no autocorrelation FFT;
         # the Gibbs chain's autocorrelation times do
         assert seen["numpy_fft"] == (name == "posterior-gibbs")

@@ -45,6 +45,7 @@ from conmult.model_check import (
     rb_distance_check,
     rb_grouped_check,
     rb_region_check,
+    trine_log_content,
     zm_distance_batch,
     _kl_closed,
     _pattern_search,
@@ -66,6 +67,9 @@ class TestRegionCheck:
         assert rep.rb == pytest.approx(1.6540, abs=2e-3)
         assert rep.strength == rep.post_prob
         assert rep.verdict() == "favor"
+        # the content is exact: 1 + 1e-11 by the rule, capped at 1
+        assert (rep.method, rep.post_prob, rep.n_draws) == ("exact", 1.0, 100_000)
+        assert rep.rb == pytest.approx(1.65399, abs=5e-6) and rep.log_cert < 1e-4
 
     def test_asymmetric_trine(self):
         rep = rb_region_check(CountVector(TRINE_ASYMMETRIC),
@@ -73,6 +77,8 @@ class TestRegionCheck:
                               100_000, RngStream(43))
         assert rep.prior_prob == pytest.approx(0.2684, abs=1e-4)
         assert rep.rb == pytest.approx(3.7258, abs=5e-3)
+        assert rep.method == "exact" and rep.log_cert < 1e-4
+        assert rep.rb == pytest.approx(3.72581, abs=5e-6)
 
     def test_ordered_cone_prior_mass_exact(self):
         rep = rb_region_check(CountVector(np.arange(18, 0, -1)), OrderedCone(18),
@@ -117,9 +123,11 @@ class TestRegionCheck:
             analytic_prior_prob(object())
 
     def test_workers_do_not_change_report(self):
-        t = CountVector(TRINE_SYMMETRIC)
-        a = rb_region_check(t, TrineEllipse(1 / 3), 150_000, RngStream(47), workers=1)
-        b = rb_region_check(t, TrineEllipse(1 / 3), 150_000, RngStream(47), workers=4)
+        # the tetrahedron is the region whose content is still drawn; here about 0.93
+        t = CountVector(np.array([10, 20, 30, 40]))
+        a = rb_region_check(t, tetrahedron_region(), 150_000, RngStream(47), workers=1)
+        b = rb_region_check(t, tetrahedron_region(), 150_000, RngStream(47), workers=4)
+        assert a.method == "monte_carlo" and 0.5 < a.post_prob < 0.99
         assert a == b
 
     def test_zero_hits_in_a_tiny_region_are_undefined(self):
@@ -223,6 +231,52 @@ class TestExactConeContent:
         rep = CheckReport(prior_prob=0.0, post_prob=0.0, rb=math.exp(log_rb), strength=0.0,
                           mc_se=0.0, n_draws=1, method="exact", log_rb=log_rb, log_cert=cert)
         assert rep.verdict() == verdict
+
+
+class TestExactTrineContent:
+    """The trine ellipse's posterior content by quadrature, against closed forms and draws."""
+
+    @pytest.mark.parametrize("a", [0.1, 0.2, 1 / 3, 0.45, 0.48445])
+    def test_one_count_contents_are_closed_form(self, a):
+        # Dirichlet(2, 1, 1) has density 6 theta_1 on (theta_1, theta_2), and the
+        # ellipse's centroid is its centre (a, (1 - a)/2), with area m(a)/2
+        m = trine_prior_mass(a)
+        for cell, want in enumerate((3 * a * m, 1.5 * (1 - a) * m, 1.5 * (1 - a) * m)):
+            counts = np.zeros(3, dtype=int)
+            counts[cell] = 1
+            log_content, cert = trine_log_content(counts, TrineEllipse(a))
+            assert math.exp(log_content) == pytest.approx(want, rel=1e-12)
+            assert abs(log_content - math.log(want)) <= cert < 1e-10
+
+    @pytest.mark.parametrize("counts, seed", [
+        ([40, 2, 1], 71),  # content 8.4e-5
+        ([10, 30, 2], 72),
+        ([0, 0, 9], 73),
+        ([5, 5, 5], 74),
+    ])
+    def test_contents_match_dirichlet_monte_carlo(self, counts, seed):
+        # 400k Dirichlet(t + 1) draws, sampled here with numpy's own sampler
+        draws = np.random.default_rng(seed).dirichlet(np.array(counts) + 1.0, 400_000)
+        hit = TrineEllipse(1 / 3).contains_array(draws).mean()
+        exact = math.exp(trine_log_content(counts, TrineEllipse(1 / 3))[0])
+        assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
+
+    @pytest.mark.parametrize("counts", [[7000, 10, 10], [10**9, 1, 1]])
+    def test_underflowing_contents_read_against(self, counts):
+        rep = rb_region_check(CountVector(np.array(counts)), TrineEllipse(1 / 3), 10,
+                              RngStream(1))
+        assert (rep.post_prob, rep.rb, rep.method) == (0.0, 0.0, "exact")
+        assert rep.log_rb < -1000 and rep.log_cert < 1e-3 * -rep.log_rb
+        assert rep.verdict() == "against"
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the exact trine check drew samples")
+
+        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
+        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3), 10,
+                              RngStream(1))
+        assert rep.verdict() == "favor"
 
 
 class TestGroupedPriorMassLaw:

@@ -761,7 +761,7 @@ def assert_report_matches_points(rep, want):
 class TestGaussLegendreMaps:
     def test_end_maps_keep_their_bits(self):
         # the trine rule's tables, built as before the rule moved to core.gauss_legendre
-        from conmult.prior_check import _end_maps
+        from conmult.core import _end_maps
 
         for n in (16, 32, 64, 128):
             k = np.arange(1.0, n)
