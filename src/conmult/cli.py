@@ -361,7 +361,7 @@ def cmd_elicit(args):
 
     inp = ElicitationInput(k=args.k, delta=args.delta, l=args.l, u=args.u,
                            gamma=args.gamma)
-    params, res = elicit_ordered_prior(inp, args.draws, RngStream(args.seed))
+    params, res = elicit_ordered_prior(inp)
     config = {
         "command": "elicit", "k": args.k, "delta": args.delta, "l": args.l,
         "u": args.u, "gamma": args.gamma, "draws": args.draws, "seed": args.seed,
@@ -507,8 +507,8 @@ def build_parser():
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--draws", type=int, default=40_000,
-                   help="prior draws per search step (only echoed by the exact --delta 0)")
+    p.add_argument("--draws", type=positive_int, default=40_000,
+                   help="only echoed, as is --seed: the virtual certainty is exact")
     common(p)
     p.set_defaults(func=cmd_elicit)
 

@@ -274,6 +274,18 @@ class TestElicitAndDownstream:
         samples = open(os.path.join(out, "posterior_samples.csv")).readlines()
         assert len(samples) == 251  # header + rows
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "17", "--delta", "0", "--l", "0", "--u", "0.9", "--gamma", "0.9"],
+        ["--k", "5", "--delta", "0.05", "--l", "0", "--u", "0.95"],
+    ], ids=["flat-mode", "spaced"])
+    def test_refuses_when_the_flat_prior_already_suffices(self, tmp_path, capsys, argv):
+        # gamma holds at every tau > 0, so the search's floor is no answer
+        out = str(tmp_path / "out")
+        assert main(["elicit", *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "the flat prior (tau = 0) already gives the interval probability" in err
+        assert not os.path.exists(os.path.join(out, "prior.json"))
+
     def test_grouped_prior_check_via_cli(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["elicit", "--k", "5", "--delta", "0", "--l", "0.02",
@@ -752,6 +764,8 @@ assert not scipy_modules, scipy_modules
                           ["prior_check"]),
         "elicit": (["elicit", "--k", "3", "--l", "0.02", "--u", "0.8", "--gamma", "0.9",
                     "--draws", "2000"], ["elicitation"]),
+        "elicit-spaced": (["elicit", "--k", "3", "--delta", "0.05", "--l", "0.02", "--u", "0.8",
+                           "--gamma", "0.9", "--draws", "2000"], ["elicitation"]),
         "posterior": (["posterior", "--counts", "{fly}", "--prior", "{fly_prior}",
                        "--sweeps", "200", "--burn-in", "50"], ["posterior"]),
         "posterior-gibbs": (["posterior", "--counts", "{fly}", "--prior", "{gibbs_prior}",
@@ -810,10 +824,10 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
                                          + [f"conmult.{m}" for m in loaded])
         assert not seen["numpy_ma"]
-        # --version, the exact cone and trine contents and the exact delta = 0 elicitation
-        # draw nothing, so only they leave numpy.random unimported
+        # --version, the exact cone and trine contents and the exact elicitation draw
+        # nothing, so only they leave numpy.random unimported
         assert seen["numpy_random"] == (name not in ("version", "model-pairs", "model-trine",
-                                                     "elicit"))
+                                                     "elicit", "elicit-spaced"))
         # the flat-mode prior takes exact draws, which need no autocorrelation FFT;
         # the Gibbs chain's autocorrelation times do
         assert seen["numpy_fft"] == (name == "posterior-gibbs")

@@ -1,27 +1,42 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
-from conmult.core import (
-    DirichletParams,
-    SimplexPoint,
-    ordered_from_weights_array,
-    weights_from_ordered_array,
-)
+import conmult.elicitation as elicitation
+from conmult.core import SimplexPoint, ordered_from_weights_array, weights_from_ordered_array
 from conmult.elicitation import (
     VC_NODES,
     ElicitationInput,
     _certainty_table,
     _exact_certainty,
-    _spacing_cdf,
+    _spacing_law,
     dirichlet_from_mode,
     elicit_ordered_prior,
     equispaced_mode,
     find_tau_result,
 )
-from conmult.sampling import RngStream, sample_dirichlet_array, sample_ordered_prior_array
+from conmult.sampling import RngStream, sample_dirichlet_array
 
-from conftest import same_bits
+
+def certainty(inp, tau, n_nodes=2 * VC_NODES):
+    """(P(theta_{k+1} > l, theta_1 < u), certificate) at tau, as the search evaluates it."""
+    alphas = 1.0 + tau * inp.mode[1].probs
+    return _exact_certainty(alphas[-1], _certainty_table(inp, n_nodes, alphas))
+
+
+def drawn_certainty(inp, tau, n_draws=400_000, seed=4321, chunk=100_000):
+    """The same probability and its binomial se from numpy's own Dirichlet draws."""
+    gen = np.random.default_rng(seed)
+    alphas = 1.0 + tau * inp.mode[1].probs
+    cells = np.arange(1.0, inp.k + 2)
+    hits = 0
+    for _ in range(n_draws // chunk):
+        om = gen.dirichlet(alphas, chunk)
+        hits += np.count_nonzero((om[:, -1] / cells[-1] > inp.l) & (om @ (1.0 / cells) < inp.u))
+    p = hits / n_draws
+    return p, np.sqrt(p * (1.0 - p) / n_draws)
 
 
 class TestEquispacedMode:
@@ -110,13 +125,10 @@ class TestFindTau:
         for (t1, p1), (t2, p2) in zip(pts, pts[1:]):
             assert p2 >= p1 - 2 * res.mc_se
 
-    def test_probability_tends_to_one(self):
-        inp = ElicitationInput(k=5, delta=0.0, l=0.05, u=0.5, gamma=0.95)
-        from conmult.elicitation import _virtual_certainty, equispaced_mode
-
-        _, xi = equispaced_mode(5, 0.0)
-        ps = [_virtual_certainty(tau, xi, inp, seed=7, n_draws=20_000)
-              for tau in (1.0, 10.0, 100.0, 1000.0)]
+    @pytest.mark.parametrize("delta, l, u", [(0.0, 0.05, 0.5), (0.05, 0.02, 0.6)])
+    def test_probability_tends_to_one(self, delta, l, u):
+        inp = ElicitationInput(k=5, delta=delta, l=l, u=u, gamma=0.95)
+        ps = [certainty(inp, tau)[0] for tau in (1.0, 10.0, 100.0, 1000.0)]
         assert ps[-1] > 0.999
         assert ps == sorted(ps)
 
@@ -128,47 +140,28 @@ class TestFindTau:
 
     def test_each_tau_evaluated_once(self):
         # the achieved probability is the one found when tau was last accepted,
-        # and equals a fresh evaluation at tau on the same stream
-        from conmult.elicitation import _virtual_certainty
-
+        # and equals a fresh evaluation at tau
         inp = ElicitationInput(k=4, delta=0.02, l=0.02, u=0.6, gamma=0.9)
-        rng = RngStream(206)
-        res = find_tau_result(inp, 5000, rng)
+        res = find_tau_result(inp, 5000, RngStream(206))
         taus = [t for t, _ in res.trace]
         assert len(set(taus)) == len(taus)
-        assert dict(res.trace)[res.tau] == res.achieved
-        _, xi = equispaced_mode(4, 0.02)
-        assert res.achieved == _virtual_certainty(res.tau, xi, inp,
-                                                  rng.substream(0).stream_id, 5000)
+        assert dict(res.trace)[res.tau] == res.achieved == certainty(inp, res.tau)[0]
 
-    # delta = 0.01 exceeds the k = 17 spacing range [0, 2 / (17 * 18)], so 0.005 stands in
-    # there; delta = 0 takes no draws (TestExactVirtualCertainty)
-    @pytest.mark.parametrize("k, delta", [(1, 0.01), (1, 0.5), (3, 0.01), (3, 0.05),
-                                          (17, 0.001), (17, 0.005)])
-    def test_search_equals_one_on_the_whole_ordered_map(self, monkeypatch, k, delta):
-        # only theta_1 and theta_{k+1} are computed, with the bits of the full map, so
-        # every evaluation of the search is unchanged
-        import conmult.elicitation as elicitation
-
-        om = sample_dirichlet_array(DirichletParams(np.geomspace(0.05, 20.0, k + 1)), 4000,
-                                    RngStream(k))
-        full = ordered_from_weights_array(om)
-        assert same_bits(elicitation._end_coordinates(om), [full[:, 0], full[:, -1]])
-
-        def whole_map(tau, xi, inp, seed, n_draws):
-            th = sample_ordered_prior_array(dirichlet_from_mode(xi, tau), n_draws,
-                                            RngStream(seed))
-            return float(np.mean((th[:, -1] > inp.l) & (th[:, 0] < inp.u)))
-
-        inp = ElicitationInput(k=k, delta=delta, l=0.002, u=0.8, gamma=0.9)
-        res = find_tau_result(inp, 3000, RngStream(207))
-        monkeypatch.setattr(elicitation, "_virtual_certainty", whole_map)
-        assert find_tau_result(inp, 3000, RngStream(207)) == res
-        assert len(res.trace) > 20
+    @pytest.mark.parametrize("k, delta, l, u, gamma", [
+        (17, 0.0, 0.0, 0.9, 0.9),
+        (5, 0.05, 0.0, 0.95, 0.99),
+    ])
+    def test_refuses_when_the_flat_prior_suffices(self, k, delta, l, u, gamma):
+        # gamma holds at tau = 0 already, so no concentration is the least one
+        inp = ElicitationInput(k=k, delta=delta, l=l, u=u, gamma=gamma)
+        p_flat = certainty(inp, 0.0)[0]
+        assert p_flat >= gamma
+        with pytest.raises(ValueError, match=f"tau = 0.*{p_flat:.6g}"):
+            find_tau_result(inp, 1000, RngStream(1))
 
     def test_elicit_returns_prior_params(self):
         inp = ElicitationInput(k=4, delta=0.0, l=0.02, u=0.6, gamma=0.9)
-        params, res = elicit_ordered_prior(inp, 5000, RngStream(205))
+        params, res = elicit_ordered_prior(inp)
         np.testing.assert_allclose(params.alphas[:-1], 1.0, atol=1e-12)
         assert params.alphas[-1] == pytest.approx(1.0 + res.tau)
 
@@ -202,14 +195,13 @@ def mp_virtual_certainty(tau, k, l, u, dps=60):
 
 
 class TestExactVirtualCertainty:
-    """delta = 0: the probability by quadrature on the B-spline law of S, and tau without draws."""
+    """The probability by quadrature on the characteristic-function law of S, and tau without draws."""
 
     FLY = ElicitationInput(k=17, delta=0.0, l=1 / 450, u=0.5, gamma=0.99)
 
     @pytest.mark.parametrize("tau", [1.0, 2.8, 3.0])
     def test_fly_setting_matches_the_mpmath_oracle(self, tau):
-        table = _certainty_table(self.FLY, 2 * VC_NODES)
-        assert _exact_certainty(tau, table, 18) == pytest.approx(
+        assert certainty(self.FLY, tau)[0] == pytest.approx(
             mp_virtual_certainty(tau, 17, 1 / 450, 0.5), abs=1e-9)
 
     @pytest.mark.parametrize("k, l, u, tau", [
@@ -221,24 +213,62 @@ class TestExactVirtualCertainty:
     ])
     def test_other_settings_match_the_mpmath_oracle(self, k, l, u, tau):
         inp = ElicitationInput(k=k, delta=0.0, l=l, u=u, gamma=0.9)
-        table = _certainty_table(inp, 2 * VC_NODES)
-        assert _exact_certainty(tau, table, k + 1) == pytest.approx(
+        assert certainty(inp, tau)[0] == pytest.approx(
             mp_virtual_certainty(tau, k, l, u, dps=30), abs=1e-12)
 
-    @pytest.mark.parametrize("tau", [1.0, 2.8])
-    def test_agrees_with_monte_carlo(self, tau):
-        from conmult.elicitation import _virtual_certainty
+    # the delta > 0 settings: ROADMAP's k = 17 case, the maximal spacing of
+    # acceptance criterion 5, and a five-cell prior far from flat
+    SPACED = [ElicitationInput(k=17, delta=0.004, l=0.002222, u=0.5, gamma=0.99),
+              ElicitationInput(k=17, delta=2.0 / 306.0, l=0.0, u=0.25, gamma=0.99),
+              ElicitationInput(k=5, delta=0.05, l=0.02, u=0.6, gamma=0.9)]
 
-        table = _certainty_table(self.FLY, 2 * VC_NODES)
-        exact = _exact_certainty(tau, table, 18)
-        mc = _virtual_certainty(tau, self.FLY.mode[1], self.FLY, 4321, 400_000)
-        assert abs(mc - exact) < 4 * np.sqrt(exact * (1 - exact) / 400_000)
+    @pytest.mark.parametrize("inp, tau", [(FLY, 1.0), (FLY, 2.8), (SPACED[0], 8.6365),
+                                          (SPACED[1], 16.5158), (SPACED[2], 3.0),
+                                          (SPACED[2], 15.7979)],
+                             ids=["fly-1.0", "fly-2.8", "k17-8.6365", "maximal-16.5158",
+                                  "k5-3.0", "k5-15.7979"])
+    def test_agrees_with_monte_carlo(self, inp, tau):
+        exact, cert = certainty(inp, tau)
+        drawn, se = drawn_certainty(inp, tau)
+        assert cert < 1e-12
+        assert abs(drawn - exact) < 4 * se
+
+    @pytest.mark.parametrize("inp, tau", [(SPACED[0], 8.636505), (SPACED[1], 16.515793),
+                                          (SPACED[2], 15.797882)], ids=["k17", "maximal", "k5"])
+    def test_spaced_tau_is_exact(self, inp, tau):
+        res = find_tau_result(inp, 10_000, RngStream(3))
+        assert res.method == "exact" and res.tau == pytest.approx(tau, abs=1e-4)
+        assert 0.0 <= res.achieved - inp.gamma < 1e-6 and res.mc_se < 1e-12
+
+    @pytest.mark.parametrize("inp", [FLY, SPACED[0], SPACED[2],
+                                     ElicitationInput(k=2, delta=0.0, l=0.1, u=0.6, gamma=0.9)],
+                             ids=["fly", "k17", "k5", "three-cells"])
+    def test_certificate_covers_the_doubled_rules(self, monkeypatch, inp):
+        # twice the Gauss-Legendre nodes in w and twice the trapezoid points in v
+        res = find_tau_result(inp, 1000, RngStream(1))
+        monkeypatch.setattr(elicitation, "V_STEP", elicitation.V_STEP / 2)
+        doubled = certainty(inp, res.tau, 4 * VC_NODES)[0]
+        assert abs(doubled - res.achieved) <= res.mc_se
 
     def test_degenerate_spacing_laws(self):
         s = np.linspace(0.0, 1.5, 301)
-        np.testing.assert_array_equal(_spacing_cdf(s, 2), (s >= 1.0).astype(float))
-        np.testing.assert_allclose(_spacing_cdf(s, 3), np.clip(2.0 * s - 1.0, 0.0, 1.0),
-                                   atol=1e-15)
+        cdf, cert = _spacing_law(s, np.ones(1))
+        np.testing.assert_array_equal(cdf, (s >= 1.0).astype(float))
+        np.testing.assert_array_equal(cert, 0.0)
+        cdf, cert = _spacing_law(s, np.ones(2))
+        np.testing.assert_allclose(cdf, np.clip(2.0 * s - 1.0, 0.0, 1.0), atol=1e-15)
+        assert cert.max() < 1e-13
+
+    @pytest.mark.parametrize("alphas", [[2.3, 1.7], [1.0, 7.5], [40.2, 3.1]])
+    def test_two_cells_follow_the_incomplete_beta(self, alphas):
+        # S = 1/2 + phi_1 / 2 with phi_1 ~ Beta(alpha_1, alpha_2): any alpha, in closed form
+        from scipy.special import betainc
+
+        s = np.linspace(0.0, 1.5, 301)
+        cdf, cert = _spacing_law(s, np.array(alphas))
+        np.testing.assert_allclose(cdf, betainc(*alphas, np.clip(2.0 * s - 1.0, 0.0, 1.0)),
+                                   rtol=0.0, atol=1e-14)
+        assert cert.max() < 1e-13
 
     def test_spacing_cdf_of_eighteen_cells(self):
         s = np.linspace(0.05, 1.0, 40)
@@ -247,7 +277,9 @@ class TestExactVirtualCertainty:
             den = [mpmath.fprod(c - d for d in knots if d != c) for c in knots]
             ref = [float(1 - mpmath.fsum((c - mpmath.mpf(x)) ** 16 / d
                                           for c, d in zip(knots, den) if c > x)) for x in s]
-        np.testing.assert_allclose(_spacing_cdf(s, 18), ref, atol=1e-13)
+        cdf, cert = _spacing_law(s, np.ones(17))
+        np.testing.assert_allclose(cdf, ref, atol=1e-13)
+        assert cert.max() < 1e-13
 
     @pytest.mark.parametrize("l, tau", [(1 / 450, 2.8270359), (0.002222, 2.8268433)])
     def test_fly_tau_is_exact_and_seed_free(self, l, tau):
@@ -258,35 +290,31 @@ class TestExactVirtualCertainty:
         assert 0.0 <= res.achieved - inp.gamma < 1e-6 and res.mc_se < 1e-12
         assert len(res.trace) == 23  # tau = 1, 2, 4, then 20 bisections
 
-    def test_delta_zero_draws_nothing(self, monkeypatch):
-        import conmult.elicitation as elicitation
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_draws_nothing(self, monkeypatch, delta):
+        import conmult.sampling as sampling
 
         def no_draws(*args, **kwargs):
-            raise AssertionError("the delta = 0 search drew samples")
+            raise AssertionError("the search drew samples")
 
-        monkeypatch.setattr(elicitation, "sample_dirichlet_array", no_draws)
+        monkeypatch.setattr(sampling, "sample_dirichlet_array", no_draws)
         monkeypatch.setattr(RngStream, "substream", no_draws)
-        assert find_tau_result(self.FLY, 1000, RngStream(1)).method == "exact"
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        inp = ElicitationInput(k=5, delta=delta, l=0.02, u=0.6, gamma=0.9)
+        assert find_tau_result(inp, 1000, RngStream(1)).method == "exact"
 
-    def test_still_refuses_no_draws(self):
-        with pytest.raises(ValueError, match="at least one draw"):
-            find_tau_result(self.FLY, 0, RngStream(1))
-
-    def test_positive_delta_keeps_monte_carlo(self, monkeypatch):
-        import conmult.elicitation as elicitation
-
-        calls = []
-        real = elicitation._virtual_certainty
-
-        def spy(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(elicitation, "_virtual_certainty", spy)
-        inp = ElicitationInput(k=5, delta=0.01, l=0.02, u=0.6, gamma=0.9)
-        res = find_tau_result(inp, 2000, RngStream(3))
-        assert res.method == "monte_carlo" and calls == [t for t, _ in res.trace]
-        assert res.mc_se == pytest.approx(np.sqrt(res.achieved * (1 - res.achieved) / 2000))
+    def test_many_cells_in_small_memory(self):
+        # 101 cells: F_S's (s, v) arrays are blocked, so the search stays small
+        inp = ElicitationInput(k=100, delta=0.0, l=0.002, u=0.05, gamma=0.99)
+        tracemalloc.start()
+        try:
+            res = find_tau_result(inp, 1000, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert res.tau == pytest.approx(98.88196, abs=1e-4)
+        assert 0.0 <= res.achieved - inp.gamma < 1e-6 and res.mc_se < 1e-12
 
 
 class TestElicitationInput:
