@@ -190,24 +190,26 @@ def write_report(out_dir, name, config, payload):
     return write_json(out_dir, name, report)
 
 
-def format_rows(values):
-    """Rows of ``.10g`` strings for a 2-D array.
-
-    Python floats format as np.float64 does, which formats through
-    ``float.__format__``, at a fraction of the cost per value.
-    """
-    return [[f"{v:.10g}" for v in row] for row in np.asarray(values, dtype=float).tolist()]
+CSV_BLOCK = 256  # rows formatted and written at a time
 
 
-def write_csv(out_dir, name, header, rows):
+def write_csv(out_dir, name, header, values, labels=None):
     """Comma-separated rows with CRLF line ends, the bytes of ``csv.writer``'s default dialect.
 
-    Every field is a number or a plain name, which that dialect never quotes.
+    Row i is ``labels[i]``, each field by ``%s``, then ``values[i]`` as ``f"{v:.10g}"`` gives
+    it; no field needs that dialect's quotes. The rows go out CSV_BLOCK at a time, so the
+    text of the whole file is never held at once.
     """
+    values = np.asarray(values, dtype=float)
+    row = "%s," * len(labels[0] if labels else ()) + ",".join(["%.10g"] * values.shape[1]) + "\r\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]))
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(values), CSV_BLOCK):
+            block = values[i:i + CSV_BLOCK].tolist()
+            lead = labels[i:i + CSV_BLOCK] if labels else [()] * len(block)
+            fh.write("".join([row % (*a, *v) for a, v in zip(lead, block)]))
     return path
 
 
@@ -236,8 +238,8 @@ def cmd_check_model(args):
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
         write_csv(args.out, "distance_densities.csv",
                   ["bin_left", "prior_density", "post_density"],
-                  format_rows(np.column_stack([bins, rep.prior_hist / args.zm_delta,
-                                               rep.post_hist / args.zm_delta])))
+                  np.column_stack([bins, rep.prior_hist / args.zm_delta,
+                                   rep.post_hist / args.zm_delta]))
         verdict = rep.verdict()
         undefined = verdict == "undefined"
         payload = {
@@ -337,10 +339,10 @@ def cmd_check_prior(args):
     else:
         rep = conflict_pvalue(t, prior, args.npred, args.nis, rng, tau=args.tau,
                               workers=args.workers)
-    rows = format_rows(np.column_stack([np.r_[rep.log_m_obs, rep.log_m_pred],
-                                        np.r_[rep.se_obs, rep.se_pred]]))
     write_csv(args.out, "prior_check_points.csv", ["point", "log_m", "se"],
-              [["obs", *rows[0]]] + [[str(j), *row] for j, row in enumerate(rows[1:])])
+              np.column_stack([np.r_[rep.log_m_obs, rep.log_m_pred],
+                               np.r_[rep.se_obs, rep.se_pred]]),
+              [("obs",), *((j,) for j in range(len(rep.log_m_pred)))])
     payload.update({
         "pvalue": rep.pvalue, "method": rep.method, "n_predictive": rep.n_predictive,
         "n_is": rep.n_is, "tau": rep.tau, "log_m_obs": rep.log_m_obs,
@@ -401,7 +403,7 @@ def cmd_posterior(args):
         line = (f"kept {samples.shape[0]} sweeps; "
                 f"max autocorrelation time {act.max():.1f}; ess {ess:.0f}")
     write_csv(args.out, "posterior_samples.csv",
-              [f"theta_{j + 1}" for j in range(samples.shape[1])], format_rows(samples))
+              [f"theta_{j + 1}" for j in range(samples.shape[1])], samples)
     config = {
         "command": "posterior", "counts": list(map(int, t.counts)), "prior": meta,
         "sweeps": args.sweeps, "burn_in": args.burn_in, "seed": args.seed,
@@ -429,8 +431,8 @@ def cmd_consistency(args):
                                    replications=args.replications)
     write_csv(args.out, "convergence.csv",
               ["n", "replication", "pvalue", "limit", "abs_error"],
-              [[r.n, r.replication, *row] for r, row in zip(table.rows, format_rows(
-                  [(r.pvalue, table.limit, r.abs_error) for r in table.rows]))])
+              [(r.pvalue, table.limit, r.abs_error) for r in table.rows],
+              [(r.n, r.replication) for r in table.rows])
     config = {
         "command": "consistency", "alphas": args.alphas,
         "theta_true": args.theta_true, "schedule": args.schedule,

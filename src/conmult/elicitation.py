@@ -119,18 +119,20 @@ VC_NODES = 16
 def _certainty_table(inp, n_nodes, alphas):
     """Nodes and weights of the virtual certainty under weights Dirichlet(alphas).
 
-    The pieces meet where (u - w/K)/(1 - w) crosses a knot 1/j of S, at 2^-i and
-    1 - 2^-i for i <= 40 and, with delta > 0, where the Beta density of w peaks
-    inside (0, 1), at its mean and 4 and 8 sd either side. Returns log w,
-    log(1 - w), the rule's weights times F_S and times its certificate, at the
-    nodes where either is positive, and B = sum_{j<K} alpha_j.
+    The pieces meet where (u - w/K)/(1 - w) crosses a knot 1/j of S, at 1 - 2^-i
+    and 2^-i for i <= 40 (the 2^-i only where the Beta density of w may be singular
+    at 0: alpha_K != 1, or delta = 0, whose one table serves every tau) and, with
+    delta > 0, where that density peaks inside (0, 1), at its mean and 4 and 8 sd
+    either side. Returns log w, log(1 - w), the rule's weights times F_S and times
+    its certificate, at the nodes where either is positive, and B = sum_{j<K} alpha_j.
     """
     k1, a, b = inp.k + 1, (inp.k + 1) * inp.l, alphas[:-1].sum()
     knots, ends = 1.0 / np.arange(1.0, k1), 2.0 ** -np.arange(1.0, 41.0)
     mean = alphas[-1] / alphas.sum()
     sd = math.sqrt(mean * (1.0 - mean) / (alphas.sum() + 1.0))
     peak = mean + sd * np.r_[-8.0, -4.0, 0.0, 4.0, 8.0] if inp.delta else []
-    breaks = np.sort(np.r_[a, 1.0, (knots - inp.u) / (knots - 1.0 / k1), ends, 1.0 - ends, peak])
+    grade = [] if inp.delta and alphas[-1] == 1.0 else ends
+    breaks = np.sort(np.r_[a, 1.0, (knots - inp.u) / (knots - 1.0 / k1), grade, 1.0 - ends, peak])
     breaks = breaks[(breaks >= a) & (breaks <= 1.0)]
     breaks = breaks[np.r_[True, np.diff(breaks) > 0.0]]
     x, wx = gauss_legendre(n_nodes)

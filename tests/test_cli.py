@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conmult.cli import main
 
@@ -389,32 +391,90 @@ class TestPosteriorCommand:
             assert (code, err) == (1, f"input error: {message.format(path=path)}\n")
 
 
-class TestCsvRows:
-    def test_python_floats_format_as_numpy_scalars(self):
-        from conmult.cli import format_rows
+# -0, 0, the least subnormal, a subnormal, +-inf, nan and +-1.8e308
+EDGE_VALUES = np.array([[-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf],
+                        [np.nan, 1e308, -1.7976931348623157e308, 0.12345678901234567,
+                         1 / 3, 2.0 ** -1074 * 12345]])
 
-        values = np.array([[-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf],
-                           [np.nan, 1e308, -1.7976931348623157e308, 0.12345678901234567,
-                            1 / 3, 2.0 ** -1074 * 12345]])
-        old = [[f"{v:.10g}" for v in row] for row in values]  # np.float64 scalars
-        assert format_rows(values) == old
-        assert format_rows(values)[0][:2] == ["-0", "0"]
-        assert format_rows(values)[1][0] == "nan"
 
-    def test_write_csv_has_the_csv_module_bytes(self, tmp_path):
-        import csv
+def csv_module_bytes(path, header, values, labels=None):
+    """What ``csv.writer``'s default dialect writes for ``f"{v:.10g}"`` strings."""
+    import csv
 
-        from conmult.cli import format_rows, write_csv
+    rows = [[f"{v:.10g}" for v in row] for row in values]  # np.float64 scalars
+    if labels is not None:
+        rows = [[*lab, *row] for lab, row in zip(labels, rows)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(path, "rb") as fh:
+        return fh.read()
 
-        header = ["point", "log_m", "se"]
-        rows = [["obs", "-48.74", "0.01"], *[[str(j), *r] for j, r in enumerate(
-            format_rows([[-0.0, np.inf], [np.nan, 1e-310]]))], [3, 7, "0.5"]]
-        path = write_csv(str(tmp_path), "new.csv", header, rows)
-        with open(tmp_path / "old.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        assert open(path, "rb").read() == open(tmp_path / "old.csv", "rb").read()
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestCsvWriter:
+    def test_edge_values_have_the_csv_module_bytes(self, tmp_path):
+        from conmult.cli import write_csv
+
+        header = [f"c{j}" for j in range(EDGE_VALUES.shape[1])]
+        path = write_csv(str(tmp_path), "new.csv", header, EDGE_VALUES)
+        new = read_bytes(path)
+        assert new == csv_module_bytes(tmp_path / "old.csv", header, EDGE_VALUES)
+        lines = new.decode().split("\r\n")
+        assert lines[1].split(",")[:2] == ["-0", "0"]
+        assert lines[2].split(",")[0] == "nan"
+
+    @pytest.mark.parametrize("n_labels", [0, 1, 2])
+    def test_labels_across_block_edges(self, tmp_path, n_labels):
+        from conmult.cli import CSV_BLOCK, write_csv
+
+        n = 3 * CSV_BLOCK + 7
+        values = np.tile(EDGE_VALUES, (n // 2 + 1, 1))[:n]
+        values[:, 3] *= np.arange(1, n + 1)  # every row its own
+        labels = None if n_labels == 0 else (
+            [("obs",), *((j,) for j in range(n - 1))] if n_labels == 1
+            else [(50 * (i // 5), i % 5) for i in range(n)])
+        header = ["a", "b"][:n_labels] + [f"c{j}" for j in range(values.shape[1])]
+        path = write_csv(str(tmp_path), "new.csv", header, values, labels)
+        new = read_bytes(path)
+        assert new == csv_module_bytes(tmp_path / "old.csv", header, values, labels)
+        assert new.count(b"\r\n") == n + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(1, 20))),
+           st.booleans())
+    @example(EDGE_VALUES, True)
+    @example(np.array([[-np.nan, np.nan], [-0.0, 2.0 ** -1074]]), False)
+    def test_any_array_has_the_csv_module_bytes(self, tmp_path_factory, values, labelled):
+        from conmult.cli import write_csv
+
+        out = tmp_path_factory.mktemp("csv")
+        labels = [(j,) for j in range(len(values))] if labelled else None
+        header = ["point"] * labelled + [f"c{j}" for j in range(values.shape[1])]
+        path = write_csv(str(out), "new.csv", header, values, labels)
+        assert read_bytes(path) == csv_module_bytes(out / "old.csv", header, values, labels)
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the whole file as strings peaked at about 40 MB; one block takes about 0.3 MB
+        import tracemalloc
+
+        from conmult.cli import write_csv
+
+        values = np.random.default_rng(3).dirichlet(np.ones(18), 20_000)
+        header = [f"theta_{j + 1}" for j in range(18)]
+        tracemalloc.start()
+        try:
+            path = write_csv(str(tmp_path), "samples.csv", header, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert read_bytes(path).count(b"\r\n") == 20_001
 
 
 def numbers(obj):

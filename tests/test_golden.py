@@ -42,6 +42,15 @@ PINS = {
     # (tau, achieved, sha256 of prior.json); the search is exact, so the seed does not enter
     "elicit": (2.82684326171875, 0.9900000315630042,
                "ed531c30af3e1705e63799c8e7be04f180b05d90bde4560c9838b35bceb89d02"),
+    # sha256 of the CSV reports: the "fly" run's points (a label column), 800 exact
+    # posterior draws (more than three 256-row blocks) and a consistency table (two labels)
+    "csv": {
+        "prior_check_points.csv":
+            "f98c3f5124fa9adb2c05b17bab2b707787b2680e2f29fe91696076b5337108e7",
+        "posterior_samples.csv":
+            "eec3f1edbc7028b665cd2ee51b580304d83bd841b724d069abf25bf555b5e495",
+        "convergence.csv": "81505987fae64e046c449510be31309379cee345a75cfae9fe80da3e3e6c3fb8",
+    },
 }
 
 
@@ -93,6 +102,8 @@ def test_fly_check_prior(tmp_path, inputs):
                                 "--nis", "1000", "--seed", "12", "--force"],
               "prior_check.json")
     assert (rep["pvalue"], rep["log_m_obs"], rep["tau"], rep["tau_profile"]) == PINS["fly"]
+    name = "prior_check_points.csv"
+    assert sha256(tmp_path / "fly" / name) == PINS["csv"][name]
 
 
 def test_fly_check_prior_strided(tmp_path, inputs):
@@ -152,6 +163,24 @@ def test_elicit(tmp_path):
               "elicit.json")
     digest = sha256(os.path.join(out, "prior.json"))
     assert (rep["tau"], rep["achieved"], digest) == PINS["elicit"]
+
+
+def test_posterior_exact_draws(tmp_path, inputs):
+    rep = run(tmp_path, "po", ["posterior", "--counts", inputs["fly_counts"],
+                               "--prior", inputs["fly_prior"], "--sweeps", "1000",
+                               "--burn-in", "200", "--seed", "18"],
+              "posterior.json")
+    assert (rep["method"], rep["kept_sweeps"]) == ("exact", 800)
+    name = "posterior_samples.csv"
+    assert sha256(tmp_path / "po" / name) == PINS["csv"][name]
+
+
+def test_consistency_table(tmp_path):
+    run(tmp_path, "co", ["consistency", "--alphas", "2,2", "--theta-true", "0.3,0.7",
+                         "--schedule", "50,200", "--replications", "5", "--seed", "19"],
+        "consistency.json")
+    name = "convergence.csv"
+    assert sha256(tmp_path / "co" / name) == PINS["csv"][name]
 
 
 def test_posterior_dimension_mismatch(tmp_path, inputs, capsys):
