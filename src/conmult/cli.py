@@ -29,6 +29,7 @@ from .core import (
     TrineEllipse,
     consecutive_blocks,
     crosshairs_region,
+    group_counts,
     pauli_region,
     quantiles,
     strided,
@@ -218,14 +219,13 @@ def write_csv(out_dir, name, header, values, labels=None):
 # ---------------------------------------------------------------------------
 
 def cmd_check_model(args):
-    from .model_check import rb_distance_check, rb_grouped_check, rb_region_check
+    from .model_check import rb_distance_check, rb_region_check
 
     t = read_counts(args.counts)
     if args.zm_delta is None:
         args.region = args.region or "ordered"
     elif args.region is not None:
         raise InputError("--region does not apply to the ZM distance check")
-    rng = RngStream(args.seed)
     config = {
         "command": "check-model", "counts": list(map(int, t.counts)),
         "region": args.region, "group": args.group, "zm_delta": args.zm_delta,
@@ -234,7 +234,8 @@ def cmd_check_model(args):
     if args.zm_delta is not None:
         if args.group is not None:
             raise InputError("--group does not apply to the ZM distance check")
-        rep = rb_distance_check(t, args.zm_delta, args.draws, rng, workers=args.workers)
+        rep = rb_distance_check(t, args.zm_delta, args.draws, RngStream(args.seed),
+                                workers=args.workers)
         bins = [i * args.zm_delta for i in range(len(rep.prior_hist))]
         write_csv(args.out, "distance_densities.csv",
                   ["bin_left", "prior_density", "post_density"],
@@ -259,27 +260,22 @@ def cmd_check_model(args):
         if args.group is not None:
             if not isinstance(region, OrderedCone):
                 raise InputError("--group applies only to the ordered region")
-            rep = rb_grouped_check(t, parse_group(args.group, len(t)), args.draws, rng,
-                                   workers=args.workers)
-        else:
-            rep = rb_region_check(t, region, args.draws, rng, workers=args.workers)
+            # the grouped counts are a fresh multinomial on m cells under the flat prior
+            t = group_counts(t, parse_group(args.group, len(t)))
+            region = OrderedCone(dim=len(t))
+        rep = rb_region_check(t, region)
         verdict = rep.verdict()
         undefined = verdict == "undefined"
         payload = {
-            "mode": "region", "method": rep.method,
+            "mode": "region", "method": "exact",
             "prior_prob": rep.prior_prob, "post_prob": rep.post_prob,
-            "rb": None if undefined else rep.rb, "strength": rep.strength,
-            "mc_se": rep.mc_se, "n_draws": rep.n_draws, "verdict": verdict,
+            "rb": None if undefined else rep.rb, "strength": rep.post_prob,
+            "mc_se": rep.mc_se, "n_draws": args.draws, "verdict": verdict,
+            "log_rb": rep.log_rb, "log_cert": rep.log_cert,
         }
-        if rep.method == "exact":
-            payload.update(log_rb=rep.log_rb, log_cert=rep.log_cert)
-            note = (f"the log relative belief ratio {rep.log_rb:.3g} lies within its quadrature "
-                    f"certificate {rep.log_cert:.3g} of 0: relative belief ratio undefined"
-                    + ("; group the cells" if isinstance(region, OrderedCone) else ""))
-        else:
-            note = (f"no posterior draw in the region, whose prior content {rep.prior_prob:.3g} "
-                    f"is at or below the 3/draws bound {3 / rep.n_draws:.3g}: relative belief "
-                    "ratio undefined; increase --draws")
+        note = (f"the log relative belief ratio {rep.log_rb:.3g} lies within its quadrature "
+                f"certificate {rep.log_cert:.3g} of 0: relative belief ratio undefined"
+                + ("; group the cells" if isinstance(region, OrderedCone) else ""))
         rb = "None" if undefined else f"{rep.rb:.6g}"
         line = f"prior={rep.prior_prob:.6g} post={rep.post_prob:.6g} rb={rb} verdict={verdict}"
     write_report(args.out, "model_check.json", config, payload)
@@ -472,9 +468,9 @@ def build_parser():
         p.add_argument("--out", default="out")
         p.add_argument("--workers", type=positive_int, default=1)
         if draws:
-            p.add_argument("--draws", type=int, default=100_000,
-                           help="Monte Carlo draws (only echoed by the exact ordered and "
-                                "trine regions)")
+            p.add_argument("--draws", type=positive_int, default=100_000,
+                           help="Monte Carlo draws of the ZM distance check (echoed by the "
+                                "region checks, which draw nothing)")
 
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)

@@ -603,44 +603,44 @@ def _clipped_nodes(box_lo, box_hi, edge_lo, edge_hi, maps):
         return lo[..., None] + width[..., None] * g[case], np.log(width)[..., None] + log_w[case]
 
 
-def _trine_mode(t, region):
+def _trine_mode(t, region, scale):
     """Maximiser of sum t log theta + log(1 - q)/2 inside the ellipse, by damped Newton steps.
 
     The function is concave, so the steps converge from any inside start:
     (t + 0.5)/(n + 1.5), or that point pulled toward the centre when it lies
     outside. A row stops once its step would gain under 1e-12 or cannot go
-    uphill. Returns the first two coordinates.
+    uphill. Returns the first two coordinates. q is the form times ``scale``.
     """
     c, C = region.center, region.matrix
     v = (t[:, :2] + 0.5) / (t.sum(axis=1, keepdims=True) + 1.5)
-    q = region.quad_form_array(v)
+    q = region.quad_form_array(v) * scale
     out = q >= 0.999
     v[out] = c + (v[out] - c) * (0.999 / np.sqrt(q[out]))[:, None]
 
-    def value(t, v):
+    def value(rows, v):
         th = np.column_stack([v, 1.0 - v.sum(axis=1)])
-        q = region.quad_form_array(v)
+        q = region.quad_form_array(v) * scale[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = (t * np.log(th)).sum(axis=1) + 0.5 * np.log1p(-q)
+            f = (t[rows] * np.log(th)).sum(axis=1) + 0.5 * np.log1p(-q)
         return np.where((q < 1.0) & (th > 0).all(axis=1), f, -np.inf)
 
-    live, f = np.arange(len(t)), value(t, v)
+    live, f = np.arange(len(t)), value(slice(None), v)
     for _ in range(100):
         if not live.size:
             break
-        tl, vl = t[live], v[live]
+        tl, vl, sl = t[live], v[live], scale[live]
         v3 = 1.0 - vl.sum(axis=1)
-        cd = (vl - c) @ C
-        r = 1.0 / (1.0 - region.quad_form_array(vl))
+        cd = (vl - c) @ C * sl[:, None]
+        r = 1.0 / (1.0 - region.quad_form_array(vl) * sl)
         grad = tl[:, :2] / vl - (tl[:, 2] / v3)[:, None] - cd * r[:, None]
-        hess = (-(tl[:, 2] / v3**2)[:, None, None] - C * r[:, None, None]
+        hess = (-(tl[:, 2] / v3**2)[:, None, None] - C * (sl * r)[:, None, None]
                 - cd[:, :, None] * cd[:, None, :] * (r * r)[:, None, None])
         hess[:, [0, 1], [0, 1]] -= tl[:, :2] / vl**2
         step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         keep = (grad * step).sum(axis=1) > 1e-12  # the Newton decrement, squared
-        live, tl, vl, step = live[keep], tl[keep], vl[keep], step[keep]
+        live, vl, step = live[keep], vl[keep], step[keep]
         for _ in range(60):  # halve each row's step until it goes uphill
-            trial = value(tl, vl + step)
+            trial = value(live, vl + step)
             back = ~(trial >= f[live])
             if not back.any():
                 break
@@ -652,7 +652,7 @@ def _trine_mode(t, region):
     return v
 
 
-def _trine_rule(t, region, log_density, mode, n_nodes, width):
+def _trine_rule(t, region, scale, log_density, mode, n_nodes, width):
     """log of the integral of exp(log_density) * prod theta_i^t_i over the ellipse, one rule per row.
 
     The rule is a tensor Gauss-Legendre rule in coordinates (u, v) with
@@ -661,7 +661,8 @@ def _trine_rule(t, region, log_density, mode, n_nodes, width):
     the edge. The box |u|, |v| <= width (wider where a cell's expected count
     is small, as its tail is long) is clipped to the ellipse per row and per
     u node, with ``_end_maps``'s sine maps at the ends on the ellipse. The
-    nodes go through in blocks of rows of at most ``QUAD_BLOCK_NODES``.
+    nodes go through in blocks of rows of at most ``QUAD_BLOCK_NODES``. A row's
+    ellipse has the region's quadratic form times its ``scale``.
     """
     maps = _end_maps(n_nodes)
     n = t.sum(axis=1) + 1.5
@@ -671,13 +672,13 @@ def _trine_rule(t, region, log_density, mode, n_nodes, width):
     chol[:, 1, 0] = -th[:, 0] * th[:, 1] / n / chol[:, 0, 0]
     chol[:, 1, 1] = np.sqrt(th[:, 1] * (1.0 - th[:, 1]) / n - chol[:, 1, 0] ** 2)
     d = mode - region.center
-    cd = d @ region.matrix  # half the gradient of q
+    cd = d @ region.matrix * scale[:, None]  # half the gradient of q
     e = np.einsum("rji,rj->ri", chol, cd)  # the normal in whitened coordinates
     norm = np.hypot(e[:, 0], e[:, 1])[:, None]
     e = np.where(norm > 0, e / np.where(norm > 0, norm, 1.0), [0.0, 1.0])  # any at the centre
     a = chol @ np.stack([np.column_stack([-e[:, 1], e[:, 0]]), e], axis=2)
     # q(u, v) - 1 = (u, v) m (u, v)^t + 2 b . (u, v) + q1
-    m = np.einsum("rji,jk,rkl->ril", a, region.matrix, a)
+    m = np.einsum("rji,jk,rkl->ril", a, region.matrix, a) * scale[:, None, None]
     b = np.einsum("rji,rj->ri", a, cd)
     q1 = (d * cd).sum(axis=1) - 1.0
     half = width * (1.0 + 1.0 / np.sqrt(n * th.min(axis=1)))
@@ -712,17 +713,19 @@ def _trine_rule(t, region, log_density, mode, n_nodes, width):
     return out + np.log(chol[:, 0, 0] * chol[:, 1, 1])
 
 
-def trine_log_integrals(t, region, log_density, log_coef, level=0):
+def trine_log_integrals(t, region, log_density, log_coef, level=0, scale=1.0):
     """log_coef + log of the integral of exp(log_density) * prod theta_i^t_i over the ellipse.
 
     One value per count row of ``t`` (rows, 3), with a certificate each; the integral is
     over (theta_1, theta_2), and ``log_density`` takes points (m, 3). Level k is rule
     k + 1 of ``TRINE_RULES`` around ``_trine_mode``; its certificate is the distance to
     rule k, plus a bound on the rounding of ``log_coef`` and the log-likelihood terms,
-    16 ulp of (n + 1) log(n + 2) + |value|.
+    16 ulp of (n + 1) log(n + 2) + |value|. ``scale``, scalar or per row, multiplies
+    a row's quadratic form, so its half-axes shrink by sqrt(scale).
     """
-    mode = _trine_mode(t, region)
-    coarse, fine = (_trine_rule(t, region, log_density, mode, *rule)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), len(t))
+    mode = _trine_mode(t, region, scale)
+    coarse, fine = (_trine_rule(t, region, scale, log_density, mode, *rule)
                     for rule in TRINE_RULES[level:level + 2])
     n = t.sum(axis=1)
     out = fine + log_coef

@@ -20,7 +20,8 @@ from .core import (
     TrineEllipse,
     chain_log_integrals,
     gammaln,
-    group_counts,
+    gauss_legendre,
+    logsumexp,
     trine_log_integrals,
     trine_prior_mass,
     zm_log_probs_array,
@@ -36,29 +37,16 @@ class CheckReport(NamedTuple):
     prior_prob: float
     post_prob: float
     rb: float
-    strength: float
-    mc_se: float  # post_prob's binomial se, or its quadrature certificate when exact
-    n_draws: int
-    method: str = "monte_carlo"  # or "exact"
-    log_rb: float = math.nan  # exact: log rb, and the certificate of the log contents
-    log_cert: float = math.nan
+    mc_se: float  # post_prob's quadrature certificate
+    log_rb: float  # log rb, and the certificate of the log contents
+    log_cert: float
 
     def verdict(self) -> str:
-        """Return "favor", "against", or "undefined" when the error bar leaves the side of 1 open.
-
-        With no posterior draw in the region its posterior content is only
-        bounded by the rule-of-three 3 / n_draws; when the prior content is at
-        or below that bound, the ratio may lie on either side of 1. An exact
-        ratio is undefined when its log lies within the certificate of 0; the
-        log is taken, since from 171 cells on the contents underflow.
-        """
-        if self.method == "exact":
-            if not abs(self.log_rb) > self.log_cert:
-                return "undefined"
-            return "favor" if self.log_rb > 0 else "against"
-        if self.post_prob == 0.0 and 3.0 / self.n_draws >= self.prior_prob:
+        """"favor", "against", or "undefined" when log rb (the contents underflow from
+        171 cells on) lies within its certificate of 0."""
+        if not abs(self.log_rb) > self.log_cert:
             return "undefined"
-        return "favor" if self.rb > 1 else "against"
+        return "favor" if self.log_rb > 0 else "against"
 
 
 def analytic_prior_prob(region):
@@ -104,78 +92,93 @@ def ordered_cone_log_content(counts):
     return float(fine + step), float(abs(step))
 
 
-def trine_log_content(counts, region):
-    """log P(theta in the trine ellipse) under Dirichlet(t + 1), t = ``counts``, with a certificate.
+BALL_NODES = 16  # Gauss-Legendre nodes per piece in w of a four-cell ball, doubled per level
 
-    The Dirichlet(t + 1) density of (theta_1, theta_2) is its normaliser times
-    prod theta_i^t_i, so this is ``trine_log_integrals`` with a flat density,
-    refined while the log content lies within its certificate of the prior's.
+
+def _ball_w_rule(t, bound, level):
+    """Scales 1/(6 rho^2) and log weights w^t_4 (1 - w)^(n - t_4 + 2) dw at the nodes w, and k.
+
+    The pieces of lo < w < hi meet at the Beta's mean and 2, 4 and 8 sd either side
+    and, toward an end the mean lies beyond, at that end's 2^-i of the range, i <= 40.
+    The first k nodes make the rule of ``BALL_NODES << level`` a piece, the rest half that.
     """
-    t = np.asarray(counts, dtype=float)[None]
-    norm = gammaln(t.sum(axis=1) + 3) - gammaln(t + 1).sum(axis=1)  # Gamma(n + 3) / prod t_i!
-    log_prior = math.log(trine_prior_mass(region.a))
+    r = math.sqrt(12.0 * bound - 3.0)
+    lo, hi = (1.0 - r) / 4.0, (1.0 + r) / 4.0
+    a, b = t[3] + 1.0, t[:3].sum() + 3.0
+    mean = a / (a + b)
+    sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
+    ends = (hi - lo) * 2.0 ** -np.arange(1.0, 41.0)
+    breaks = np.r_[lo, hi, mean + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]),
+                   hi - ends if mean > hi else [], lo + ends if mean < lo else []]
+    breaks = np.array(sorted(set(np.clip(breaks, lo, hi))))  # np.unique loads numpy.ma
+    width = np.diff(breaks)[:, None]
+    x, wx = map(np.concatenate, zip(*(gauss_legendre(BALL_NODES << level >> h) for h in (0, 1))))
+    w = (breaks[:-1, None] + width * x).T.ravel()  # node-major, so the full rule comes first
+    log_w = np.log((width * wx).T.ravel()) + t[3] * np.log(w) + (b - 1.0) * np.log1p(-w)
+    return (1.0 - w) ** 2 / (8.0 * (w - lo) * (hi - w)), log_w, width.size * BALL_NODES << level
+
+
+def region_log_content(counts, region):
+    """log posterior content of a trine ellipse or ball, with a certificate, t = ``counts``.
+
+    An ellipse is ``trine_log_integrals`` with a flat density, and so is a ball on three
+    cells: sum theta^2 - 1/3 is q/6, q the symmetric trine's form. On four, w = theta_4 ~
+    Beta(t_4 + 1, n - t_4 + 3) is independent of phi = theta_{1:3} / (1 - w) ~
+    Dirichlet(t_{1:3} + 1), and sum theta^2 = w^2 + (1 - w)^2 sum phi^2, so one row per
+    node in w takes phi's ball of bound 1/3 + rho^2(w), rho^2(w) = (B - w^2)/(1 - w)^2 -
+    1/3 = 4 (w - lo)(hi - w) / (3 (1 - w)^2). The certificate adds the distance to the
+    rule with half the nodes in w to the rows' certificates weighted by their shares of
+    the sum; the rules are refined while the log content lies within it of the prior's.
+    """
+    t = np.asarray(counts, dtype=float)
+    ball = isinstance(region, QuadBall)
+    if ball and region.dim not in (3, 4):
+        raise ValueError(f"no exact posterior content for a ball on {region.dim} cells")
+    disc = TrineEllipse(1.0 / 3.0) if ball else region
+    log_prior = math.log(analytic_prior_prob(region))
+    log_norm = gammaln(t.sum() + len(t)) - gammaln(t + 1.0).sum()  # Gamma(n + K) / prod t_i!
     for level in range(len(TRINE_RULES) - 1):
-        log_post, cert = trine_log_integrals(t, region, lambda th: np.zeros(len(th)), norm, level)
-        if abs(log_post[0] - log_prior) > cert[0]:
+        if len(t) == 4:
+            scale, log_w, split = _ball_w_rule(t, region.bound, level)
+        else:
+            log_w, split = np.zeros(1), 1
+            scale = 1.0 / (6.0 * (region.bound - 1.0 / 3.0)) if ball else 1.0
+        out, cert = trine_log_integrals(np.broadcast_to(t[:3], (len(log_w), 3)), disc,
+                                        lambda th: np.zeros(len(th)), log_norm + log_w,
+                                        level, scale)
+        log_post = logsumexp(out[:split])
+        log_cert = np.exp(out[:split] - log_post) @ cert[:split] + (
+            abs(log_post - logsumexp(out[split:])) if split < len(out) else 0.0)
+        if abs(log_post - log_prior) > log_cert:
             break
-    return float(log_post[0]), float(cert[0])
+    return float(log_post), float(log_cert)
 
 
-def rb_region_check(t: CountVector, region, n_draws: int, rng: RngStream,
-                    workers: int = 1) -> CheckReport:
+def rb_region_check(t: CountVector, region) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
-    The ordered cone's and the trine ellipse's posterior contents are exact
-    (``ordered_cone_log_content``, ``trine_log_content``), the ratio is taken
-    in log space, and ``n_draws`` is only echoed. Elsewhere the posterior
-    content is the fraction of Dirichlet(t+1) draws inside the region, on
-    substream 0. Prior content is ``analytic_prior_prob``, and a region with
-    none is refused before any draw. Strength is the posterior content.
+    Both contents are exact (``analytic_prior_prob``, and ``ordered_cone_log_content`` or
+    ``region_log_content``), and the ratio is taken in log space. A ball with no
+    flat-prior content (one with equalities) is refused.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
-    if n_draws < 1:
-        raise ValueError(f"need at least one draw, got {n_draws}")
     prior = analytic_prior_prob(region)
-    if not isinstance(region, (OrderedCone, TrineEllipse)):
-        if prior == 0.0:
-            raise MeasureZeroRegionError(
-                "region has no flat-prior content, so its relative belief ratio is undefined")
-        post_alphas = DirichletParams(t.counts + 1.0)
-
-        def chunk(stream, m):
-            th = sample_dirichlet_array(post_alphas, m, stream)
-            return int(region.contains_array(th).sum())
-
-        post = sum(chunked_monte_carlo(chunk, n_draws, rng.substream(0), workers)) / n_draws
-        return CheckReport(prior_prob=prior, post_prob=post, rb=post / prior, strength=post,
-                           mc_se=math.sqrt(post * (1.0 - post) / n_draws), n_draws=n_draws)
+    if isinstance(region, QuadBall) and prior == 0.0:
+        raise MeasureZeroRegionError(
+            "region has no flat-prior content, so its relative belief ratio is undefined")
     if isinstance(region, OrderedCone):
-        log_post, log_cert = ordered_cone_log_content(t.counts)
-        log_prior = -math.lgamma(region.dim + 1)
+        log_prior, content = -math.lgamma(region.dim + 1), ordered_cone_log_content(t.counts)
     else:
-        log_post, log_cert = trine_log_content(t.counts, region)
-        log_prior = math.log(prior)
+        log_prior, content = math.log(prior), region_log_content(t.counts, region)
+    log_post, log_cert = content
     log_post = min(log_post, 0.0)  # a rule may put a content of nearly 1 above 1
     log_rb = log_post - log_prior
     if not log_rb < math.log(np.finfo(float).max):
         raise FloatingPointError(f"relative belief ratio exp({log_rb:.6g}) overflows a float")
     post = math.exp(log_post)
-    return CheckReport(prior_prob=prior, post_prob=post, rb=math.exp(log_rb), strength=post,
-                       mc_se=post * math.expm1(log_cert), n_draws=n_draws, method="exact",
-                       log_rb=log_rb, log_cert=log_cert)
-
-
-def rb_grouped_check(t: CountVector, labels, n_draws: int, rng: RngStream,
-                     workers: int = 1) -> CheckReport:
-    """Ordered-probabilities check after grouping the cells by ``labels`` (see ``core``).
-
-    The grouped counts are treated as a fresh multinomial on m cells with the
-    flat reference prior, so the posterior is Dirichlet(grouped counts + 1)
-    and the prior content of the ordered cone is 1/m!. Both contents are exact.
-    """
-    grouped = group_counts(t, labels)
-    return rb_region_check(grouped, OrderedCone(dim=len(grouped)), n_draws, rng, workers)
+    return CheckReport(prior_prob=prior, post_prob=post, rb=math.exp(log_rb),
+                       mc_se=post * math.expm1(log_cert), log_rb=log_rb, log_cert=log_cert)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +443,7 @@ def _distance_sample(alphas, table, n_draws, rng, workers):
         return d
 
     return np.concatenate(
-        chunked_monte_carlo(chunk, n_draws, rng, workers=workers, chunk_size=10_000)
+        chunked_monte_carlo(chunk, n_draws, rng, workers=workers)
     )
 
 

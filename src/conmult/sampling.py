@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import DirichletParams, TrineEllipse, ordered_from_weights_array
 
-DEFAULT_CHUNK = 100_000
+CHUNK = 10_000  # draws per chunk of a partitioned Monte Carlo run
 
 
 class RngStream(NamedTuple):
@@ -85,19 +85,17 @@ def sample_ordered_prior_array(omega_params: DirichletParams, size: int, rng) ->
     return ordered_from_weights_array(om)
 
 
-def chunked_monte_carlo(draw_chunk, total: int, rng: RngStream,
-                        workers: int = 1, chunk_size: int = DEFAULT_CHUNK):
+def chunked_monte_carlo(draw_chunk, total: int, rng: RngStream, workers: int = 1):
     """Run ``draw_chunk(substream, count)`` over a fixed partition of ``total`` draws.
 
-    The partition depends only on ``total`` and ``chunk_size``; ``workers`` only
-    controls execution concurrency, so results are identical for any worker
-    count. Returns the list of per-chunk results in chunk order.
+    The partition is ``CHUNK`` draws per chunk and the remainder last, so it
+    depends only on ``total``; ``workers`` only controls execution concurrency,
+    so results are identical for any worker count. Returns the list of
+    per-chunk results in chunk order.
     """
     if total < 1:
         raise ValueError(f"need at least one draw, got {total}")
-    sizes = [chunk_size] * (total // chunk_size)
-    if total % chunk_size:
-        sizes.append(total % chunk_size)
+    sizes = [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
     tasks = [(rng.substream(i), m) for i, m in enumerate(sizes)]
     return parallel_map(lambda t: draw_chunk(*t), tasks, workers)
 

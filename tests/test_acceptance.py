@@ -18,9 +18,11 @@ from conmult.consistency import convergence_experiment
 from conmult.core import (
     CountVector,
     DirichletParams,
+    OrderedCone,
     SimplexPoint,
     TrineEllipse,
     consecutive_blocks,
+    group_counts,
     log_dirichlet_multinomial,
     ordered_from_weights_array,
     strided,
@@ -29,7 +31,6 @@ from conmult.core import (
 from conmult.elicitation import ElicitationInput, find_tau_result
 from conmult.model_check import (
     rb_distance_check,
-    rb_grouped_check,
     rb_region_check,
 )
 from conmult.posterior import run_gibbs
@@ -80,11 +81,8 @@ def fly_prior():
 
 def test_criterion_1_trine_model_check():
     start = time.perf_counter()
-    sym = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3),
-                          100_000, RngStream(8101))
-    asym = rb_region_check(CountVector(TRINE_ASYMMETRIC),
-                           TrineEllipse(TRINE_ASYMMETRIC_A),
-                           100_000, RngStream(8102))
+    sym = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
+    asym = rb_region_check(CountVector(TRINE_ASYMMETRIC), TrineEllipse(TRINE_ASYMMETRIC_A))
     elapsed = time.perf_counter() - start
     criterion(1, [
         (f"symmetric prior mass {sym.prior_prob:.5f} = 0.6046 +/- 1e-4",
@@ -104,8 +102,8 @@ def test_criterion_1_trine_model_check():
 def test_criterion_2_grouped_ordered_check():
     start = time.perf_counter()
     t = CountVector(FLY_COUNTS)
-    pairs = rb_grouped_check(t, consecutive_blocks(18, 9), 1_000_000, RngStream(8201))
-    triples = rb_grouped_check(t, consecutive_blocks(18, 6), 1_000_000, RngStream(8202))
+    pairs = rb_region_check(group_counts(t, consecutive_blocks(18, 9)), OrderedCone(9))
+    triples = rb_region_check(group_counts(t, consecutive_blocks(18, 6)), OrderedCone(6))
     elapsed = time.perf_counter() - start
     criterion(2, [
         (f"pairs posterior content {pairs.post_prob:.4f} = 0.040 +/- 0.006",
@@ -312,10 +310,8 @@ def test_criterion_8_property_suites():
                     f"{p_scaled.pvalue:.3f})", p_plain.pvalue == p_scaled.pvalue))
 
     # identical streams give bit-identical results end to end
-    r1 = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3),
-                         30_000, RngStream(8806))
-    r2 = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3),
-                         30_000, RngStream(8806))
+    r1 = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
+    r2 = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
     c1 = conflict_pvalue(t343, TrinePrior(1 / 3), 100, 1000, RngStream(8807))
     c2 = conflict_pvalue(t343, TrinePrior(1 / 3), 100, 1000, RngStream(8807))
     repro = (r1 == r2 and c1.pvalue == c2.pvalue

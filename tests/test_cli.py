@@ -161,8 +161,26 @@ class TestCheckModel:
         rep = load(out, "model_check.json")
         assert rep["prior_prob"] == pytest.approx(np.pi / (6 * np.sqrt(3)), rel=1e-14)
         assert "prior_prob_analytic" not in rep
-        # a sampled content has no log certificate to report
-        assert rep["method"] == "monte_carlo" and "log_rb" not in rep and "log_cert" not in rep
+        # the posterior content is exact too, and --draws is echoed
+        assert (rep["method"], rep["n_draws"]) == ("exact", 100_000)
+        assert rep["log_rb"] == pytest.approx(math.log(3.30797), abs=2e-6)
+        assert 0 < rep["log_cert"] < 0.01
+
+    @pytest.mark.parametrize("counts", [[0, 0, 0, 1], [0, 0, 1, 0]])
+    def test_tetrahedron_single_count_is_undefined(self, tmp_path, capsys, counts):
+        # the posterior density 4 theta_i integrates over the ball, which is symmetric
+        # about the centroid, to the prior content: the ratio is exactly 1
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", write_counts(tmp_path, np.array(counts)),
+                     "--region", "tetrahedron", "--out", out]) == 2
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["rb"], rep["method"]) == ("undefined", None, "exact")
+        assert abs(rep["log_rb"]) <= rep["log_cert"] < 1e-12
+        assert rep["post_prob"] == pytest.approx(rep["prior_prob"], rel=1e-12)
+        captured = capsys.readouterr()
+        assert captured.out == "prior=0.3023 post=0.3023 rb=None verdict=undefined\n"
+        assert "relative belief ratio undefined" in captured.err
+        assert "group the cells" not in captured.err
 
 
 class TestCheckPrior:
@@ -711,6 +729,14 @@ class TestInputErrors:
         # refused when parsed, before any report echoes the value
         pytest.param(["check-model", "--counts", "{fly}", "--group", "pairs", "--workers", "0"],
                      "argument --workers: must be at least 1, got 0", id="model-workers-0"),
+        # no region check draws, but every check-model run refuses a draw count below 1
+        *(pytest.param(["check-model", "--counts", counts, *mode, "--draws", draws],
+                       f"argument --draws: must be at least 1, got {draws}",
+                       id=f"{name}-draws{draws}")
+          for name, counts, mode in (("trine", "{trine}", ["--region", "trine"]),
+                                     ("tetrahedron", "{four}", ["--region", "tetrahedron"]),
+                                     ("zm", "{fly}", ["--zm-delta", "0.02"]))
+          for draws in ("0", "-3")),
         pytest.param(["check-prior", "--counts", "{fly}", "--prior", "{prior}", "--force",
                       "--workers", "-3"], "argument --workers: must be at least 1, got -3",
                      id="prior-workers-negative"),
@@ -722,6 +748,10 @@ class TestInputErrors:
             json.dump({"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]}, fh)
         with open(files["bad_trine"], "w") as fh:
             json.dump({"type": "trine", "a": 0.7}, fh)
+        for name, counts in (("trine", TRINE_SYMMETRIC), ("four", [10, 20, 30, 40])):
+            files[name] = str(tmp_path / f"{name}.json")
+            with open(files[name], "w") as fh:
+                json.dump({"counts": list(map(int, counts))}, fh)
         out = tmp_path / "out"
         code = main([a.format(**files) for a in argv] + ["--out", str(out)])
         assert (code, capsys.readouterr().err.splitlines()[-1]) == (
@@ -815,6 +845,8 @@ assert not scipy_modules, scipy_modules
                          "--draws", "2000"], ["model_check"]),
         "model-pairs": (["check-model", "--counts", "{fly}", "--group", "pairs",
                          "--draws", "2000"], ["model_check"]),
+        "model-tetrahedron": (["check-model", "--counts", "{four}", "--region", "tetrahedron"],
+                              ["model_check"]),
         "model-zm": (["check-model", "--counts", "{fly}", "--zm-delta", "0.02",
                       "--draws", "500"], ["model_check"]),
         "prior-trine": (["check-prior", "--counts", "{trine}", "--prior", "{trine_prior}",
@@ -844,6 +876,7 @@ assert not scipy_modules, scipy_modules
         """
         files = {"trine": {"counts": TRINE_SYMMETRIC.tolist()},
                  "fly": {"counts": FLY_COUNTS.tolist()},
+                 "four": {"counts": [10, 20, 30, 40]},
                  "trine_prior": {"type": "trine", "a": 1 / 3},
                  "fly_prior": {"type": "ordered_dirichlet", "omega_alphas": [1.0] * 17 + [3.85]},
                  # alpha_1 != 1 leaves the exact draws for the Gibbs chain
@@ -884,10 +917,11 @@ runpy.run_module("conmult.cli", run_name="__main__", alter_sys=True)
         assert seen["modules"] == sorted(["conmult", "conmult.core", "conmult.sampling"]
                                          + [f"conmult.{m}" for m in loaded])
         assert not seen["numpy_ma"]
-        # --version, the exact cone and trine contents and the exact elicitation draw
-        # nothing, so only they leave numpy.random unimported
+        # --version, the exact region contents and the exact elicitation draw nothing,
+        # so only they leave numpy.random unimported
         assert seen["numpy_random"] == (name not in ("version", "model-pairs", "model-trine",
-                                                     "elicit", "elicit-spaced"))
+                                                     "model-tetrahedron", "elicit",
+                                                     "elicit-spaced"))
         # the flat-mode prior takes exact draws, which need no autocorrelation FFT;
         # the Gibbs chain's autocorrelation times do
         assert seen["numpy_fft"] == (name == "posterior-gibbs")

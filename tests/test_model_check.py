@@ -37,15 +37,15 @@ from conmult.model_check import (
     ZM_MAX_BINS,
     ZM_N_ALPHA,
     CheckReport,
+    _ball_w_rule,
     alpha_upper_bounds,
     analytic_prior_prob,
     build_zm_table,
     kl_uniform_to_zm,
     ordered_cone_log_content,
     rb_distance_check,
-    rb_grouped_check,
     rb_region_check,
-    trine_log_content,
+    region_log_content,
     zm_distance_batch,
     _kl_closed,
     _pattern_search,
@@ -58,47 +58,48 @@ from conftest import (FLY_COUNTS, TRINE_ASYMMETRIC, TRINE_ASYMMETRIC_A, TRINE_SY
                       same_bits)
 
 
+def no_draws(monkeypatch):
+    """Make any Dirichlet draw in ``model_check`` fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a region check drew samples")
+
+    monkeypatch.setattr(model_check, "sample_dirichlet_array", refuse)
+
+
 class TestRegionCheck:
     def test_symmetric_trine(self):
-        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3),
-                              100_000, RngStream(42))
+        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
         assert rep.prior_prob == pytest.approx(0.6046, abs=1e-4)
         assert rep.post_prob > 0.999
         assert rep.rb == pytest.approx(1.6540, abs=2e-3)
-        assert rep.strength == rep.post_prob
         assert rep.verdict() == "favor"
         # the content is exact: 1 + 1e-11 by the rule, capped at 1
-        assert (rep.method, rep.post_prob, rep.n_draws) == ("exact", 1.0, 100_000)
+        assert rep.post_prob == 1.0
         assert rep.rb == pytest.approx(1.65399, abs=5e-6) and rep.log_cert < 1e-4
 
     def test_asymmetric_trine(self):
-        rep = rb_region_check(CountVector(TRINE_ASYMMETRIC),
-                              TrineEllipse(TRINE_ASYMMETRIC_A),
-                              100_000, RngStream(43))
+        rep = rb_region_check(CountVector(TRINE_ASYMMETRIC), TrineEllipse(TRINE_ASYMMETRIC_A))
         assert rep.prior_prob == pytest.approx(0.2684, abs=1e-4)
         assert rep.rb == pytest.approx(3.7258, abs=5e-3)
-        assert rep.method == "exact" and rep.log_cert < 1e-4
+        assert rep.log_cert < 1e-4
         assert rep.rb == pytest.approx(3.72581, abs=5e-6)
 
     def test_ordered_cone_prior_mass_exact(self):
-        rep = rb_region_check(CountVector(np.arange(18, 0, -1)), OrderedCone(18),
-                              2_000, RngStream(44))
+        rep = rb_region_check(CountVector(np.arange(18, 0, -1)), OrderedCone(18))
         assert rep.prior_prob == pytest.approx(1.5619e-16, rel=1e-4)
 
     def test_measure_zero_region_redirects(self):
         t = CountVector(np.array([25, 25, 25, 25]))
         with pytest.raises(MeasureZeroRegionError, match="no flat-prior content"):
-            rb_region_check(t, crosshairs_region(), 5_000, RngStream(45))
+            rb_region_check(t, crosshairs_region())
 
-    @pytest.mark.parametrize("region", [crosshairs_region, pauli_region])
+    @pytest.mark.parametrize("region", [crosshairs_region, pauli_region,
+                                        lambda: QuadBall(dim=4, bound=0.25)])
     def test_measure_zero_region_draws_nothing(self, region, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a measure-zero region drew samples")
-
-        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
+        no_draws(monkeypatch)
         region = region()
         with pytest.raises(MeasureZeroRegionError):
-            rb_region_check(CountVector(np.full(region.dim, 25)), region, 5_000, RngStream(45))
+            rb_region_check(CountVector(np.full(region.dim, 25)), region)
 
     def test_tetrahedron_prior_content_exact(self, rng):
         # the tetrahedron region is the simplex's inscribed ball, radius^2 = 1/12
@@ -107,9 +108,10 @@ class TestRegionCheck:
         inside = tetrahedron_region().contains_array(rng.dirichlet(np.ones(4), 1_000_000))
         assert abs(inside.mean() - exact) < 4 * math.sqrt(exact * (1 - exact) / inside.size)
         t = CountVector(np.array([25, 25, 25, 25]))
-        rep = rb_region_check(t, tetrahedron_region(), 50_000, RngStream(46))
+        rep = rb_region_check(t, tetrahedron_region())
         assert rep.prior_prob == analytic_prior_prob(tetrahedron_region())
-        assert rep.post_prob == 1.0  # uniform-ish counts sit well inside the ball
+        # uniform-ish counts sit well inside the ball: the content is 1 - 4.99677e-7
+        assert abs(rep.post_prob - (1 - 4.99677e-7)) <= rep.mc_se < 0.01
         assert rep.rb == pytest.approx(3.30797, abs=5e-6)
 
     def test_inscribed_disk_is_the_symmetric_trine(self):
@@ -122,32 +124,109 @@ class TestRegionCheck:
         with pytest.raises(TypeError, match="no flat-prior content"):
             analytic_prior_prob(object())
 
-    def test_workers_do_not_change_report(self):
-        # the tetrahedron is the region whose content is still drawn; here about 0.93
-        t = CountVector(np.array([10, 20, 30, 40]))
-        a = rb_region_check(t, tetrahedron_region(), 150_000, RngStream(47), workers=1)
-        b = rb_region_check(t, tetrahedron_region(), 150_000, RngStream(47), workers=4)
-        assert a.method == "monte_carlo" and 0.5 < a.post_prob < 0.99
-        assert a == b
-
-    def test_zero_hits_in_a_tiny_region_are_undefined(self):
+    def test_balls_beyond_four_cells_are_refused(self, monkeypatch):
         # fly counts against a ball of squared radius 1e-3 about the centroid of the
-        # 17-simplex: its prior content, about 1e-12, is far below 3 / n_draws
+        # 17-simplex: its prior content, about 1e-12, is positive, but no exact route
+        # reaches a ball on 18 cells, and none is drawn
+        no_draws(monkeypatch)
         region = QuadBall(dim=18, bound=1 / 18 + 1e-3)
-        rep = rb_region_check(CountVector(FLY_COUNTS), region, 2_000, RngStream(48))
-        assert analytic_prior_prob(region) < 1e-10
-        assert (rep.post_prob, rep.method) == (0.0, "monte_carlo")
+        assert 0 < analytic_prior_prob(region) < 1e-10
+        with pytest.raises(ValueError, match="no exact posterior content for a ball on 18 cells"):
+            rb_region_check(CountVector(FLY_COUNTS), region)
+
+
+class TestExactBallContent:
+    """A ball's posterior content through the trine quadrature, against closed forms and draws."""
+
+    def test_flat_content_is_the_prior_content(self):
+        for region in (tetrahedron_region(), QuadBall(4, 0.3), QuadBall(3, 0.4)):
+            log_content, cert = region_log_content(np.zeros(region.dim), region)
+            assert abs(log_content - math.log(analytic_prior_prob(region))) <= cert < 1e-12
+
+    @pytest.mark.parametrize("counts, seed", [
+        ([10, 20, 30, 40], 81),  # 0.9297165
+        ([40, 10, 10, 5], 82),  # 0.0326447
+        ([2, 30, 1, 7], 83),  # 0.00036180
+        ([60, 50, 45, 20], 84),  # 0.9998966
+    ])
+    def test_contents_match_dirichlet_monte_carlo(self, counts, seed):
+        # 2M Dirichlet(t + 1) draws, sampled here with numpy's own sampler
+        draws = np.random.default_rng(seed).dirichlet(np.array(counts) + 1.0, 2_000_000)
+        hit = tetrahedron_region().contains_array(draws).mean()
+        exact = math.exp(region_log_content(counts, tetrahedron_region())[0])
+        assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
+
+    @pytest.mark.parametrize("region, counts, seed", [
+        (QuadBall(4, 0.3), [3, 4, 5, 6], 85),
+        (QuadBall(4, 0.26), [3, 4, 5, 6], 86),  # the range in w is [0.15, 0.35]
+        (QuadBall(3, 0.4), [3, 4, 5], 87),
+    ])
+    def test_other_bounds_match_dirichlet_monte_carlo(self, region, counts, seed):
+        draws = np.random.default_rng(seed).dirichlet(np.array(counts) + 1.0, 1_000_000)
+        hit = region.contains_array(draws).mean()
+        exact = math.exp(region_log_content(counts, region)[0])
+        assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
+
+    @pytest.mark.parametrize("counts", [[5, 5, 5], [40, 2, 1], [10, 30, 2], [0, 0, 9], [1, 0, 0]])
+    def test_three_cell_ball_is_the_symmetric_trine(self, counts):
+        ball, ball_cert = region_log_content(counts, QuadBall(3, 0.5))
+        trine, trine_cert = region_log_content(counts, TrineEllipse(1 / 3))
+        assert abs(ball - trine) <= ball_cert + trine_cert
+
+    @pytest.mark.parametrize("counts", [[10, 20, 30, 40], [40, 10, 10, 5], [0, 100, 0, 0],
+                                        [1, 1, 1, 1000], [25, 25, 25, 25]])
+    def test_certificate_covers_the_finest_rule(self, counts, monkeypatch):
+        # the rule at the last level, with 64 nodes per piece in w and 128 per axis in the
+        # disc, against the certificate of the level the check stops at
+        value, cert = region_log_content(counts, tetrahedron_region())
+        # a NaN prior content is never decided against, so every level runs
+        monkeypatch.setattr(model_check, "analytic_prior_prob", lambda region: math.nan)
+        finest, _ = region_log_content(counts, tetrahedron_region())
+        assert abs(value - finest) <= cert
+
+    def test_content_underflows_but_the_logs_decide(self):
+        rep = rb_region_check(CountVector(np.array([0, 0, 0, 5000])), tetrahedron_region())
+        assert (rep.post_prob, rep.rb) == (0.0, 0.0)
+        assert rep.log_rb == pytest.approx(-3457.22, abs=0.01) and rep.log_cert < 1e-9
+        assert rep.verdict() == "against"
+
+    def test_many_counts_decide_at_the_first_level(self, monkeypatch):
+        # the content is 1 - 1.3e-8; with a max over the nodes the certificate read 86 nats
+        levels = []
+        real = model_check.trine_log_integrals
+
+        def spy(t, region, log_density, log_coef, level, scale):
+            levels.append(level)
+            return real(t, region, log_density, log_coef, level, scale)
+
+        monkeypatch.setattr(model_check, "trine_log_integrals", spy)
+        rep = rb_region_check(CountVector(np.array([1, 2, 3, 4]) * 10**6), tetrahedron_region())
+        assert levels == [0] and rep.log_cert < 1e-4 and rep.verdict() == "favor"
+
+    def test_w_rule_grades_toward_the_end_the_mass_lies_beyond(self):
+        # Beta(5001, 3) sits near w = 1, past the range's end at 1/2: 40 dyadic pieces
+        # toward it, and the scale 1/(6 rho^2) grows without bound at both ends
+        scale, log_weight, n = _ball_w_rule(np.zeros(4), 1 / 3, 0)
+        # t = 0: two pieces, meeting at the Beta(1, 3) mean, and the integral of (1 - w)^2
+        assert n == 2 * 16 and len(scale) == 2 * 24
+        weight = np.exp(log_weight)
+        assert weight[:n].sum() == pytest.approx(7 / 24, rel=1e-14) == weight[n:].sum()
+        scale, log_weight, n = _ball_w_rule(np.array([0.0, 0.0, 0.0, 5000.0]), 1 / 3, 1)
+        assert n == 41 * 32 and len(scale) == 41 * 48
+        assert (scale > 1 - 1e-12).all() and scale.max() > 1e10
+
+    @pytest.mark.parametrize("counts", [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0]])
+    def test_a_single_count_leaves_the_content_at_the_prior(self, counts):
+        # the posterior density is 4 theta_i and the ball is symmetric about the centroid,
+        # so its content is the prior's and the ratio is exactly 1
+        rep = rb_region_check(CountVector(np.array(counts)), tetrahedron_region())
+        assert abs(rep.log_rb) <= rep.log_cert < 1e-12
         assert rep.verdict() == "undefined"
 
-    @pytest.mark.parametrize("prior_prob, n_draws, verdict", [
-        (3e-3, 1000, "undefined"),  # the rule-of-three bound itself
-        (3.0001e-3, 1000, "against"),
-        (0.6046, 5000, "against"),
-    ])
-    def test_zero_hit_verdict_against_rule_of_three(self, prior_prob, n_draws, verdict):
-        rep = CheckReport(prior_prob=prior_prob, post_prob=0.0, rb=0.0, strength=0.0,
-                          mc_se=0.0, n_draws=n_draws)
-        assert rep.verdict() == verdict
+    def test_draws_nothing(self, monkeypatch):
+        no_draws(monkeypatch)
+        rep = rb_region_check(CountVector(np.array([10, 20, 30, 40])), tetrahedron_region())
+        assert rep.verdict() == "favor"
 
 
 class TestExactConeContent:
@@ -200,23 +279,16 @@ class TestExactConeContent:
         for labels, post, rb in ((consecutive_blocks(18, 9), 0.0404213, 14668.1),
                                  (consecutive_blocks(18, 6), 0.397446, 286.161),
                                  (strided(18, 18), 2.90549e-7, 1.86020e9)):
-            rep = rb_grouped_check(t, labels, 1000, RngStream(1))
-            assert rep.method == "exact" and rep.n_draws == 1000
+            grouped = group_counts(t, labels)
+            rep = rb_region_check(grouped, OrderedCone(len(grouped)))
             assert rep.post_prob == pytest.approx(post, rel=1e-5)
             assert rep.rb == pytest.approx(rb, rel=1e-5)
             assert rep.mc_se < 1e-4 * rep.post_prob and rep.verdict() == "favor"
 
     def test_draws_nothing(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("the exact cone check drew samples")
-
-        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
-        rep = rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 10, RngStream(1))
+        no_draws(monkeypatch)
+        rep = rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18))
         assert rep.verdict() == "favor"
-
-    def test_still_refuses_no_draws(self):
-        with pytest.raises(ValueError, match="at least one draw"):
-            rb_region_check(CountVector(FLY_COUNTS), OrderedCone(18), 0, RngStream(1))
 
     @pytest.mark.parametrize("log_rb, cert, verdict", [
         (1e-9, 1e-9, "undefined"),  # log RB within the certificate of 0
@@ -228,8 +300,8 @@ class TestExactConeContent:
     ])
     def test_exact_verdict_against_the_certificate(self, log_rb, cert, verdict):
         # the contents are 0, as from 171 cells on: the logs alone decide
-        rep = CheckReport(prior_prob=0.0, post_prob=0.0, rb=math.exp(log_rb), strength=0.0,
-                          mc_se=0.0, n_draws=1, method="exact", log_rb=log_rb, log_cert=cert)
+        rep = CheckReport(prior_prob=0.0, post_prob=0.0, rb=math.exp(log_rb), mc_se=0.0,
+                          log_rb=log_rb, log_cert=cert)
         assert rep.verdict() == verdict
 
 
@@ -244,7 +316,7 @@ class TestExactTrineContent:
         for cell, want in enumerate((3 * a * m, 1.5 * (1 - a) * m, 1.5 * (1 - a) * m)):
             counts = np.zeros(3, dtype=int)
             counts[cell] = 1
-            log_content, cert = trine_log_content(counts, TrineEllipse(a))
+            log_content, cert = region_log_content(counts, TrineEllipse(a))
             assert math.exp(log_content) == pytest.approx(want, rel=1e-12)
             assert abs(log_content - math.log(want)) <= cert < 1e-10
 
@@ -258,24 +330,19 @@ class TestExactTrineContent:
         # 400k Dirichlet(t + 1) draws, sampled here with numpy's own sampler
         draws = np.random.default_rng(seed).dirichlet(np.array(counts) + 1.0, 400_000)
         hit = TrineEllipse(1 / 3).contains_array(draws).mean()
-        exact = math.exp(trine_log_content(counts, TrineEllipse(1 / 3))[0])
+        exact = math.exp(region_log_content(counts, TrineEllipse(1 / 3))[0])
         assert abs(hit - exact) < 4 * math.sqrt(exact * (1 - exact) / draws.shape[0])
 
     @pytest.mark.parametrize("counts", [[7000, 10, 10], [10**9, 1, 1]])
     def test_underflowing_contents_read_against(self, counts):
-        rep = rb_region_check(CountVector(np.array(counts)), TrineEllipse(1 / 3), 10,
-                              RngStream(1))
-        assert (rep.post_prob, rep.rb, rep.method) == (0.0, 0.0, "exact")
+        rep = rb_region_check(CountVector(np.array(counts)), TrineEllipse(1 / 3))
+        assert (rep.post_prob, rep.rb) == (0.0, 0.0)
         assert rep.log_rb < -1000 and rep.log_cert < 1e-3 * -rep.log_rb
         assert rep.verdict() == "against"
 
     def test_draws_nothing(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("the exact trine check drew samples")
-
-        monkeypatch.setattr(model_check, "sample_dirichlet_array", no_draws)
-        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3), 10,
-                              RngStream(1))
+        no_draws(monkeypatch)
+        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
         assert rep.verdict() == "favor"
 
 
@@ -295,11 +362,11 @@ class TestGroupedPriorMassLaw:
     def test_grouped_check_example_values(self):
         # pairs: content near 0.040, ratio near 1.4726e4; triples: 0.40 / 285.6
         t = CountVector(FLY_COUNTS)
-        rep = rb_grouped_check(t, consecutive_blocks(18, 9), 200_000, RngStream(48))
+        rep = rb_region_check(group_counts(t, consecutive_blocks(18, 9)), OrderedCone(9))
         assert rep.prior_prob == pytest.approx(1 / math.factorial(9), rel=1e-12)
         assert rep.post_prob == pytest.approx(0.040, abs=0.004)
         assert rep.rb == pytest.approx(14726, rel=0.15)
-        rep3 = rb_grouped_check(t, consecutive_blocks(18, 6), 200_000, RngStream(49))
+        rep3 = rb_region_check(group_counts(t, consecutive_blocks(18, 6)), OrderedCone(6))
         assert rep3.post_prob == pytest.approx(0.40, abs=0.01)
         assert rep3.rb == pytest.approx(285.6312, rel=0.10)
 
@@ -760,6 +827,14 @@ class TestDistanceCheck:
         t = CountVector(np.round(probs * 4000).astype(int))
         rep = rb_distance_check(t, 0.05, 30_000, RngStream(53))
         assert 0 <= rep.strength <= 1
+
+    def test_workers_do_not_change_report(self):
+        # two chunks of 10 000 draws on each side, run on one thread and on four
+        t = CountVector(FLY_COUNTS)
+        a = rb_distance_check(t, 0.02, 20_000, RngStream(47), workers=1)
+        b = rb_distance_check(t, 0.02, 20_000, RngStream(47), workers=4)
+        assert same_bits(a.prior_hist, b.prior_hist) and same_bits(a.post_hist, b.post_hist)
+        assert a.post_hist[0] > 0
 
     def test_rejects_bad_inputs(self):
         t = CountVector(np.array([40, 30, 20, 10]))
