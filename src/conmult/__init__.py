@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import (
     CountVector,
     DirichletParams,
-    MeasureZeroRegionError,
     OrderedCone,
     QuadBall,
     SimplexPoint,
@@ -17,7 +16,6 @@ from .sampling import RngStream
 __all__ = [
     "CountVector",
     "DirichletParams",
-    "MeasureZeroRegionError",
     "OrderedCone",
     "QuadBall",
     "RngStream",

@@ -28,9 +28,7 @@ from .core import (
     SimplexPoint,
     TrineEllipse,
     consecutive_blocks,
-    crosshairs_region,
     group_counts,
-    pauli_region,
     quantiles,
     strided,
     tetrahedron_region,
@@ -143,11 +141,12 @@ def parse_region(text, n_cells):
         return TrineEllipse(a=1.0 / 3.0)
     if text.startswith("trine:"):
         return TrineEllipse(a=float(text[len("trine:"):]))
+    if text in ("crosshairs", "pauli"):  # the paper's hypotheses of prior mass zero
+        raise InputError("region has no flat-prior content, so its relative belief ratio "
+                         "is undefined")
     named = {
         "ordered": lambda: OrderedCone(dim=n_cells),
         "tetrahedron": tetrahedron_region,
-        "crosshairs": crosshairs_region,
-        "pauli": pauli_region,
     }
     if text in named:
         return named[text]()
@@ -475,7 +474,8 @@ def build_parser():
     p = sub.add_parser("check-model", help="relative-belief check of a constraint region")
     p.add_argument("--counts", required=True)
     p.add_argument("--region",
-                   help="trine[:a] | ordered (default) | tetrahedron | crosshairs | pauli")
+                   help="trine[:a] | ordered (default) | tetrahedron; crosshairs and pauli "
+                        "are refused: they have no flat-prior content")
     p.add_argument("--group", help="pairs | triples | m=K | stride=K")
     p.add_argument("--zm-delta", type=float, dest="zm_delta",
                    help="run the Zipf-Mandelbrot distance check at this resolution")
@@ -535,7 +535,6 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError, OSError) as exc:
-        # ValueError includes core.MeasureZeroRegionError: a region with no flat-prior content
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -325,6 +325,8 @@ def convergence_experiment(prior: DirichletParams, theta_true: SimplexPoint,
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     check_prior_conditions(prior)
+    if len(prior) != len(theta_true.probs):
+        raise ValueError(f"the prior has {len(prior)} cells, theta_true {len(theta_true.probs)}")
     n_schedule = [int(n) for n in n_schedule]
     if any(n < 1 for n in n_schedule):
         raise ValueError("total count must be >= 1")

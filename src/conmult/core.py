@@ -12,11 +12,6 @@ import math
 import numpy as np
 
 SIMPLEX_SUM_TOL = 1e-12
-EQUALITY_TOL = 1e-9
-
-
-class MeasureZeroRegionError(ValueError):
-    """Raised when a check needs positive prior mass but the region has none."""
 
 
 def _readonly(a):
@@ -260,48 +255,24 @@ class OrderedCone:
 
 
 class QuadBall:
-    """Sum-of-squares ball with optional linear equality constraints.
+    """The ball sum_i theta_i^2 <= bound about the centroid, 1/dim < bound <= 1/(dim - 1)."""
 
-    Membership: sum_i theta_i^2 <= bound, and for each (indices, value) pair
-    sum of the indexed coordinates equals value within EQUALITY_TOL. Without
-    equalities the ball lies inside the simplex, bound <= 1/(dim - 1); each
-    equality names some cells but not every cell.
-    """
-
-    def __init__(self, dim, bound, equalities=()):
-        if dim < 2 or bound <= 0:
-            raise ValueError(f"need dim >= 2 and bound > 0, got {dim} and {bound}")
-        eqs = tuple((tuple(int(i) for i in idx), float(v)) for idx, v in equalities)
-        for idx, _ in eqs:
-            if any(i < 0 or i >= dim for i in idx) or len(set(idx)) in (0, dim):
-                raise ValueError("an equality must name cells in range, some but not all")
-        if not eqs and bound > 1.0 / (dim - 1):
+    def __init__(self, dim, bound):
+        if dim < 2:
+            raise ValueError(f"need dim >= 2, got {dim}")
+        if bound <= 1.0 / dim:
+            raise ValueError(f"bound {bound:g} <= 1/{dim} holds only the centroid, or nothing")
+        if bound > 1.0 / (dim - 1):
             raise ValueError(f"bound {bound:g} > 1/{dim - 1} leaves the simplex")
-        self.dim, self.bound, self.equalities = dim, bound, eqs
+        self.dim, self.bound = dim, bound
 
     def contains_array(self, theta):
         th = _points(theta, self.dim)
-        ok = (th**2).sum(axis=-1) <= self.bound
-        for idx, val in self.equalities:
-            ok = ok & (np.abs(th[..., list(idx)].sum(axis=-1) - val) <= EQUALITY_TOL)
-        return ok
-
-
-def crosshairs_region() -> QuadBall:
-    return QuadBall(dim=4, bound=3.0 / 8.0, equalities=(((0, 1), 0.5), ((2, 3), 0.5)))
+        return (th**2).sum(axis=-1) <= self.bound
 
 
 def tetrahedron_region() -> QuadBall:
     return QuadBall(dim=4, bound=1.0 / 3.0)
-
-
-def pauli_region() -> QuadBall:
-    third = 1.0 / 3.0
-    return QuadBall(
-        dim=6,
-        bound=2.0 / 9.0,
-        equalities=(((0, 1), third), ((2, 3), third), ((4, 5), third)),
-    )
 
 
 def trine_prior_mass(a: float) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     CountVector,
     DirichletParams,
-    MeasureZeroRegionError,
     OrderedCone,
     TRINE_RULES,
     QuadBall,
@@ -53,8 +52,8 @@ def analytic_prior_prob(region):
     """Flat-prior content of a region, in closed form for every region type.
 
     On the simplex sum_i theta_i^2 = |theta - c|^2 + 1/K about the centroid c, so
-    a ``QuadBall`` is the d-ball of squared radius bound - 1/K, d = K - 1, over the
-    simplex's d-volume sqrt(K) / d!, or has content 0 with equalities (hyperplanes).
+    a ``QuadBall`` is the d-ball of squared radius bound - 1/K > 0, d = K - 1, over the
+    simplex's d-volume sqrt(K) / d!.
     The ordered cone's 1/K! is one correctly rounded integer division, a
     subnormal or 0 from 171 cells on.
     """
@@ -63,9 +62,9 @@ def analytic_prior_prob(region):
     if isinstance(region, OrderedCone):
         return 1 / math.factorial(region.dim)
     if isinstance(region, QuadBall):
-        d, r2 = region.dim - 1, max(region.bound - 1.0 / region.dim, 0.0)
-        return 0.0 if region.equalities else ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
-                                             * math.factorial(d) / math.sqrt(region.dim))
+        d, r2 = region.dim - 1, region.bound - 1.0 / region.dim
+        return ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
+                * math.factorial(d) / math.sqrt(region.dim))
     raise TypeError(f"no flat-prior content for a {type(region).__name__}")
 
 
@@ -99,7 +98,8 @@ def _ball_w_rule(t, bound, level):
     """Scales 1/(6 rho^2) and log weights w^t_4 (1 - w)^(n - t_4 + 2) dw at the nodes w, and k.
 
     The pieces of lo < w < hi meet at the Beta's mean and 2, 4 and 8 sd either side
-    and, toward an end the mean lies beyond, at that end's 2^-i of the range, i <= 40.
+    and, toward an end the mean lies beyond, at that end's 2^-i of the range, i <= 40,
+    down to a quarter of the log integrand's scale 1/|slope| at that end.
     The first k nodes make the rule of ``BALL_NODES << level`` a piece, the rest half that.
     """
     r = math.sqrt(12.0 * bound - 3.0)
@@ -107,9 +107,13 @@ def _ball_w_rule(t, bound, level):
     a, b = t[3] + 1.0, t[:3].sum() + 3.0
     mean = a / (a + b)
     sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
-    ends = (hi - lo) * 2.0 ** -np.arange(1.0, 41.0)
-    breaks = np.r_[lo, hi, mean + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]),
-                   hi - ends if mean > hi else [], lo + ends if mean < lo else []]
+    graded = []
+    if not lo <= mean <= hi:  # then the end is not 0, where the slope would read 0/0
+        end, step = (hi, lo - hi) if mean > hi else (lo, hi - lo)
+        slope = abs(t[3] / end - (b - 1.0) / (1.0 - end))
+        depth = min(40, max(1, math.ceil(math.log2(max(4.0 * (hi - lo) * slope, 1.0)))))
+        graded = end + step * 2.0 ** -np.arange(1.0, depth + 1.0)
+    breaks = np.r_[lo, hi, mean + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]), graded]
     breaks = np.array(sorted(set(np.clip(breaks, lo, hi))))  # np.unique loads numpy.ma
     width = np.diff(breaks)[:, None]
     x, wx = map(np.concatenate, zip(*(gauss_legendre(BALL_NODES << level >> h) for h in (0, 1))))
@@ -158,15 +162,11 @@ def rb_region_check(t: CountVector, region) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
     Both contents are exact (``analytic_prior_prob``, and ``ordered_cone_log_content`` or
-    ``region_log_content``), and the ratio is taken in log space. A ball with no
-    flat-prior content (one with equalities) is refused.
+    ``region_log_content``), and the ratio is taken in log space.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
     prior = analytic_prior_prob(region)
-    if isinstance(region, QuadBall) and prior == 0.0:
-        raise MeasureZeroRegionError(
-            "region has no flat-prior content, so its relative belief ratio is undefined")
     if isinstance(region, OrderedCone):
         log_prior, content = -math.lgamma(region.dim + 1), ordered_cone_log_content(t.counts)
     else:

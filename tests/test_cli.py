@@ -969,6 +969,26 @@ class TestConsistencyCommand:
         limit = load(out, "consistency.json")["limit"]
         assert limit == pytest.approx(mp_level_set_prob(2.0, 500.0, 0.006), abs=1e-14)
 
+    @pytest.mark.parametrize("alphas, theta, counts", [
+        ("2,3,4", "0.3,0.7", "3 cells, theta_true 2"),
+        ("2,2", "0.2,0.3,0.5", "2 cells, theta_true 3"),
+    ])
+    def test_mismatched_lengths_are_refused_before_any_draw(self, tmp_path, capsys,
+                                                             monkeypatch, alphas, theta, counts):
+        from conmult import consistency
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment drew samples")
+
+        monkeypatch.setattr(consistency, "sample_dirichlet_array", refuse)
+        monkeypatch.setattr(consistency, "sample_multinomial_array", refuse)
+        code = main(["consistency", "--alphas", alphas, "--theta-true", theta,
+                     "--schedule", "50", "--replications", "5",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"input error: the prior has {counts}\n"
+        assert not os.path.exists(tmp_path / "out")
+
     def test_flat_prior_rejected(self, tmp_path):
         code = main(["consistency", "--alphas", "1,1", "--theta-true", "0.3,0.7",
                      "--schedule", "50", "--replications", "5",

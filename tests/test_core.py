@@ -15,7 +15,6 @@ from conmult.core import (
     SimplexPoint,
     TrineEllipse,
     consecutive_blocks,
-    crosshairs_region,
     gammaln,
     gauss_legendre,
     group_counts,
@@ -24,7 +23,6 @@ from conmult.core import (
     median,
     ordered_from_weights_array,
     ordered_mode,
-    pauli_region,
     quantiles,
     strided,
     tetrahedron_region,
@@ -423,23 +421,6 @@ class TestRegions:
         # ties are inside the closed cone
         assert cone.contains_array(np.array([0.3, 0.3, 0.2, 0.2]))
 
-    def test_crosshairs_membership(self):
-        region = crosshairs_region()
-        good = np.array([0.3, 0.2, 0.26, 0.24])
-        assert region.contains_array(good)
-        bad_sum = np.array([0.4, 0.2, 0.2, 0.2])
-        assert not region.contains_array(bad_sum)
-        too_far = np.array([0.5, 0.0, 0.5, 0.0])
-        assert not region.contains_array(too_far)
-
-    def test_pauli_membership(self):
-        region = pauli_region()
-        third = 1 / 3
-        uniform = np.full(6, 1 / 6)
-        assert region.contains_array(uniform)
-        skew = np.array([third, 0.0, third, 0.0, third, 0.0])
-        assert not region.contains_array(skew)  # sum of squares 1/3 > 2/9
-
     def test_tetrahedron_membership(self):
         region = tetrahedron_region()
         assert region.contains_array(np.full(4, 0.25))
@@ -460,27 +441,24 @@ class TestRegions:
                                       region.contains_array(th))
 
     def test_cone_and_ball_dimension_mismatch_rejected(self):
-        for region in (OrderedCone(dim=4), tetrahedron_region(), pauli_region()):
+        for region in (OrderedCone(dim=4), tetrahedron_region(), QuadBall(dim=6, bound=0.2)):
             for width in (region.dim - 1, region.dim + 1):
                 with pytest.raises(ValueError, match="dimension"):
                     region.contains_array(np.full((2, width), 1.0 / width))
 
     def test_quadball_validation(self):
-        with pytest.raises(ValueError):
-            QuadBall(dim=3, bound=0.0)
-        with pytest.raises(ValueError):
-            QuadBall(dim=3, bound=0.5, equalities=(((0, 5), 0.5),))
         # only regions whose flat-prior content has a closed form
         with pytest.raises(ValueError, match="dim"):
             QuadBall(dim=1, bound=0.5)
         with pytest.raises(ValueError, match="leaves the simplex"):
             QuadBall(dim=4, bound=1.0 / 3.0 + 1e-12)
-        for cells in ((), (0, 1, 2, 3)):
-            with pytest.raises(ValueError, match="some but not all"):
-                QuadBall(dim=4, bound=0.5, equalities=((cells, 0.5),))
-        # the inscribed ball itself, and a larger ball cut by an equality, are fine
+        # sum theta^2 >= 1/dim on the simplex, with equality at the centroid alone
+        for bound in (0.0, 0.2, 0.25):
+            with pytest.raises(ValueError, match="only the centroid, or nothing"):
+                QuadBall(dim=4, bound=bound)
+        # the inscribed ball itself, and a ball just past the centroid, are fine
         QuadBall(dim=4, bound=1.0 / 3.0)
-        QuadBall(dim=4, bound=0.5, equalities=(((0, 1), 0.5),))
+        QuadBall(dim=4, bound=0.25 + 1e-12)
 
 
 class TestLogSumExp:

@@ -8,17 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conmult.core import (
     CountVector,
-    MeasureZeroRegionError,
     OrderedCone,
     QuadBall,
     TrineEllipse,
     chain_log_integrals,
     consecutive_blocks,
-    crosshairs_region,
     gammaln,
     group_counts,
     group_sums,
-    pauli_region,
     strided,
     tetrahedron_region,
     trine_prior_mass,
@@ -87,19 +84,6 @@ class TestRegionCheck:
     def test_ordered_cone_prior_mass_exact(self):
         rep = rb_region_check(CountVector(np.arange(18, 0, -1)), OrderedCone(18))
         assert rep.prior_prob == pytest.approx(1.5619e-16, rel=1e-4)
-
-    def test_measure_zero_region_redirects(self):
-        t = CountVector(np.array([25, 25, 25, 25]))
-        with pytest.raises(MeasureZeroRegionError, match="no flat-prior content"):
-            rb_region_check(t, crosshairs_region())
-
-    @pytest.mark.parametrize("region", [crosshairs_region, pauli_region,
-                                        lambda: QuadBall(dim=4, bound=0.25)])
-    def test_measure_zero_region_draws_nothing(self, region, monkeypatch):
-        no_draws(monkeypatch)
-        region = region()
-        with pytest.raises(MeasureZeroRegionError):
-            rb_region_check(CountVector(np.full(region.dim, 25)), region)
 
     def test_tetrahedron_prior_content_exact(self, rng):
         # the tetrahedron region is the simplex's inscribed ball, radius^2 = 1/12
@@ -204,16 +188,39 @@ class TestExactBallContent:
         assert levels == [0] and rep.log_cert < 1e-4 and rep.verdict() == "favor"
 
     def test_w_rule_grades_toward_the_end_the_mass_lies_beyond(self):
-        # Beta(5001, 3) sits near w = 1, past the range's end at 1/2: 40 dyadic pieces
-        # toward it, and the scale 1/(6 rho^2) grows without bound at both ends
+        # Beta(5001, 3) sits near w = 1, past the range's end at 1/2: dyadic pieces toward
+        # it, and the scale 1/(6 rho^2) grows without bound at both ends
         scale, log_weight, n = _ball_w_rule(np.zeros(4), 1 / 3, 0)
         # t = 0: two pieces, meeting at the Beta(1, 3) mean, and the integral of (1 - w)^2
         assert n == 2 * 16 and len(scale) == 2 * 24
         weight = np.exp(log_weight)
         assert weight[:n].sum() == pytest.approx(7 / 24, rel=1e-14) == weight[n:].sum()
         scale, log_weight, n = _ball_w_rule(np.array([0.0, 0.0, 0.0, 5000.0]), 1 / 3, 1)
-        assert n == 41 * 32 and len(scale) == 41 * 48
-        assert (scale > 1 - 1e-12).all() and scale.max() > 1e10
+        # 16 pieces (41 when the grading ran to 2^-40 of the range): [0, 1/4] and 15 more
+        assert n == 16 * 32 and len(scale) == 16 * 48 and (scale > 1 - 1e-12).all()
+        # the last, [1/2 - 2^-16, 1/2], is the first piece within a quarter of the log
+        # integrand's scale 1/|slope| at w = 1/2, slope = 5000/(1/2) - 2/(1/2)
+        assert 2.0**-16 <= 1 / (4 * 9996) < 2.0**-15
+
+    @pytest.mark.parametrize("counts, graded_to_2_40", [
+        ([1, 1, 1, 1000], -672.0717945111177),
+        ([0, 0, 0, 5000], -3458.4148453560183),
+    ])
+    def test_w_grading_keeps_the_finest_rule(self, counts, graded_to_2_40, monkeypatch):
+        # every level forced; the value the rules graded to 2^-40 of the range gave, with
+        # 41 pieces in w, 3936 rows at the last level
+        rows = []
+        real = model_check.trine_log_integrals
+
+        def spy(t, region, log_density, log_coef, level, scale):
+            rows.append(len(t))
+            return real(t, region, log_density, log_coef, level, scale)
+
+        monkeypatch.setattr(model_check, "trine_log_integrals", spy)
+        monkeypatch.setattr(model_check, "analytic_prior_prob", lambda region: math.nan)
+        value, cert = region_log_content(counts, tetrahedron_region())
+        assert abs(value - graded_to_2_40) <= cert < 1e-10
+        assert len(rows) == 3 and rows[-1] < 41 * 96
 
     @pytest.mark.parametrize("counts", [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0]])
     def test_a_single_count_leaves_the_content_at_the_prior(self, counts):
