@@ -9,7 +9,6 @@ from .core import (
     QuadBall,
     SimplexPoint,
     TrineEllipse,
-    trine_prior_mass,
 )
 from .sampling import RngStream
 
@@ -21,6 +20,5 @@ __all__ = [
     "RngStream",
     "SimplexPoint",
     "TrineEllipse",
-    "trine_prior_mass",
     "__version__",
 ]

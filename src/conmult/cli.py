@@ -252,7 +252,9 @@ def cmd_check_model(args):
             "post_first_bin": float(rep.post_hist[0]),
             "verdict": verdict,
         }
-        note = "first prior bin empty: relative belief ratio undefined; increase --draws"
+        note = ("first prior bin empty: relative belief ratio undefined; increase --draws"
+                if rep.prior_first_bin_empty else
+                "relative belief ratio exactly 1: no evidence either way; lower --zm-delta")
         line = f"rb={payload['rb']} strength={payload['strength']} verdict={verdict}"
     else:
         region = parse_region(args.region, len(t))
@@ -537,7 +539,7 @@ def main(argv=None):
     except (InputError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # RuntimeError includes prior_check.ProposalSupportError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

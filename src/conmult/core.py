@@ -3,8 +3,8 @@
 Everything here is a pure function of immutable values: simplex/count types,
 the bijection between ordered probability vectors and unconstrained weights,
 the ordered prior's mode, groupings of the cells, Zipf-Mandelbrot
-probabilities, constraint-region membership, closed-form log densities, and
-quadratures: the ordered chain's integrals and integrals over the trine ellipse.
+probabilities, constraint regions with their membership and flat-prior content,
+closed-form log densities, and quadratures over the ordered chain and the ellipse.
 """
 
 import math
@@ -240,6 +240,13 @@ class TrineEllipse:
         th = _points(theta, self.dim, 2)
         return self.quad_form_array(th[..., :2]) <= 1.0
 
+    @property
+    def prior(self):
+        """Flat-prior content a pi sqrt(1 - 2a): the area pi / sqrt(det C) times the density 2."""
+        return float(self.a * np.pi * np.sqrt(1 - 2 * self.a))
+
+    log_prior = property(lambda self: math.log(self.prior))
+
 
 class OrderedCone:
     """Closed cone of decreasing probability vectors; ties are inside."""
@@ -252,6 +259,13 @@ class OrderedCone:
     def contains_array(self, theta):
         th = _points(theta, self.dim)
         return np.all(th[..., :-1] >= th[..., 1:], axis=-1)
+
+    @property
+    def prior(self):
+        """Flat-prior content 1/K!, correctly rounded: subnormal from 171 cells, 0 from 178."""
+        return 1 / math.factorial(self.dim)
+
+    log_prior = property(lambda self: -math.lgamma(self.dim + 1))
 
 
 class QuadBall:
@@ -270,20 +284,19 @@ class QuadBall:
         th = _points(theta, self.dim)
         return (th**2).sum(axis=-1) <= self.bound
 
+    @property
+    def prior(self):
+        """Flat-prior content: sum theta^2 = |theta - c|^2 + 1/K about the centroid c, so the
+        d-ball of squared radius bound - 1/K, d = K - 1, over the simplex's d-volume sqrt(K)/d!."""
+        d, r2 = self.dim - 1, self.bound - 1.0 / self.dim
+        return ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
+                * math.factorial(d) / math.sqrt(self.dim))
+
+    log_prior = property(lambda self: math.log(self.prior))
+
 
 def tetrahedron_region() -> QuadBall:
     return QuadBall(dim=4, bound=1.0 / 3.0)
-
-
-def trine_prior_mass(a: float) -> float:
-    """Uniform-prior mass of the trine ellipse: a * pi * sqrt(1 - 2a).
-
-    The ellipse has area pi / sqrt(det C) and the uniform density on the
-    2-simplex is 2, which reduces to this closed form.
-    """
-    if not (0 < a < 0.5):
-        raise ValueError(f"a must be in (0, 1/2), got {a}")
-    return float(a * np.pi * np.sqrt(1 - 2 * a))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     gauss_legendre,
     logsumexp,
     trine_log_integrals,
-    trine_prior_mass,
     zm_log_probs_array,
 )
 from .sampling import RngStream, chunked_monte_carlo, sample_dirichlet_array
@@ -36,7 +35,7 @@ class CheckReport(NamedTuple):
     prior_prob: float
     post_prob: float
     rb: float
-    mc_se: float  # post_prob's quadrature certificate
+    mc_se: float  # post_prob's quadrature certificate; 0.0 on underflow, None on overflow
     log_rb: float  # log rb, and the certificate of the log contents
     log_cert: float
 
@@ -46,26 +45,6 @@ class CheckReport(NamedTuple):
         if not abs(self.log_rb) > self.log_cert:
             return "undefined"
         return "favor" if self.log_rb > 0 else "against"
-
-
-def analytic_prior_prob(region):
-    """Flat-prior content of a region, in closed form for every region type.
-
-    On the simplex sum_i theta_i^2 = |theta - c|^2 + 1/K about the centroid c, so
-    a ``QuadBall`` is the d-ball of squared radius bound - 1/K > 0, d = K - 1, over the
-    simplex's d-volume sqrt(K) / d!.
-    The ordered cone's 1/K! is one correctly rounded integer division, a
-    subnormal or 0 from 171 cells on.
-    """
-    if isinstance(region, TrineEllipse):
-        return trine_prior_mass(region.a)
-    if isinstance(region, OrderedCone):
-        return 1 / math.factorial(region.dim)
-    if isinstance(region, QuadBall):
-        d, r2 = region.dim - 1, region.bound - 1.0 / region.dim
-        return ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
-                * math.factorial(d) / math.sqrt(region.dim))
-    raise TypeError(f"no flat-prior content for a {type(region).__name__}")
 
 
 def ordered_cone_log_content(counts):
@@ -98,8 +77,9 @@ def _ball_w_rule(t, bound, level):
     """Scales 1/(6 rho^2) and log weights w^t_4 (1 - w)^(n - t_4 + 2) dw at the nodes w, and k.
 
     The pieces of lo < w < hi meet at the Beta's mean and 2, 4 and 8 sd either side
-    and, toward an end the mean lies beyond, at that end's 2^-i of the range, i <= 40,
-    down to a quarter of the log integrand's scale 1/|slope| at that end.
+    and, when the mean lies beyond hi, at hi's 2^-i of the range, i <= 40, down to a
+    quarter of the log integrand's scale 1/|slope| at hi. With t_4 the largest count
+    the mean is at least 1/4, so it never lies below lo.
     The first k nodes make the rule of ``BALL_NODES << level`` a piece, the rest half that.
     """
     r = math.sqrt(12.0 * bound - 3.0)
@@ -108,11 +88,10 @@ def _ball_w_rule(t, bound, level):
     mean = a / (a + b)
     sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
     graded = []
-    if not lo <= mean <= hi:  # then the end is not 0, where the slope would read 0/0
-        end, step = (hi, lo - hi) if mean > hi else (lo, hi - lo)
-        slope = abs(t[3] / end - (b - 1.0) / (1.0 - end))
+    if mean > hi:
+        slope = abs(t[3] / hi - (b - 1.0) / (1.0 - hi))
         depth = min(40, max(1, math.ceil(math.log2(max(4.0 * (hi - lo) * slope, 1.0)))))
-        graded = end + step * 2.0 ** -np.arange(1.0, depth + 1.0)
+        graded = hi + (lo - hi) * 2.0 ** -np.arange(1.0, depth + 1.0)
     breaks = np.r_[lo, hi, mean + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]), graded]
     breaks = np.array(sorted(set(np.clip(breaks, lo, hi))))  # np.unique loads numpy.ma
     width = np.diff(breaks)[:, None]
@@ -126,7 +105,9 @@ def region_log_content(counts, region):
     """log posterior content of a trine ellipse or ball, with a certificate, t = ``counts``.
 
     An ellipse is ``trine_log_integrals`` with a flat density, and so is a ball on three
-    cells: sum theta^2 - 1/3 is q/6, q the symmetric trine's form. On four, w = theta_4 ~
+    cells: sum theta^2 - 1/3 is q/6, q the symmetric trine's form. A ball on four cells
+    and the flat prior are symmetric in the cells, so t is sorted, the largest count
+    last, and every order of the counts gets the same bits. Then w = theta_4 ~
     Beta(t_4 + 1, n - t_4 + 3) is independent of phi = theta_{1:3} / (1 - w) ~
     Dirichlet(t_{1:3} + 1), and sum theta^2 = w^2 + (1 - w)^2 sum phi^2, so one row per
     node in w takes phi's ball of bound 1/3 + rho^2(w), rho^2(w) = (B - w^2)/(1 - w)^2 -
@@ -139,7 +120,7 @@ def region_log_content(counts, region):
     if ball and region.dim not in (3, 4):
         raise ValueError(f"no exact posterior content for a ball on {region.dim} cells")
     disc = TrineEllipse(1.0 / 3.0) if ball else region
-    log_prior = math.log(analytic_prior_prob(region))
+    t = np.sort(t) if len(t) == 4 else t
     log_norm = gammaln(t.sum() + len(t)) - gammaln(t + 1.0).sum()  # Gamma(n + K) / prod t_i!
     for level in range(len(TRINE_RULES) - 1):
         if len(t) == 4:
@@ -153,7 +134,7 @@ def region_log_content(counts, region):
         log_post = logsumexp(out[:split])
         log_cert = np.exp(out[:split] - log_post) @ cert[:split] + (
             abs(log_post - logsumexp(out[split:])) if split < len(out) else 0.0)
-        if abs(log_post - log_prior) > log_cert:
+        if abs(log_post - region.log_prior) > log_cert:
             break
     return float(log_post), float(log_cert)
 
@@ -161,24 +142,25 @@ def region_log_content(counts, region):
 def rb_region_check(t: CountVector, region) -> CheckReport:
     """Relative belief ratio of a constraint region under the flat reference prior.
 
-    Both contents are exact (``analytic_prior_prob``, and ``ordered_cone_log_content`` or
+    Both contents are exact (the region's ``prior``, and ``ordered_cone_log_content`` or
     ``region_log_content``), and the ratio is taken in log space.
     """
     if len(t) != region.dim:
         raise ValueError(f"region has dimension {region.dim}, counts have {len(t)}")
-    prior = analytic_prior_prob(region)
-    if isinstance(region, OrderedCone):
-        log_prior, content = -math.lgamma(region.dim + 1), ordered_cone_log_content(t.counts)
-    else:
-        log_prior, content = math.log(prior), region_log_content(t.counts, region)
-    log_post, log_cert = content
+    log_post, log_cert = (ordered_cone_log_content(t.counts) if isinstance(region, OrderedCone)
+                          else region_log_content(t.counts, region))
     log_post = min(log_post, 0.0)  # a rule may put a content of nearly 1 above 1
-    log_rb = log_post - log_prior
-    if not log_rb < math.log(np.finfo(float).max):
+    log_rb = log_post - region.log_prior
+    log_max = math.log(np.finfo(float).max)
+    if not log_rb < log_max:
         raise FloatingPointError(f"relative belief ratio exp({log_rb:.6g}) overflows a float")
     post = math.exp(log_post)
-    return CheckReport(prior_prob=prior, post_prob=post, rb=math.exp(log_rb),
-                       mc_se=post * math.expm1(log_cert), log_rb=log_rb, log_cert=log_cert)
+    try:
+        mc_se = post * math.expm1(log_cert)
+    except OverflowError:  # e^log_cert overflows, and e^log_cert - 1 rounds to it
+        mc_se = math.exp(log_post + log_cert) if log_post + log_cert < log_max else None
+    return CheckReport(prior_prob=region.prior, post_prob=post, rb=math.exp(log_rb),
+                       mc_se=mc_se, log_rb=log_rb, log_cert=log_cert)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +412,9 @@ class DistanceCheckReport(NamedTuple):
     prior_first_bin_empty: bool
 
     def verdict(self) -> str:
-        """Return "favor", "against", or "undefined" when the first prior bin is empty."""
-        if not np.isfinite(self.rb_zero):
+        """"favor", "against", or "undefined" when the first prior bin is empty or the
+        RB is exactly 1, as when every draw lies in the first bin."""
+        if not np.isfinite(self.rb_zero) or self.rb_zero == 1:
             return "undefined"
         return "favor" if self.rb_zero > 1 else "against"
 

@@ -180,17 +180,6 @@ class OrderedDirichletPrior:
     def sample_array(self, size, rng):
         return sample_ordered_prior_array(self.omega_params, size, rng)
 
-    def log_density_array(self, thetas):
-        th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        om = weights_from_ordered_array(th)
-        ok = np.all(om > -1e-15, axis=-1)
-        out = np.full(th.shape[0], -np.inf)
-        if ok.any():
-            omk = np.clip(om[ok], 0.0, None)
-            out[ok] = (log_dirichlet_pdf_array(omk, self.omega_params.alphas, self.log_norm)
-                       + gammaln(self.dim + 1))
-        return out
-
     def proposal_alphas(self, counts, tau):
         """Dirichlet on the weights, with the frequencies pulled into the cone toward the mode.
 

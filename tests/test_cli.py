@@ -624,6 +624,42 @@ class TestEdgeInputs:
         log_rb, log_cert = map(float, found.groups())
         assert 0 < log_cert < 1e-2 and abs(log_rb) <= log_cert
 
+    def test_a_huge_certificate_still_writes_the_report(self, tmp_path, capsys):
+        # the thin ellipse's rule leaves a log certificate of 1175.5, past the 709.78 where
+        # e^log_cert overflows; log RB, near -9.6e5, decides all the same
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", write_counts(tmp_path, np.array([0, 1000000, 0])),
+                     "--region", "trine:0.49", "--out", out]) == 3
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["post_prob"], rep["mc_se"]) == ("against", 0.0, 0.0)
+        assert rep["log_cert"] > 709.79 and rep["log_rb"] < -9e5
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("delta", ["5", "2.9"])
+    def test_zm_ratio_of_one_is_undefined(self, tmp_path, capsys, delta):
+        # from delta = log 18 = 2.89 on, every prior and posterior draw lies in the first bin
+        out = str(tmp_path / "out")
+        assert main(["check-model", "--counts", write_counts(tmp_path, FLY_COUNTS),
+                     "--zm-delta", delta, "--draws", "1000", "--out", out]) == 2
+        rep = load(out, "model_check.json")
+        assert (rep["verdict"], rep["rb"], rep["strength"]) == ("undefined", None, None)
+        assert (rep["prior_first_bin"], rep["post_first_bin"]) == (1.0, 1.0)
+        captured = capsys.readouterr()
+        assert captured.out == "rb=None strength=None verdict=undefined\n"
+        assert "relative belief ratio exactly 1" in captured.err
+        assert "increase --draws" not in captured.err
+
+    def test_arithmetic_errors_are_numerical_failures(self, tmp_path, capsys, monkeypatch):
+        from conmult import model_check
+
+        def overflow(t, region):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(model_check, "rb_region_check", overflow)
+        assert main(["check-model", "--counts", write_counts(tmp_path, TRINE_SYMMETRIC),
+                     "--region", "trine", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "numerical failure: math range error\n"
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [

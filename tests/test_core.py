@@ -26,7 +26,6 @@ from conmult.core import (
     quantiles,
     strided,
     tetrahedron_region,
-    trine_prior_mass,
     weights_from_ordered_array,
     zm_log_probs_array,
 )
@@ -374,16 +373,16 @@ class TestKlDivergence:
 
 class TestTrineGeometry:
     def test_prior_mass_values(self):
-        assert trine_prior_mass(1 / 3) == pytest.approx(0.6046, abs=5e-5)
-        assert trine_prior_mass(0.48445) == pytest.approx(0.2684, abs=5e-5)
+        assert TrineEllipse(1 / 3).prior == pytest.approx(0.6046, abs=5e-5)
+        assert TrineEllipse(0.48445).prior == pytest.approx(0.2684, abs=5e-5)
 
     def test_prior_mass_vanishes_at_half(self):
-        assert trine_prior_mass(0.4999999) < 1e-3
+        assert TrineEllipse(0.4999999).prior < 1e-3
 
     def test_prior_mass_domain(self):
         for a in (0.0, 0.5, -0.2, 1.0):
             with pytest.raises(ValueError):
-                trine_prior_mass(a)
+                TrineEllipse(a).prior
 
     def test_prior_mass_matches_monte_carlo(self, rng):
         # independent geometric validation: flat draws on the 2-simplex
@@ -391,7 +390,7 @@ class TestTrineGeometry:
         th = random_simplex(rng, 3, n)
         region = TrineEllipse(1 / 3)
         hit = region.contains_array(th).mean()
-        mass = trine_prior_mass(1 / 3)
+        mass = region.prior
         se = math.sqrt(mass * (1 - mass) / n)
         assert abs(hit - mass) < 3 * se
 
@@ -459,6 +458,38 @@ class TestRegions:
         # the inscribed ball itself, and a ball just past the centroid, are fine
         QuadBall(dim=4, bound=1.0 / 3.0)
         QuadBall(dim=4, bound=0.25 + 1e-12)
+
+    @staticmethod
+    def ball_content(dim, bound):
+        d, r2 = dim - 1, bound - 1.0 / dim
+        return ((math.pi * r2) ** (d / 2) / math.gamma(d / 2 + 1)
+                * math.factorial(d) / math.sqrt(dim))
+
+    @pytest.mark.parametrize("a", [1 / 3, 0.48445, 0.4999999])
+    def test_ellipse_prior_keeps_its_closed_form(self, a):
+        prior = float(a * np.pi * np.sqrt(1 - 2 * a))
+        region = TrineEllipse(a)
+        assert same_bits(region.prior, prior) and same_bits(region.log_prior, math.log(prior))
+
+    @pytest.mark.parametrize("k", [2, 18, 170, 171, 178, 200])
+    def test_cone_prior_keeps_its_closed_form(self, k):
+        # 1/K! is a subnormal at 171 cells and 0 from 178 on, where its log still holds
+        region = OrderedCone(k)
+        assert same_bits(region.prior, 1 / math.factorial(k))
+        assert same_bits(region.log_prior, -math.lgamma(k + 1))
+
+    @pytest.mark.parametrize("dim, bound", [(3, 0.5), (4, 1 / 3), (4, 0.3), (18, 1 / 18 + 1e-3)])
+    def test_ball_prior_keeps_its_closed_form(self, dim, bound):
+        prior = self.ball_content(dim, bound)
+        region = QuadBall(dim, bound)
+        assert same_bits(region.prior, prior) and same_bits(region.log_prior, math.log(prior))
+
+    def test_a_membership_cone_computes_no_factorial(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("computed a factorial")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        assert OrderedCone(dim=500).contains_array(np.arange(500.0, 0.0, -1.0))
 
 
 class TestLogSumExp:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,6 @@ from conmult.core import (
     group_sums,
     strided,
     tetrahedron_region,
-    trine_prior_mass,
     zm_log_probs_array,
 )
 from conmult.model_check import (
@@ -36,7 +36,6 @@ from conmult.model_check import (
     CheckReport,
     _ball_w_rule,
     alpha_upper_bounds,
-    analytic_prior_prob,
     build_zm_table,
     kl_uniform_to_zm,
     ordered_cone_log_content,
@@ -88,25 +87,21 @@ class TestRegionCheck:
     def test_tetrahedron_prior_content_exact(self, rng):
         # the tetrahedron region is the simplex's inscribed ball, radius^2 = 1/12
         exact = math.pi / (6 * math.sqrt(3))
-        assert analytic_prior_prob(tetrahedron_region()) == pytest.approx(exact, rel=1e-14)
+        assert tetrahedron_region().prior == pytest.approx(exact, rel=1e-14)
         inside = tetrahedron_region().contains_array(rng.dirichlet(np.ones(4), 1_000_000))
         assert abs(inside.mean() - exact) < 4 * math.sqrt(exact * (1 - exact) / inside.size)
         t = CountVector(np.array([25, 25, 25, 25]))
         rep = rb_region_check(t, tetrahedron_region())
-        assert rep.prior_prob == analytic_prior_prob(tetrahedron_region())
+        assert rep.prior_prob == tetrahedron_region().prior
         # uniform-ish counts sit well inside the ball: the content is 1 - 4.99677e-7
         assert abs(rep.post_prob - (1 - 4.99677e-7)) <= rep.mc_se < 0.01
         assert rep.rb == pytest.approx(3.30797, abs=5e-6)
 
     def test_inscribed_disk_is_the_symmetric_trine(self):
         # sum theta^2 <= 1/2 on three cells is the trine ellipse at overlap 1/3
-        assert analytic_prior_prob(QuadBall(dim=3, bound=0.5)) == pytest.approx(
-            trine_prior_mass(1 / 3), rel=1e-14)
-        assert trine_prior_mass(1 / 3) == pytest.approx(math.pi / (3 * math.sqrt(3)), rel=1e-14)
-
-    def test_analytic_prior_prob_refuses_other_regions(self):
-        with pytest.raises(TypeError, match="no flat-prior content"):
-            analytic_prior_prob(object())
+        assert QuadBall(dim=3, bound=0.5).prior == pytest.approx(
+            TrineEllipse(1 / 3).prior, rel=1e-14)
+        assert TrineEllipse(1 / 3).prior == pytest.approx(math.pi / (3 * math.sqrt(3)), rel=1e-14)
 
     def test_balls_beyond_four_cells_are_refused(self, monkeypatch):
         # fly counts against a ball of squared radius 1e-3 about the centroid of the
@@ -114,9 +109,22 @@ class TestRegionCheck:
         # reaches a ball on 18 cells, and none is drawn
         no_draws(monkeypatch)
         region = QuadBall(dim=18, bound=1 / 18 + 1e-3)
-        assert 0 < analytic_prior_prob(region) < 1e-10
+        assert 0 < region.prior < 1e-10
         with pytest.raises(ValueError, match="no exact posterior content for a ball on 18 cells"):
             rb_region_check(CountVector(FLY_COUNTS), region)
+
+    @pytest.mark.parametrize("log_post, log_cert, mc_se", [
+        (-9.6e5, 1175.5, 0.0),  # post_prob (e^log_cert - 1) underflows
+        (-200.0, 800.0, math.exp(600.0)),  # e^log_cert overflows, the product does not
+        (-1.0, 800.0, None),  # the product overflows
+        (-1.0, 700.0, math.exp(-1.0) * math.expm1(700.0)),  # the expression as it always was
+    ])
+    def test_a_huge_certificate_keeps_the_report(self, monkeypatch, log_post, log_cert, mc_se):
+        monkeypatch.setattr(model_check, "region_log_content",
+                            lambda t, region: (log_post, log_cert))
+        rep = rb_region_check(CountVector(TRINE_SYMMETRIC), TrineEllipse(1 / 3))
+        assert rep.mc_se == mc_se and rep.log_cert == log_cert
+        assert rep.verdict() == ("against" if log_post < -log_cert else "undefined")
 
 
 class TestExactBallContent:
@@ -125,13 +133,13 @@ class TestExactBallContent:
     def test_flat_content_is_the_prior_content(self):
         for region in (tetrahedron_region(), QuadBall(4, 0.3), QuadBall(3, 0.4)):
             log_content, cert = region_log_content(np.zeros(region.dim), region)
-            assert abs(log_content - math.log(analytic_prior_prob(region))) <= cert < 1e-12
+            assert abs(log_content - math.log(region.prior)) <= cert < 1e-12
 
     @pytest.mark.parametrize("counts, seed", [
         ([10, 20, 30, 40], 81),  # 0.9297165
         ([40, 10, 10, 5], 82),  # 0.0326447
         ([2, 30, 1, 7], 83),  # 0.00036180
-        ([60, 50, 45, 20], 84),  # 0.9998966
+        ([60, 50, 45, 20], 84),  # 0.9998964
     ])
     def test_contents_match_dirichlet_monte_carlo(self, counts, seed):
         # 2M Dirichlet(t + 1) draws, sampled here with numpy's own sampler
@@ -164,9 +172,19 @@ class TestExactBallContent:
         # disc, against the certificate of the level the check stops at
         value, cert = region_log_content(counts, tetrahedron_region())
         # a NaN prior content is never decided against, so every level runs
-        monkeypatch.setattr(model_check, "analytic_prior_prob", lambda region: math.nan)
+        monkeypatch.setattr(QuadBall, "log_prior", math.nan)
         finest, _ = region_log_content(counts, tetrahedron_region())
         assert abs(value - finest) <= cert
+
+    @pytest.mark.parametrize("counts", [[1000, 1, 1, 1], [5000, 0, 0, 0], [1000000, 10, 10, 10],
+                                        [40, 10, 10, 5]])
+    def test_every_order_of_the_counts_gets_the_same_bits(self, counts):
+        # the ball and the flat prior are symmetric in the cells; a dominant count outside
+        # the w slot leaves the level-0 rule far off, with certificates of up to 5305
+        reports = [rb_region_check(CountVector(np.array(p)), tetrahedron_region())
+                   for p in itertools.permutations(counts)]
+        assert len(reports) == 24 and reports[0].log_cert < 1e-6
+        assert all(same_bits(rep, reports[0]) for rep in reports)
 
     def test_content_underflows_but_the_logs_decide(self):
         rep = rb_region_check(CountVector(np.array([0, 0, 0, 5000])), tetrahedron_region())
@@ -217,7 +235,7 @@ class TestExactBallContent:
             return real(t, region, log_density, log_coef, level, scale)
 
         monkeypatch.setattr(model_check, "trine_log_integrals", spy)
-        monkeypatch.setattr(model_check, "analytic_prior_prob", lambda region: math.nan)
+        monkeypatch.setattr(QuadBall, "log_prior", math.nan)
         value, cert = region_log_content(counts, tetrahedron_region())
         assert abs(value - graded_to_2_40) <= cert < 1e-10
         assert len(rows) == 3 and rows[-1] < 41 * 96
@@ -319,7 +337,7 @@ class TestExactTrineContent:
     def test_one_count_contents_are_closed_form(self, a):
         # Dirichlet(2, 1, 1) has density 6 theta_1 on (theta_1, theta_2), and the
         # ellipse's centroid is its centre (a, (1 - a)/2), with area m(a)/2
-        m = trine_prior_mass(a)
+        m = TrineEllipse(a).prior
         for cell, want in enumerate((3 * a * m, 1.5 * (1 - a) * m, 1.5 * (1 - a) * m)):
             counts = np.zeros(3, dtype=int)
             counts[cell] = 1
@@ -828,6 +846,12 @@ class TestDistanceCheck:
         rep = rb_distance_check(t, 0.05, 30_000, RngStream(52))
         assert rep.rb_zero < 1
         assert rep.verdict() == "against"
+
+    def test_a_ratio_of_one_is_undefined(self):
+        # every distance is at most log 4 < 1.4, so every draw lies in the first bin
+        rep = rb_distance_check(CountVector(np.array([40, 30, 20, 10])), 1.4, 1000, RngStream(54))
+        assert (rep.rb_zero, rep.prior_first_bin_empty) == (1.0, False)
+        assert rep.verdict() == "undefined"
 
     def test_strength_bins_below_rb_zero(self):
         probs = np.exp(zm_log_probs_array(0.5, 1.5, 4))
