@@ -246,7 +246,7 @@ def cmd_check_model(args):
             "mode": "zm_distance",
             "rb": None if undefined else rep.rb_zero,
             "strength": None if undefined else rep.strength,
-            "delta": rep.delta, "n_draws": rep.n_draws,
+            "delta": args.zm_delta, "n_draws": args.draws,
             "prior_first_bin_empty": rep.prior_first_bin_empty,
             "prior_first_bin": float(rep.prior_hist[0]),
             "post_first_bin": float(rep.post_hist[0]),
@@ -341,8 +341,8 @@ def cmd_check_prior(args):
                                np.r_[rep.se_obs, rep.se_pred]]),
               [("obs",), *((j,) for j in range(len(rep.log_m_pred)))])
     payload.update({
-        "pvalue": rep.pvalue, "method": rep.method, "n_predictive": rep.n_predictive,
-        "n_is": rep.n_is, "tau": rep.tau, "log_m_obs": rep.log_m_obs,
+        "pvalue": rep.pvalue, "method": rep.method, "n_predictive": args.npred,
+        "n_is": args.nis, "tau": rep.tau, "log_m_obs": rep.log_m_obs,
         "ess_min": rep.ess_min, "ess_median": rep.ess_median,
         "n_failed": rep.n_failed, "unreliable": rep.unreliable,
         "tau_profile": rep.tau_profile,
@@ -372,7 +372,7 @@ def cmd_elicit(args):
     }
     path = write_json(args.out, "prior.json", spec)
     write_report(args.out, "elicit.json", config, {
-        "tau": res.tau, "achieved": res.achieved, "mc_se": res.mc_se, "method": res.method,
+        "tau": res.tau, "achieved": res.achieved, "mc_se": res.mc_se, "method": "exact",
         "prior_file": "prior.json",
     })
     print(f"tau={res.tau:.4g} achieved={res.achieved:.4f} -> {path}")

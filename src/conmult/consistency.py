@@ -22,23 +22,6 @@ ENUMERATION_GUARD = 10**8
 LOG_TIE_TOL = 1e-9
 
 
-class CellIndex:
-    """Lattice point of the cell containing an interior point r at resolution n."""
-
-    def __init__(self, n, indices):
-        idx = tuple(int(i) for i in indices)
-        if any(i < 0 for i in idx) or sum(idx) > n:
-            raise ValueError(f"invalid cell index {idx} for n={n}")
-        self.n, self.indices = n, idx
-
-
-def cell_index(r, n: int) -> CellIndex:
-    """Index n_i = floor(n r_i + 1/2) of the cell containing r (first k coordinates)."""
-    rr = r.probs if isinstance(r, SimplexPoint) else np.asarray(r, dtype=float)
-    idx = np.floor(n * rr[:-1] + 0.5).astype(int)
-    return CellIndex(n=n, indices=tuple(idx))
-
-
 def enumerate_lattice(k: int, n: int) -> np.ndarray:
     """All count vectors with k+1 cells summing to n, as rows in lexicographic order.
 
@@ -91,12 +74,16 @@ def exact_conflict_pvalue(t_obs: CountVector, alphas: DirichletParams) -> float:
 
 
 def continuized_density(r, n: int, alphas: DirichletParams) -> float:
-    """Piecewise-constant density n^k * (predictive mass of the cell containing r)."""
-    idx = cell_index(r, n)
-    k = len(alphas) - 1
-    t_last = n - sum(idx.indices)
-    counts = np.array(idx.indices + (t_last,))
-    return float(n**k * np.exp(log_dirichlet_multinomial(counts, alphas.alphas)))
+    """Piecewise-constant density n^k * (predictive mass of the cell containing r).
+
+    The cell's first k counts are n_i = floor(n r_i + 1/2); the last cell takes the rest.
+    """
+    rr = r.probs if isinstance(r, SimplexPoint) else np.asarray(r, dtype=float)
+    idx = np.floor(n * rr[:-1] + 0.5).astype(int)
+    if idx.min() < 0 or idx.sum() > n:
+        raise ValueError(f"invalid cell index {tuple(idx.tolist())} for n={n}")
+    counts = np.append(idx, n - idx.sum())
+    return float(n ** (len(alphas) - 1) * np.exp(log_dirichlet_multinomial(counts, alphas.alphas)))
 
 
 # ---------------------------------------------------------------------------

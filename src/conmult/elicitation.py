@@ -56,7 +56,6 @@ class TauSearchResult(NamedTuple):
     achieved: float
     mc_se: float  # the achieved value's quadrature certificate
     trace: tuple  # (tau, achieved) pairs in evaluation order
-    method: str = "exact"
 
 
 # F_S's trapezoid rule in v = log t: step V_STEP / sqrt(max(16, sum alpha)), ends where
@@ -166,7 +165,8 @@ def find_tau_result(inp: ElicitationInput, n_draws=None, rng=None) -> TauSearchR
     """Smallest concentration giving the (l, u) event probability at least gamma.
 
     Geometric bracket expansion from tau = 1, then 20 bisections, each on the
-    exact probability; nothing is drawn, so ``n_draws`` and ``rng`` are unused.
+    exact probability; nothing is drawn, so ``n_draws`` and ``rng`` are unused,
+    kept only for the positional call in ``perfbench/probes.py``.
     ``mc_se`` is the distance to the rule with half the nodes in w plus F_S's
     certificate. The flat prior, tau = 0, must fall short of gamma.
     """

@@ -407,8 +407,6 @@ class DistanceCheckReport(NamedTuple):
     strength: float
     prior_hist: np.ndarray
     post_hist: np.ndarray
-    delta: float
-    n_draws: int
     prior_first_bin_empty: bool
 
     def verdict(self) -> str:
@@ -466,7 +464,5 @@ def rb_distance_check(t: CountVector, delta: float, n_draws: int, rng: RngStream
         strength=strength,
         prior_hist=prior_hist,
         post_hist=post_hist,
-        delta=delta,
-        n_draws=n_draws,
         prior_first_bin_empty=bool(empty),
     )

@@ -251,14 +251,9 @@ def proposal_for(t: CountVector, prior, tau: float) -> DirichletParams:
 
     The parameters are for the space ``prior.importance_terms`` scores draws in.
     """
-    return DirichletParams(_proposal_alphas(t.counts[None], prior, tau)[0])
-
-
-def _proposal_alphas(counts, prior, tau):
-    """Proposal parameters of every count row; ``tau`` is a scalar or a column."""
-    if np.any(np.asarray(tau) <= 0):
+    if tau <= 0:
         raise ValueError("tau must be > 0")
-    return prior.proposal_alphas(np.asarray(counts), tau)
+    return DirichletParams(prior.proposal_alphas(t.counts[None], tau)[0])
 
 
 def _is_log_predictive(ts, prior, alphas, n_is, streams, workers=1):
@@ -331,10 +326,10 @@ def tune_tau(t_repr: CountVector, prior, tau_grid, rng: RngStream,
     value, grid value i on substream i; zero-weight values are excluded.
     Returns (tau, profile) with the profile a tuple of (tau, ess) pairs.
     """
-    if len(tau_grid) == 0:
-        raise ValueError("tau grid must be nonempty")
     taus = [float(tau) for tau in tau_grid]
-    alphas = _proposal_alphas(t_repr.counts[None], prior, np.array(taus)[:, None])
+    if not taus or min(taus) <= 0:
+        raise ValueError(f"tau grid must be nonempty and every tau > 0, got {taus}")
+    alphas = prior.proposal_alphas(t_repr.counts[None], np.array(taus)[:, None])
     results = _is_log_predictive(np.broadcast_to(t_repr.counts, alphas.shape), prior,
                                  alphas, n_is, [rng.substream(i) for i in range(len(taus))])
     profile = [(tau, ess) for tau, (_, _, ess) in zip(taus, results)]
@@ -359,8 +354,6 @@ class ConflictReport(NamedTuple):
     """
 
     pvalue: float
-    n_predictive: int
-    n_is: int
     tau: float
     log_m_obs: float
     se_obs: float
@@ -383,8 +376,8 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
     computes each log predictive mass, and returns the fraction at or below
     the observed one. A prior with ``exact_log_predictive`` gives the masses
     with error certificates (see ``_exact_masses``); it draws no stream but
-    the predictive counts' substream 0 and ignores ``n_is`` and ``tau``,
-    which the report echoes (tau as n when not given).
+    the predictive counts' substream 0 and ignores ``n_is`` and ``tau``;
+    the report echoes ``tau`` (n when not given).
 
     Otherwise each mass is estimated by importance sampling with its own
     proposal. Estimation failures count as minus infinity and flag the report
@@ -422,16 +415,14 @@ def conflict_pvalue(t_obs: CountVector, prior, n_pred: int, n_is: int,
             tau, tau_profile = tune_tau(CountVector(t_pred[0]), prior, prior.tau_grid(n),
                                         rng.substream(1), min(n_is, 4000))
         streams = [rng.substream(2)] + [rng.substream(3 + j) for j in range(n_pred)]
-        results = _is_log_predictive(ts, prior, _proposal_alphas(ts, prior, tau), n_is,
-                                     streams, workers)
+        results = _is_log_predictive(ts, prior, prior.proposal_alphas(ts, tau), n_is, streams,
+                                     workers)
         lm, se, ess = (np.array(col) for col in zip(*results))
         method, unresolved = "importance_sampling", False
         ess_min, ess_median = float(ess.min()), float(median(ess))
     n_failed = int(np.sum(~np.isfinite(lm)))
     return ConflictReport(
         pvalue=float(np.mean(lm[1:] <= lm[0])),
-        n_predictive=n_pred,
-        n_is=n_is,
         tau=float(tau),
         log_m_obs=float(lm[0]),
         se_obs=float(se[0]),

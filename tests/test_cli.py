@@ -294,6 +294,22 @@ class TestElicitAndDownstream:
         samples = open(os.path.join(out, "posterior_samples.csv")).readlines()
         assert len(samples) == 251  # header + rows
 
+    def test_reports_echo_their_budgets(self, tmp_path):
+        # these keys echo the command line, not fields of the result records
+        out = str(tmp_path / "out")
+        assert main(["elicit", "--k", "5", "--delta", "0", "--l", "0.02", "--u", "0.6",
+                     "--gamma", "0.9", "--out", out]) == 0
+        assert load(out, "elicit.json")["method"] == "exact"
+        counts = write_counts(tmp_path, np.array([30, 25, 20, 12, 8, 5]))
+        assert main(["check-prior", "--counts", counts, "--prior", os.path.join(out, "prior.json"),
+                     "--force", "--npred", "25", "--nis", "600", "--out", out]) == 0
+        rep = load(out, "prior_check.json")
+        assert (rep["n_predictive"], rep["n_is"]) == (25, 600)
+        assert main(["check-model", "--counts", counts, "--zm-delta", "0.05", "--draws", "3000",
+                     "--out", out]) in (0, 2, 3)
+        rep = load(out, "model_check.json")
+        assert (rep["mode"], rep["delta"], rep["n_draws"]) == ("zm_distance", 0.05, 3000)
+
     @pytest.mark.parametrize("argv", [
         ["--k", "17", "--delta", "0", "--l", "0", "--u", "0.9", "--gamma", "0.9"],
         ["--k", "5", "--delta", "0.05", "--l", "0", "--u", "0.95"],

@@ -8,11 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import betainc
 
 from conmult.consistency import (
-    CellIndex,
     ConvergenceTable,
     _beta_level_set_prob,
     _beta_tails,
-    cell_index,
     check_prior_conditions,
     continuized_density,
     convergence_experiment,
@@ -271,10 +269,13 @@ class TestBetaLevelSet:
 
 class TestContinuizedDensity:
     def test_cell_index(self):
-        idx = cell_index(SimplexPoint(np.array([0.31, 0.69])), 10)
-        assert idx.indices == (3,)
+        # 0.31 at n = 10 rounds into cell 3: the density is 10 times the mass of (3, 7)
+        alphas = DirichletParams(np.array([2.0, 2.0]))
+        mass = np.exp(log_dirichlet_multinomial(np.array([3, 7]), alphas.alphas))
+        assert continuized_density(SimplexPoint(np.array([0.31, 0.69])), 10, alphas) == 10 * mass
+        # (1/2, 1/2, 0) at n = 1 rounds to counts (1, 1), which pass n
         with pytest.raises(ValueError):
-            CellIndex(n=5, indices=(3, 3))
+            continuized_density(np.array([0.5, 0.5, 0.0]), 1, DirichletParams(np.ones(3)))
 
     def test_constant_on_cells(self):
         alphas = DirichletParams(np.array([2.0, 2.0]))

@@ -237,7 +237,7 @@ class TestExactVirtualCertainty:
                                           (SPACED[2], 15.797882)], ids=["k17", "maximal", "k5"])
     def test_spaced_tau_is_exact(self, inp, tau):
         res = find_tau_result(inp, 10_000, RngStream(3))
-        assert res.method == "exact" and res.tau == pytest.approx(tau, abs=1e-4)
+        assert res.tau == pytest.approx(tau, abs=1e-4)
         assert 0.0 <= res.achieved - inp.gamma < 1e-6 and res.mc_se < 1e-12
 
     @pytest.mark.parametrize("inp", [FLY, SPACED[0], SPACED[2],
@@ -286,7 +286,7 @@ class TestExactVirtualCertainty:
         inp = ElicitationInput(k=17, delta=0.0, l=l, u=0.5, gamma=0.99)
         res = find_tau_result(inp, 10, RngStream(1))
         assert res == find_tau_result(inp, 40_000, RngStream(2))
-        assert res.method == "exact" and res.tau == pytest.approx(tau, abs=2e-6)
+        assert res.tau == pytest.approx(tau, abs=2e-6)
         assert 0.0 <= res.achieved - inp.gamma < 1e-6 and res.mc_se < 1e-12
         assert len(res.trace) == 23  # tau = 1, 2, 4, then 20 bisections
 
@@ -301,7 +301,7 @@ class TestExactVirtualCertainty:
         monkeypatch.setattr(RngStream, "substream", no_draws)
         monkeypatch.setattr(RngStream, "generator", no_draws)
         inp = ElicitationInput(k=5, delta=delta, l=0.02, u=0.6, gamma=0.9)
-        assert find_tau_result(inp, 1000, RngStream(1)).method == "exact"
+        find_tau_result(inp, 1000, RngStream(1))
 
     def test_many_cells_in_small_memory(self):
         # 101 cells: F_S's (s, v) arrays are blocked, so the search stays small

@@ -3,6 +3,8 @@ module-level imports of command modules that the front end loads only on demand,
 imports between the analysis modules, which build on ``core`` and ``sampling`` alone."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -171,11 +173,11 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 READ_BY_TESTS_ALONE = [("consistency", "continuized_density")]
 
 
-def public_definitions(source):
-    """Names of the public functions and classes that ``source`` defines at module level."""
+def definitions(source):
+    """Names of the functions and classes, private ones included, that ``source`` defines at
+    module level."""
     return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
 def reads_by_statement(source):
@@ -187,19 +189,19 @@ def reads_by_statement(source):
 
 
 def unread_definitions(sources, bench_sources):
-    """(module, name) for each public definition in ``sources``, a dict of module texts, that
+    """(module, name) for each definition in ``sources``, a dict of module texts, that
     no module reads outside the definition itself and no benchmark source reads."""
     reads = [((module, owner), names) for module, text in sources.items()
              for owner, names in reads_by_statement(text)]
     bench = {name for text in bench_sources for _, names in reads_by_statement(text)
              for name in names}
     return sorted((module, name) for module, text in sources.items()
-                  for name in public_definitions(text)
+                  for name in definitions(text)
                   if name not in bench and not any(name in names for where, names in reads
                                                    if where != (module, name)))
 
 
-def test_every_public_definition_is_read_outside_the_tests():
+def test_every_definition_is_read_outside_the_tests():
     # __init__ only re-exports, so a name that it alone reads is read by nothing
     sources = {p.stem: p.read_text() for p in MODULES}
     bench = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
@@ -207,7 +209,79 @@ def test_every_public_definition_is_read_outside_the_tests():
 
 
 def test_definition_guard_skips_a_definitions_own_body():
-    sources = {"a": "def f():\n    return f()\nclass C:\n    x = C\ndef g():\n    return h\n",
+    sources = {"a": "def f():\n    return f()\nclass C:\n    x = C\ndef g():\n    return h\n"
+                    "def _p():\n    return _p()\n",
                "b": "def h():\n    return 1\nclass D:\n    pass\ny = D\n"
-                    "if y:\n    E()\nclass E:\n    pass\n"}
-    assert unread_definitions(sources, ["g()\n"]) == [("a", "C"), ("a", "f")]
+                    "if y:\n    E()\nclass E:\n    pass\nclass _Q:\n    pass\nclass R(_Q):\n"
+                    "    pass\n"}
+    assert unread_definitions(sources, ["g()\nR()\n"]) == [("a", "C"), ("a", "_p"), ("a", "f")]
+
+
+def package_bindings(source):
+    """{bound name: (module, attribute, or None for the module itself)} for each name that
+    ``source`` binds by importing from the package or importing a package module under an alias."""
+    bound = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("conmult."):
+            bound.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname, (a.name, None)) for a in node.names
+                         if a.name.startswith("conmult.") and a.asname)
+    return bound
+
+
+def package_calls(source):
+    """(module, function, positional count, keyword names) for each call in ``source`` to a name
+    it imports from the package or to an attribute of a package module it imports."""
+    bound, calls = package_bindings(source), []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, target = node.func, None
+        if isinstance(func, ast.Name) and func.id in bound:
+            target = bound[func.id]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and bound.get(func.value.id, (None, ""))[1] is None:
+            target = bound[func.value.id][0], func.attr
+        if target is not None:
+            calls.append((*target, len(node.args), tuple(k.arg for k in node.keywords)))
+    return sorted(calls)
+
+
+def test_package_call_guard_sees_names_and_module_attributes():
+    source = ("from conmult.core import a as b\nimport conmult.cli as c\nimport numpy as np\n"
+              "def f():\n    b(1, 2, k=3)\n    g(lambda: c.main([]))\n    np.log(1)\n")
+    assert package_bindings(source) == {"b": ("conmult.core", "a"), "c": ("conmult.cli", None)}
+    assert package_calls(source) == [("conmult.cli", "main", 1, ()),
+                                     ("conmult.core", "a", 2, ("k",))]
+
+
+BENCH_SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda p: p.name)
+def test_every_benchmark_import_resolves(path):
+    missing = [(module, name) for module, name in package_bindings(path.read_text()).values()
+               if name is not None and not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda p: p.name)
+def test_every_benchmark_call_binds(path):
+    # the layer probes call the library positionally; only a traced benchmark run would
+    # otherwise notice a dropped or reordered parameter
+    unbound = []
+    for call in package_calls(path.read_text()):
+        module, name, n_args, keywords = call
+        try:
+            inspect.signature(getattr(importlib.import_module(module), name)).bind(
+                *[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError:
+            unbound.append(call)
+    assert unbound == []
+
+
+def test_the_probes_positional_calls_are_checked():
+    called = {name for _, name, _, _ in package_calls((PERFBENCH / "probes.py").read_text())}
+    assert called >= {"find_tau_result", "zm_distance_batch", "conflict_pvalue",
+                      "estimate_log_prior_predictive", "run_gibbs"}

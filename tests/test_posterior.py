@@ -328,6 +328,24 @@ class TestSmallConcentration:
         gap = np.abs(samples.mean(axis=0) - mean_oracle)
         assert np.all(gap < 3.5 * np.sqrt(se_oracle**2 + se_gibbs**2))
 
+    @pytest.mark.xfail(strict=True, reason="Gibbs absorbed at a vertex at small alpha; "
+                                           "ROADMAP item 4")
+    def test_two_cell_mean_matches_the_exact_sum(self):
+        # theta_1 = 1 - w / 2 with w ~ Beta(alpha, alpha), so E[theta_1 | t = (5, 0)] is
+        # S(6) / S(5), S(m) = sum_j C(m, j) (-1/2)^j B(alpha + j, alpha)
+        alpha = 1e-3
+
+        def s(m):
+            return sum(math.comb(m, j) * (-0.5) ** j
+                       * math.exp(math.lgamma(alpha + j) + math.lgamma(alpha)
+                                  - math.lgamma(2 * alpha + j)) for j in range(m + 1))
+
+        exact = s(6) / s(5)
+        assert exact == pytest.approx(0.9846081, abs=1e-7)
+        samples, _ = run_gibbs(CountVector(np.array([5, 0])), DirichletParams(np.full(2, alpha)),
+                               300, 100, None, RngStream(1))
+        assert abs(samples[:, 0].mean() - exact) < 0.02
+
 
 def assert_valid_rows(samples, k1, kept):
     assert samples.shape == (kept, k1)

@@ -269,6 +269,11 @@ class TestTuneTau:
         with pytest.raises(ValueError):
             tune_tau(CountVector(np.array([5, 3, 2])), prior, [], RngStream(94))
 
+    def test_nonpositive_grid_rejected(self):
+        prior = RawDirichletPrior(DirichletParams(np.ones(3)))
+        with pytest.raises(ValueError, match="tau > 0"):
+            tune_tau(CountVector(np.array([5, 3, 2])), prior, [1.0, 0.0], RngStream(94))
+
 
 def scipy_trine_log_mass(t, a):
     """log of the trine predictive mass of ``t`` by nested ``scipy.integrate.quad``, and its error.
@@ -457,7 +462,6 @@ class TestConflictPvalue:
         rep = conflict_pvalue(t, RawDirichletPrior(DirichletParams(np.ones(3))),
                               100, 1000, RngStream(98))
         assert 0 <= rep.pvalue <= 1
-        assert rep.n_predictive == 100
         assert rep.log_m_pred.shape == (100,)
         # closed-form masses: no sampler, so no effective sample sizes
         assert rep.method == "closed_form"
@@ -643,7 +647,7 @@ class TestPredictiveRateAndGroupedCheck:
         rep = grouped_conflict_check(t, ordered_prior(2.85), strided(9, 18), 60, 2000,
                                      RngStream(104))
         assert 0 <= rep.pvalue <= 1
-        assert rep.n_predictive == 60
+        assert rep.log_m_pred.shape == (60,)
 
     def test_labels_must_cover_the_cells(self):
         with pytest.raises(ValueError, match="group layout covers 16 cells, counts have 18"):
